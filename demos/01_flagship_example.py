@@ -31,7 +31,7 @@ def main():
     # single End(TM)-valued component is the constant 2.
     r = atiyah_cocycle(s)
     print("\nAtiyah cocycle R(e_0):")
-    for (i, j, k), p in sorted(r.terms[(0,)].entries.items()):
+    for (i, j, k), p in sorted(r.terms[(0,)].terms.items()):
         print(f"  R(e_0, d_{i}) d_{j} = ({p}) d_{k}")
     print(f"Chevalley-Eilenberg closed: {is_ce_closed(s, r)}")
 

@@ -7,7 +7,7 @@ flagship scenario on both sides, confirms the HKR comparison, and runs
 the twisted-HKR multiplicativity check on every pair of classes in the
 stable window.
 
-Run with:  python demos/03_cohomology_and_duflo.py  (about a minute)
+Run with:  python demos/03_cohomology_and_duflo.py  (about a second)
 """
 
 from importlib import resources

@@ -3,27 +3,14 @@ differential, one per value type."""
 
 from __future__ import annotations
 
-from .calculus import DiffForm, PolyVector, lie_derivative_form, schouten
+from .calculus import PolyVector, schouten
 from .dpoly import PolyDiffOp, gerstenhaber
-from .poly import Poly
 from .scenario import Scenario
-
-
-def on_functions(s: Scenario):
-    def act(a: int, f: Poly) -> Poly:
-        return s.action[a].apply_to(f)
-    return act
 
 
 def on_polyvectors(s: Scenario):
     def act(a: int, v: PolyVector) -> PolyVector:
         return schouten(s.action[a], v)
-    return act
-
-
-def on_forms(s: Scenario):
-    def act(a: int, omega: DiffForm) -> DiffForm:
-        return lie_derivative_form(s.action[a], omega)
     return act
 
 

@@ -12,92 +12,47 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Mapping
 
 from .calculus import DiffForm, PolyVector, mixed_mul, mixed_unit
 from .liealg import Cochain, ce_differential
 from .linalg import ColumnReducer
-from .poly import Poly, monomial_weight
+from .poly import Poly, Sparse, accumulate, monomial_weight
 from .scenario import Scenario, vf_bracket
 from .series import log_todd_generator_series
 
 
-class EndTensor:
+class EndTensor(Sparse):
     """Element of Gamma(T-dual (x) End T): entries [i][j][k] with
     A(d_i) d_j = sum_k A[i,j,k] d_k."""
 
-    __slots__ = ("n", "entries")
-
-    def __init__(self, n: int, entries: Mapping[tuple[int, int, int], Poly] | None = None):
-        self.n = n
-        clean: dict[tuple[int, int, int], Poly] = {}
-        if entries:
-            for key, p in entries.items():
-                if not p.is_zero():
-                    clean[key] = p
-        self.entries = clean
+    __slots__ = ()
 
     def entry(self, i: int, j: int, k: int) -> Poly:
-        return self.entries.get((i, j, k), Poly.zero(self.n))
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, EndTensor) and self.n == other.n and self.entries == other.entries
-
-    def __add__(self, other: "EndTensor") -> "EndTensor":
-        out = dict(self.entries)
-        for key, p in other.entries.items():
-            s = out.get(key, Poly.zero(self.n)) + p
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return EndTensor(self.n, out)
-
-    def __sub__(self, other: "EndTensor") -> "EndTensor":
-        return self + other.scale(-1)
-
-    def scale(self, factor) -> "EndTensor":
-        f = Fraction(factor)
-        if f == 0:
-            return EndTensor(self.n)
-        return EndTensor(self.n, {k: p.scale(f) for k, p in self.entries.items()})
+        return self.terms.get((i, j, k), Poly.zero(self.n))
 
     def tensor_weight(self, key: tuple[int, int, int], exps, weights) -> int:
         i, j, k = key
         return monomial_weight(exps, weights) + weights[i] + weights[j] - weights[k]
 
     def __repr__(self) -> str:
-        return "EndTensor(" + ", ".join(f"{k}: {p!r}" for k, p in sorted(self.entries.items())) + ")"
+        return "EndTensor(" + ", ".join(f"{k}: {p!r}" for k, p in sorted(self.terms.items())) + ")"
 
 
 def _end_action_full(s: Scenario, a: int, t: EndTensor) -> EndTensor:
     n = s.n
     phi = s.action[a].vf_components()
     out: dict[tuple[int, int, int], Poly] = {}
-
-    def add(key, p):
-        if p.is_zero():
-            return
-        sacc = out.get(key, Poly.zero(n)) + p
-        if sacc.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = sacc
-
-    for (i, j, k), p in t.entries.items():
+    for (i, j, k), p in t.terms.items():
         # term 1: [phi, A(d_i)d_j] = phi(A_ijk) d_k - A_ijc d_c(phi^k) d_k
-        add((i, j, k), s.action[a].apply_to(p))
+        accumulate(out, (i, j, k), s.action[a].apply_to(p))
         for c in range(n):
-            add((i, j, c), (p * phi[c].partial(k)).scale(-1))
+            accumulate(out, (i, j, c), (p * phi[c].partial(k)).scale(-1))
         # term 2: - A([phi, d_c]) d_j = +d_c(phi^i) A(d_i) d_j summed into slot c
         for c in range(n):
-            add((c, j, k), phi[i].partial(c) * p)
+            accumulate(out, (c, j, k), phi[i].partial(c) * p)
         # term 3: - A(d_i) [phi, d_c] = +d_c(phi^j) A(d_i) d_j summed into slot c
         for c in range(n):
-            add((i, c, k), phi[j].partial(c) * p)
+            accumulate(out, (i, c, k), phi[j].partial(c) * p)
     return EndTensor(n, out)
 
 
@@ -110,37 +65,27 @@ def atiyah_cocycle(s: Scenario) -> Cochain:
     for a in range(s.dim_g):
         phi = s.action[a].vf_components()
         entries: dict[tuple[int, int, int], Poly] = {}
-
-        def add(key, p):
-            if p.is_zero():
-                return
-            acc = entries.get(key, Poly.zero(n)) + p
-            if acc.is_zero():
-                entries.pop(key, None)
-            else:
-                entries[key] = acc
-
         for i in range(n):
             for j in range(n):
                 # term 1: [a-hat, Gamma^k_ij d_k]
                 t1 = vf_bracket(s.action[a], s.covariant_basis(i, j))
                 for k, p in enumerate(t1.vf_components()):
-                    add((i, j, k), p)
+                    accumulate(entries, (i, j, k), p)
                 # term 2: nabla_i [a-hat, d_j], [a-hat, d_j] = -d_j(phi^c) d_c
                 for c in range(n):
                     g = phi[c].partial(j).scale(-1)
                     if g.is_zero():
                         continue
-                    add((i, j, c), g.partial(i).scale(-1))
+                    accumulate(entries, (i, j, c), g.partial(i).scale(-1))
                     for k in range(n):
-                        add((i, j, k), (g * s.gamma(k, i, c)).scale(-1))
+                        accumulate(entries, (i, j, k), (g * s.gamma(k, i, c)).scale(-1))
                 # term 3: nabla_{[a-hat, d_i]} d_j
                 for c in range(n):
                     g = phi[c].partial(i).scale(-1)
                     if g.is_zero():
                         continue
                     for k in range(n):
-                        add((i, j, k), (g * s.gamma(k, c, j)).scale(-1))
+                        accumulate(entries, (i, j, k), (g * s.gamma(k, c, j)).scale(-1))
         tensor = EndTensor(n, entries)
         if not tensor.is_zero():
             terms[(a,)] = tensor
@@ -190,7 +135,7 @@ def _flatten_end_cochain(c: Cochain) -> dict:
     out = {}
     for idx, t in c.terms.items():
         (a,) = idx
-        for key, p in t.entries.items():
+        for key, p in t.terms.items():
             for exps, coeff in p.terms.items():
                 out[(a, key, exps)] = coeff
     return out
@@ -224,7 +169,7 @@ def invariant_connection_obstruction(s: Scenario, max_poly_weight: int | None = 
     required: dict[int, dict] = {}
     for idx, t in r.terms.items():
         (a,) = idx
-        for key, p in t.entries.items():
+        for key, p in t.terms.items():
             for exps, coeff in p.terms.items():
                 tau = t.tensor_weight(key, exps, w) - s.action_weights[a]
                 required.setdefault(tau, {})[(a, key, exps)] = coeff
@@ -289,7 +234,7 @@ def atiyah_matrix(s: Scenario, r: Cochain) -> list[list[Cochain]]:
     mat = [[Cochain(m) for _ in range(n)] for _ in range(n)]
     for idx, t in r.terms.items():
         (a,) = idx
-        for (i, j, k), p in t.entries.items():
+        for (i, j, k), p in t.terms.items():
             entry = Cochain(m, {(a,): DiffForm(n, {(i,): p})})
             mat[k][j] = mat[k][j] + entry
     return mat

@@ -13,30 +13,27 @@ the vector field commutator, which is what the tests pin down.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable
 
 from .liealg import Cochain, IndexTuple, merge_indices
-from .poly import Poly, monomial_weight
+from .poly import Poly, Sparse, accumulate
 
 CoordTuple = tuple[int, ...]
 
 
-class PolyVector:
-    """Sparse polynomial multivector field; sums of mixed degree allowed."""
+def _check_coord_tuple(self, idx: CoordTuple) -> None:
+    if list(idx) != sorted(set(idx)) or any(not 0 <= j < self.n for j in idx):
+        raise ValueError(f"bad coordinate tuple {idx}")
 
-    __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: Mapping[CoordTuple, Poly] | None = None):
-        self.n = n
-        clean: dict[CoordTuple, Poly] = {}
-        if terms:
-            for idx, p in terms.items():
-                if list(idx) != sorted(set(idx)) or any(not 0 <= j < n for j in idx):
-                    raise ValueError(f"bad coordinate tuple {idx}")
-                if not p.is_zero():
-                    clean[idx] = p
-        self.terms = clean
+class PolyVector(Sparse):
+    """Sparse polynomial multivector field; sums of mixed degree allowed.
+
+    Degrees are shifted: functions count as -1."""
+
+    __slots__ = ()
+    SHIFT = -1
+    _check_key = _check_coord_tuple
 
     # ---------------------------------------------------------- constructors
 
@@ -53,47 +50,6 @@ class PolyVector:
     def basis_vector(n: int, j: int) -> "PolyVector":
         return PolyVector(n, {(j,): Poly.const(n, 1)})
 
-    # --------------------------------------------------------------- algebra
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolyVector) and self.n == other.n and self.terms == other.terms
-
-    def __add__(self, other: "PolyVector") -> "PolyVector":
-        out = dict(self.terms)
-        for idx, p in other.terms.items():
-            s = out.get(idx, Poly.zero(self.n)) + p
-            if s.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = s
-        return PolyVector(self.n, out)
-
-    def __neg__(self) -> "PolyVector":
-        return self.scale(-1)
-
-    def __sub__(self, other: "PolyVector") -> "PolyVector":
-        return self + (-other)
-
-    def scale(self, factor) -> "PolyVector":
-        f = Fraction(factor)
-        if f == 0:
-            return PolyVector(self.n)
-        return PolyVector(self.n, {i: p.scale(f) for i, p in self.terms.items()})
-
-    def degrees(self) -> set[int]:
-        """Shifted degrees present (functions count as -1)."""
-        return {len(i) - 1 for i in self.terms}
-
-    def component(self, degree: int) -> "PolyVector":
-        return PolyVector(self.n, {i: p for i, p in self.terms.items()
-                                   if len(i) - 1 == degree})
-
-    def components_by_degree(self) -> list[tuple[int, "PolyVector"]]:
-        return [(d, self.component(d)) for d in sorted(self.degrees())]
-
     def vf_components(self) -> list[Poly]:
         """Coefficients of a tensor-degree-1 multivector as a plain list."""
         return [self.terms.get((j,), Poly.zero(self.n)) for j in range(self.n)]
@@ -107,27 +63,6 @@ class PolyVector:
             out = out + p * f.partial(idx[0])
         return out
 
-    # ---------------------------------------------------------------- weight
-
-    def term_weight(self, idx: CoordTuple, exps, weights) -> int:
-        return monomial_weight(exps, weights) - sum(weights[j] for j in idx)
-
-    def weights_present(self, weights: tuple[int, ...]) -> set[int]:
-        out = set()
-        for idx, p in self.terms.items():
-            for exps in p.terms:
-                out.add(self.term_weight(idx, exps, weights))
-        return out
-
-    def weight_component(self, weights: tuple[int, ...], w: int) -> "PolyVector":
-        out: dict[CoordTuple, Poly] = {}
-        for idx, p in self.terms.items():
-            shift = sum(weights[j] for j in idx)
-            q = p.weight_component(weights, w + shift)
-            if not q.is_zero():
-                out[idx] = q
-        return PolyVector(self.n, out)
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -137,6 +72,7 @@ class PolyVector:
 # ------------------------------------------------------------- wedge, bracket
 
 def pv_wedge(a: PolyVector, b: PolyVector) -> PolyVector:
+    """Exterior product; serves forms too, whose keys are also coordinate tuples."""
     out: dict[CoordTuple, Poly] = {}
     for ia, pa in a.terms.items():
         for ib, pb in b.terms.items():
@@ -145,14 +81,8 @@ def pv_wedge(a: PolyVector, b: PolyVector) -> PolyVector:
                 continue
             sign, idx = merged
             prod = pa * pb
-            if sign < 0:
-                prod = prod.scale(-1)
-            s = out.get(idx, Poly.zero(a.n)) + prod
-            if s.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = s
-    return PolyVector(a.n, out)
+            accumulate(out, idx, prod if sign > 0 else -prod)
+    return a._like(out)
 
 
 def _xi_partial(idx: CoordTuple, i: int) -> tuple[int, CoordTuple] | None:
@@ -182,16 +112,6 @@ def schouten(a: PolyVector, b: PolyVector) -> PolyVector:
     """
     n = a.n
     acc: dict[CoordTuple, Poly] = {}
-
-    def add_term(idx: CoordTuple, p: Poly) -> None:
-        if p.is_zero():
-            return
-        s = acc.get(idx, Poly.zero(n)) + p
-        if s.is_zero():
-            acc.pop(idx, None)
-        else:
-            acc[idx] = s
-
     for ia, pa in a.terms.items():
         for ib, pb in b.terms.items():
             for i in range(n):
@@ -203,7 +123,7 @@ def schouten(a: PolyVector, b: PolyVector) -> PolyVector:
                         merged = merge_indices(ia_red, ib)
                         if merged is not None:
                             s2, idx = merged
-                            add_term(idx, (pa * dpb).scale(s1 * s2))
+                            accumulate(acc, idx, (pa * dpb).scale(s1 * s2))
                 left = _xi_partial(ib, i)
                 if left is not None:
                     s1, ib_red = left
@@ -212,27 +132,17 @@ def schouten(a: PolyVector, b: PolyVector) -> PolyVector:
                         merged = merge_indices(ia, ib_red)
                         if merged is not None:
                             s2, idx = merged
-                            add_term(idx, (dpa * pb).scale(-s1 * s2))
+                            accumulate(acc, idx, (dpa * pb).scale(-s1 * s2))
     return PolyVector(n, acc)
 
 
 # --------------------------------------------------------- differential forms
 
-class DiffForm:
+class DiffForm(Sparse):
     """Polynomial differential form; sums of mixed degree allowed."""
 
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: Mapping[CoordTuple, Poly] | None = None):
-        self.n = n
-        clean: dict[CoordTuple, Poly] = {}
-        if terms:
-            for idx, p in terms.items():
-                if list(idx) != sorted(set(idx)) or any(not 0 <= j < n for j in idx):
-                    raise ValueError(f"bad coordinate tuple {idx}")
-                if not p.is_zero():
-                    clean[idx] = p
-        self.terms = clean
+    __slots__ = ()
+    _check_key = _check_coord_tuple
 
     @staticmethod
     def function(p: Poly) -> "DiffForm":
@@ -242,116 +152,10 @@ class DiffForm:
     def unit(n: int) -> "DiffForm":
         return DiffForm.function(Poly.const(n, 1))
 
-    @staticmethod
-    def dx(n: int, i: int) -> "DiffForm":
-        return DiffForm(n, {(i,): Poly.const(n, 1)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DiffForm) and self.n == other.n and self.terms == other.terms
-
-    def __add__(self, other: "DiffForm") -> "DiffForm":
-        out = dict(self.terms)
-        for idx, p in other.terms.items():
-            s = out.get(idx, Poly.zero(self.n)) + p
-            if s.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = s
-        return DiffForm(self.n, out)
-
-    def __neg__(self) -> "DiffForm":
-        return self.scale(-1)
-
-    def __sub__(self, other: "DiffForm") -> "DiffForm":
-        return self + (-other)
-
-    def scale(self, factor) -> "DiffForm":
-        f = Fraction(factor)
-        if f == 0:
-            return DiffForm(self.n)
-        return DiffForm(self.n, {i: p.scale(f) for i, p in self.terms.items()})
-
-    def degrees(self) -> set[int]:
-        return {len(i) for i in self.terms}
-
-    def component(self, degree: int) -> "DiffForm":
-        return DiffForm(self.n, {i: p for i, p in self.terms.items() if len(i) == degree})
-
-    def wedge(self, other: "DiffForm") -> "DiffForm":
-        out: dict[CoordTuple, Poly] = {}
-        for ia, pa in self.terms.items():
-            for ib, pb in other.terms.items():
-                merged = merge_indices(ia, ib)
-                if merged is None:
-                    continue
-                sign, idx = merged
-                prod = pa * pb
-                if sign < 0:
-                    prod = prod.scale(-1)
-                s = out.get(idx, Poly.zero(self.n)) + prod
-                if s.is_zero():
-                    out.pop(idx, None)
-                else:
-                    out[idx] = s
-        return DiffForm(self.n, out)
-
-    def de_rham(self) -> "DiffForm":
-        out = DiffForm(self.n)
-        for idx, p in self.terms.items():
-            for i in range(self.n):
-                dp = p.partial(i)
-                if dp.is_zero():
-                    continue
-                merged = merge_indices((i,), idx)
-                if merged is None:
-                    continue
-                sign, new_idx = merged
-                out = out + DiffForm(self.n, {new_idx: dp.scale(sign)})
-        return out
-
-    def weights_present(self, weights: tuple[int, ...]) -> set[int]:
-        out = set()
-        for idx, p in self.terms.items():
-            shift = sum(weights[j] for j in idx)
-            for exps in p.terms:
-                out.add(monomial_weight(exps, weights) + shift)
-        return out
-
-    def weight_component(self, weights: tuple[int, ...], w: int) -> "DiffForm":
-        out: dict[CoordTuple, Poly] = {}
-        for idx, p in self.terms.items():
-            shift = sum(weights[j] for j in idx)
-            q = p.weight_component(weights, w - shift)
-            if not q.is_zero():
-                out[idx] = q
-        return DiffForm(self.n, out)
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
         return " + ".join(f"({p!r})*dx{list(i)}" for i, p in sorted(self.terms.items()))
-
-
-def interior_vf(x: PolyVector, omega: DiffForm) -> DiffForm:
-    """Interior product of a vector field into a form."""
-    n = omega.n
-    comps = x.vf_components()
-    out = DiffForm(n)
-    for idx, p in omega.terms.items():
-        for t, j in enumerate(idx):
-            if comps[j].is_zero():
-                continue
-            coeff = (p * comps[j]).scale(-1 if t % 2 else 1)
-            out = out + DiffForm(n, {idx[:t] + idx[t + 1:]: coeff})
-    return out
-
-
-def lie_derivative_form(x: PolyVector, omega: DiffForm) -> DiffForm:
-    """Cartan formula: L_X = i_X d + d i_X."""
-    return interior_vf(x, omega.de_rham()) + interior_vf(x, omega).de_rham()
 
 
 def interior_form(theta: DiffForm, v: PolyVector) -> PolyVector:
@@ -360,8 +164,7 @@ def interior_form(theta: DiffForm, v: PolyVector) -> PolyVector:
     Pairing <dx^i, d_j> = delta; composite forms contract the leftmost
     multivector slots first (i_{t1 ^ t2} = i_{t2} o i_{t1}).
     """
-    n = v.n
-    out = PolyVector(n)
+    out: dict[CoordTuple, Poly] = {}
     for tform, h in theta.terms.items():
         for idx, p in v.terms.items():
             sign = 1
@@ -375,8 +178,8 @@ def interior_form(theta: DiffForm, v: PolyVector) -> PolyVector:
                 sign *= s
             if cur is None:
                 continue
-            out = out + PolyVector(n, {cur: (h * p).scale(sign)})
-    return out
+            accumulate(out, cur, (h * p).scale(sign))
+    return v._like(out)
 
 
 # ----------------------------------------------------- Lambda g-dual extension
@@ -390,8 +193,7 @@ def ext_bilinear(a: Cochain, b: Cochain, op: Callable, components: Callable,
     over the homogeneous degrees of v1 (via ``components``) and p2 is
     the exterior degree of beta.
     """
-    dim = a.dim
-    acc = Cochain(dim)
+    acc: dict[IndexTuple, object] = {}
     for i1, v1 in a.terms.items():
         for q1, v1c in components(v1):
             for i2, v2 in b.terms.items():
@@ -404,37 +206,30 @@ def ext_bilinear(a: Cochain, b: Cochain, op: Callable, components: Callable,
                 w = op(v1c, v2)
                 if w.is_zero():
                     continue
-                acc = acc + Cochain(dim, {idx: w.scale(sign)})
-    return acc
-
-
-def _pv_components(v: PolyVector):
-    return v.components_by_degree()
+                accumulate(acc, idx, w.scale(sign))
+    return a._like(acc)
 
 
 def ext_schouten(a: Cochain, b: Cochain) -> Cochain:
     """Bracket extension: sign exponent q1*p2 with shifted degrees."""
-    return ext_bilinear(a, b, schouten, _pv_components, lambda q1, p2: q1 * p2)
+    return ext_bilinear(a, b, schouten, PolyVector.components_by_degree,
+                        lambda q1, p2: q1 * p2)
 
 
 def ext_pv_wedge(a: Cochain, b: Cochain) -> Cochain:
     """Product extension: Koszul sign from the tensor degree q1+1."""
-    return ext_bilinear(a, b, pv_wedge, _pv_components, lambda q1, p2: (q1 + 1) * p2)
+    return ext_bilinear(a, b, pv_wedge, PolyVector.components_by_degree,
+                        lambda q1, p2: (q1 + 1) * p2)
 
 
 def mixed_mul(a: Cochain, b: Cochain) -> Cochain:
     """Product of mixed forms (Cochains with DiffForm values)."""
-    def comps(v: DiffForm):
-        return [(d, v.component(d)) for d in sorted(v.degrees())]
-    return ext_bilinear(a, b, DiffForm.wedge, comps, lambda k1, p2: k1 * p2)
+    return ext_bilinear(a, b, pv_wedge, DiffForm.components_by_degree,
+                        lambda k1, p2: k1 * p2)
 
 
 def mixed_unit(dim: int, n: int) -> Cochain:
     return Cochain(dim, {(): DiffForm.unit(n)})
-
-
-def is_balanced(eta: Cochain) -> bool:
-    return all(v.degrees() <= {len(idx)} for idx, v in eta.terms.items())
 
 
 def contract(eta: Cochain, a: Cochain) -> Cochain:
@@ -444,8 +239,7 @@ def contract(eta: Cochain, a: Cochain) -> Cochain:
     (omega ^ alpha) (x) i_theta X; the extension sign is +1 (the acting
     element is balanced, hence even).  contract(unit, a) == a.
     """
-    dim = a.dim
-    acc = Cochain(dim)
+    acc: dict[IndexTuple, PolyVector] = {}
     for iw, theta in eta.terms.items():
         for ia, x in a.terms.items():
             merged = merge_indices(iw, ia)
@@ -455,5 +249,5 @@ def contract(eta: Cochain, a: Cochain) -> Cochain:
             v = interior_form(theta, x)
             if v.is_zero():
                 continue
-            acc = acc + Cochain(dim, {idx: v.scale(sign)})
-    return acc
+            accumulate(acc, idx, v.scale(sign))
+    return a._like(acc)

@@ -59,7 +59,7 @@ def _load(args) -> tuple[Scenario, str]:
 def _serialize_end_cochain(c) -> list:
     out = []
     for idx, tensor in sorted(c.terms.items()):
-        for (i, j, k), p in sorted(tensor.entries.items()):
+        for (i, j, k), p in sorted(tensor.terms.items()):
             out.append([list(idx), i, j, k, p.to_json()])
     return out
 

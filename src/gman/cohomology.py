@@ -8,6 +8,12 @@ arity cap limits the total degrees whose cohomology is reliable to
 k <= max_arity - 2 (one arity step of headroom for the outgoing
 differential), and the order cap is a filtration whose effect is
 audited by recomputing every dimension at max_order + 1.
+
+Each (weight, total degree) slice is eliminated once: a Workspace keeps
+one tracked echelon of the slice's differential columns and answers
+rank, kernel (cocycle representatives) and image membership from it,
+for the cohomology report, the HKR injectivity test and both Duflo
+twists alike.
 """
 
 from __future__ import annotations
@@ -21,11 +27,11 @@ from .atiyah import todd_sqrt
 from .calculus import PolyVector, contract, ext_pv_wedge, ext_schouten
 from .dpoly import PolyDiffOp, ext_cup, ext_gerstenhaber, ext_hkr, hochschild
 from .liealg import Cochain, ce_differential, total_differential
-from .linalg import ColumnReducer, matrix_rank
-from .poly import Poly, grlex_key, monomial_weight, monomials_of_weight
+from .linalg import ColumnReducer
+from .poly import Poly, accumulate, grlex_key, monomial_weight, monomials_of_weight
 from .scenario import Scenario
 
-SIDES = ("tpoly", "dpoly", "forms")
+SIDES = ("tpoly", "dpoly")
 
 
 def _beta_tuples(n: int, arity: int, max_order: int) -> list[tuple]:
@@ -57,8 +63,8 @@ def enumerate_slice(s: Scenario, side: str, weight: int, p: int, q: int,
     """Ordered basis of the (weight, p, q) slice.
 
     Elements are (I, mid, exps): dual-generator index tuple, middle
-    structure (coordinate tuple for tpoly/forms, multi-index tuple for
-    dpoly), and a monomial exponent tuple.
+    structure (coordinate tuple for tpoly, multi-index tuple for dpoly),
+    and a monomial exponent tuple.
     """
     if side not in SIDES:
         raise ValueError(f"unknown side {side!r}")
@@ -74,9 +80,6 @@ def enumerate_slice(s: Scenario, side: str, weight: int, p: int, q: int,
         if side == "tpoly":
             mids = [(tuple(jj), sum(w[j] for j in jj))
                     for jj in combinations(range(n), q + 1)]
-        elif side == "forms":
-            mids = [(tuple(tt), -sum(w[j] for j in tt))
-                    for tt in combinations(range(n), q + 1)]
         else:
             mids = [(bs, sum(monomial_weight(b, w) for b in bs))
                     for bs in _beta_tuples(n, q + 1, order_cap)]
@@ -87,17 +90,18 @@ def enumerate_slice(s: Scenario, side: str, weight: int, p: int, q: int,
     return out
 
 
+def coords_cochain(s: Scenario, side: str, coords: dict[tuple, object]) -> Cochain:
+    """The cochain with the given basis-key coordinates; inverse of
+    cochain_coords."""
+    value_type = PolyVector if side == "tpoly" else PolyDiffOp
+    terms: dict[tuple, object] = {}
+    for (idx, mid, exps), coeff in coords.items():
+        accumulate(terms, idx, value_type(s.n, {mid: Poly.monomial(exps, coeff)}))
+    return Cochain(s.dim_g, terms)
+
+
 def basis_cochain(s: Scenario, side: str, elt: tuple) -> Cochain:
-    idx, mid, exps = elt
-    mono = Poly.monomial(exps, 1)
-    if side == "tpoly":
-        value = PolyVector(s.n, {mid: mono})
-    elif side == "dpoly":
-        value = PolyDiffOp(s.n, {mid: mono})
-    else:
-        from .calculus import DiffForm
-        value = DiffForm(s.n, {mid: mono})
-    return Cochain(s.dim_g, {idx: value})
+    return coords_cochain(s, side, {elt: 1})
 
 
 def cochain_coords(c: Cochain) -> dict[tuple, Fraction]:
@@ -133,10 +137,18 @@ def stable_degree_max(s: Scenario, side: str) -> int:
 
 
 class Workspace:
-    """Per-(scenario, side) cache of bases, differentials and ranks."""
+    """Per-(scenario, side) cache of bases and of one echelon per slice.
+
+    The echelon of slice (w, k) is a tracked ColumnReducer filled once
+    with the images of the slice's basis under the total differential.
+    Every question about the slice is answered from it: its pivot count
+    is the rank of d on the slice, its kernel combinations are the
+    cocycles, and its pivots span the image of d in slice (w, k + 1),
+    against which membership and independence are tested.
+    """
 
     def __init__(self, s: Scenario, side: str, max_order: int | None = None):
-        if side not in ("tpoly", "dpoly"):
+        if side not in SIDES:
             raise ValueError("cohomology is computed on the tpoly or dpoly side")
         self.s = s
         self.side = side
@@ -151,8 +163,8 @@ class Workspace:
             self._diff = lambda c: total_differential(s.lie, c, act, hochschild)
         self._bases: dict[tuple[int, int], list] = {}
         self._rows: dict[int, dict[tuple, int]] = {}
-        self._cols: dict[tuple[int, int], list[dict]] = {}
-        self._ranks: dict[tuple[int, int], int] = {}
+        self._echelons: dict[tuple[int, int], ColumnReducer] = {}
+        self._reps: dict[tuple[int, int], list[Cochain]] = {}
 
     @property
     def kmax(self) -> int:
@@ -170,30 +182,29 @@ class Workspace:
             self._bases[key] = elems
         return self._bases[key]
 
-    def _row_id(self, w: int, key: tuple) -> int:
+    def _column(self, w: int, coords: dict[tuple, object]) -> dict[int, object]:
+        """Basis-key coordinates as a sparse column over the shared
+        per-weight row table."""
         table = self._rows.setdefault(w, {})
-        if key not in table:
-            table[key] = len(table)
-        return table[key]
+        return {table.setdefault(key, len(table)): v for key, v in coords.items()}
 
     def columns(self, w: int, k: int) -> list[dict]:
-        """Images of the degree-k basis under the total differential,
-        as sparse columns over the shared per-weight row table."""
-        ck = (w, k)
-        if ck not in self._cols:
-            cols = []
-            for elt in self.basis(w, k):
-                image = self._diff(basis_cochain(self.s, self.side, elt))
-                cols.append({self._row_id(w, key): v
-                             for key, v in cochain_coords(image).items()})
-            self._cols[ck] = cols
-        return self._cols[ck]
+        """Images of the degree-k basis under the total differential.
+        Built once per slice, to fill its echelon, and not kept."""
+        return [self._column(w, cochain_coords(self._diff(basis_cochain(self.s, self.side, elt))))
+                for elt in self.basis(w, k)]
+
+    def _echelon(self, w: int, k: int) -> ColumnReducer:
+        key = (w, k)
+        if key not in self._echelons:
+            red = ColumnReducer(track=True)
+            for u, col in enumerate(self.columns(w, k)):
+                red.insert(col, label=u)
+            self._echelons[key] = red
+        return self._echelons[key]
 
     def rank(self, w: int, k: int) -> int:
-        ck = (w, k)
-        if ck not in self._ranks:
-            self._ranks[ck] = matrix_rank(self.columns(w, k))
-        return self._ranks[ck]
+        return self._echelon(w, k).rank
 
     def dim_h(self, w: int, k: int) -> int:
         dim = len(self.basis(w, k))
@@ -202,27 +213,32 @@ class Workspace:
         incoming = self.rank(w, k - 1) if k - 1 >= -1 else 0
         return dim - self.rank(w, k) - incoming
 
+    def in_image(self, w: int, k: int, c: Cochain) -> bool:
+        """Is the cochain, of slice (w, k), a coboundary?"""
+        coords = cochain_coords(c)
+        if not coords:
+            return True
+        image = self._echelon(w, k - 1)
+        return image.contains(self._column(w, coords))
+
+    def independent_mod_image(self, w: int, k: int, coords: list[dict]) -> list[bool]:
+        """For each coordinate map of slice (w, k), in order: is it
+        independent of the image of d and of the ones before it?"""
+        quotient = ColumnReducer()
+        quotient.pivots = dict(self._echelon(w, k - 1).pivots)
+        return [quotient.insert(self._column(w, c)) for c in coords]
+
     def representatives(self, w: int, k: int) -> list[Cochain]:
         """One cocycle per cohomology class in the (w, k) slice."""
-        basis = self.basis(w, k)
-        if not basis:
-            return []
-        ker = ColumnReducer(track=True)
-        for u, col in enumerate(self.columns(w, k)):
-            ker.insert(col, label=u)
-        image = ColumnReducer()
-        if k - 1 >= -1:
-            for col in self.columns(w, k - 1):
-                image.insert(col)
-        reps = []
-        for combo in ker.kernel:
-            col = {self._row_id(w, basis[u]): v for u, v in combo.items()}
-            if image.insert(col):
-                c = Cochain(self.s.dim_g)
-                for u, v in combo.items():
-                    c = c + basis_cochain(self.s, self.side, basis[u]).scale(v)
-                reps.append(c)
-        return reps
+        key = (w, k)
+        if key not in self._reps:
+            basis = self.basis(w, k)
+            kernel = self._echelon(w, k).kernel if basis else []
+            cocycles = [{basis[u]: v for u, v in combo.items()} for combo in kernel]
+            self._reps[key] = [
+                coords_cochain(self.s, self.side, c)
+                for c, new in zip(cocycles, self.independent_mod_image(w, k, cocycles)) if new]
+        return self._reps[key]
 
 
 def cohomology_report(s: Scenario, side: str, *, weights: list[int] | None = None,
@@ -279,16 +295,9 @@ def hkr_check(s: Scenario, *, weights: list[int] | None = None,
                 mismatches.append({"weight": w, "total_degree": k,
                                    "dim_H_tpoly": ht, "dim_H_dpoly": hd})
             if ht:
-                image = ColumnReducer()
-                if k - 1 >= -1:
-                    for col in dp.columns(w, k - 1):
-                        image.insert(col)
-                for rep in tp.representatives(w, k):
-                    mapped = ext_hkr(rep)
-                    col = {dp._row_id(w, key): v
-                           for key, v in cochain_coords(mapped).items()}
-                    if not image.insert(col):
-                        injective = False
+                mapped = [cochain_coords(ext_hkr(rep)) for rep in tp.representatives(w, k)]
+                if not all(dp.independent_mod_image(w, k, mapped)):
+                    injective = False
     return {
         "window": {"weights": [wlist[0], wlist[-1]], "max_total_degree": ktop,
                    "caps": s.caps.to_json()},
@@ -340,22 +349,6 @@ def duflo_check(s: Scenario, *, seed: int = 0, sample_cap: int = 1000,
 
     phi = phi_twisted if use_todd else ext_hkr
 
-    image_spaces: dict[tuple[int, int], ColumnReducer] = {}
-
-    def reduces_to_zero(res: Cochain, w: int, k: int) -> bool:
-        coords = cochain_coords(res)
-        if not coords:
-            return True
-        key = (w, k)
-        if key not in image_spaces:
-            red = ColumnReducer()
-            if -1 <= k - 1 <= dp.kmax:
-                for col in dp.columns(w, k - 1):
-                    red.insert(col)
-            image_spaces[key] = red
-        col = {dp._row_id(w, kk): v for kk, v in coords.items()}
-        return image_spaces[key].contains(col)
-
     count = len(classes)
     total_pairs = count * (count + 1) // 2
     if total_pairs <= sample_cap:
@@ -375,10 +368,10 @@ def duflo_check(s: Scenario, *, seed: int = 0, sample_cap: int = 1000,
         wsum = a["weight"] + b["weight"]
 
         prod_res = ext_cup(fa, fb) - phi(ext_pv_wedge(a["rep"], b["rep"]))
-        prod_ok = reduces_to_zero(prod_res, wsum, a["degree"] + b["degree"] + 1)
+        prod_ok = dp.in_image(wsum, a["degree"] + b["degree"] + 1, prod_res)
 
         br_res = ext_gerstenhaber(fa, fb) - phi(ext_schouten(a["rep"], b["rep"]))
-        br_ok = reduces_to_zero(br_res, wsum, a["degree"] + b["degree"])
+        br_ok = dp.in_image(wsum, a["degree"] + b["degree"], br_res)
 
         checked += 1
         if not (prod_ok and br_ok):

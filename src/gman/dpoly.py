@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Mapping
 
 from .calculus import PolyVector, ext_bilinear
 from .liealg import Cochain
-from .poly import Poly, monomial_weight
+from .poly import Poly, Sparse, accumulate
 
 MultiIndex = tuple[int, ...]
 OpKey = tuple[MultiIndex, ...]
@@ -73,21 +72,17 @@ def _split_multiindex(alpha: MultiIndex, parts: int):
     yield from rec(0)
 
 
-class PolyDiffOp:
-    """Sparse polydifferential operator; sums of mixed arity allowed."""
+class PolyDiffOp(Sparse):
+    """Sparse polydifferential operator; sums of mixed arity allowed.
 
-    __slots__ = ("n", "terms")
+    Degrees are shifted: arity - 1, so functions count as -1."""
 
-    def __init__(self, n: int, terms: Mapping[OpKey, Poly] | None = None):
-        self.n = n
-        clean: dict[OpKey, Poly] = {}
-        if terms:
-            for key, p in terms.items():
-                if any(len(b) != n for b in key):
-                    raise ValueError(f"bad multi-index tuple {key}")
-                if not p.is_zero():
-                    clean[key] = p
-        self.terms = clean
+    __slots__ = ()
+    SHIFT = -1
+
+    def _check_key(self, key: OpKey) -> None:
+        if any(len(b) != self.n for b in key):
+            raise ValueError(f"bad multi-index tuple {key}")
 
     # ---------------------------------------------------------- constructors
 
@@ -112,57 +107,6 @@ class PolyDiffOp:
             terms[(tuple(e),)] = p
         return PolyDiffOp(n, terms)
 
-    # --------------------------------------------------------------- algebra
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolyDiffOp) and self.n == other.n and self.terms == other.terms
-
-    def __add__(self, other: "PolyDiffOp") -> "PolyDiffOp":
-        out = dict(self.terms)
-        for key, p in other.terms.items():
-            s = out.get(key, Poly.zero(self.n)) + p
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return PolyDiffOp(self.n, out)
-
-    def __neg__(self) -> "PolyDiffOp":
-        return self.scale(-1)
-
-    def __sub__(self, other: "PolyDiffOp") -> "PolyDiffOp":
-        return self + (-other)
-
-    def scale(self, factor) -> "PolyDiffOp":
-        f = Fraction(factor)
-        if f == 0:
-            return PolyDiffOp(self.n)
-        return PolyDiffOp(self.n, {k: p.scale(f) for k, p in self.terms.items()})
-
-    def degrees(self) -> set[int]:
-        """Shifted degrees present (arity - 1; functions count as -1)."""
-        return {len(k) - 1 for k in self.terms}
-
-    def component(self, degree: int) -> "PolyDiffOp":
-        return PolyDiffOp(self.n, {k: p for k, p in self.terms.items()
-                                   if len(k) - 1 == degree})
-
-    def components_by_degree(self) -> list[tuple[int, "PolyDiffOp"]]:
-        return [(d, self.component(d)) for d in sorted(self.degrees())]
-
-    def total_order(self) -> int:
-        """Max over terms of the summed slot orders; -1 if zero."""
-        if not self.terms:
-            return -1
-        return max(sum(sum(b) for b in key) for key in self.terms)
-
-    def truncate_order(self, cap: int) -> "PolyDiffOp":
-        return PolyDiffOp(self.n, {k: p for k, p in self.terms.items()
-                                   if sum(sum(b) for b in k) <= cap})
-
     def apply(self, args: list[Poly]) -> Poly:
         """Evaluate on functions (arity must match each term)."""
         out = Poly.zero(self.n)
@@ -174,25 +118,6 @@ class PolyDiffOp:
                 term = term * f.partial_multi(beta)
             out = out + term
         return out
-
-    # ---------------------------------------------------------------- weight
-
-    def weights_present(self, weights: tuple[int, ...]) -> set[int]:
-        out = set()
-        for key, p in self.terms.items():
-            shift = sum(monomial_weight(b, weights) for b in key)
-            for exps in p.terms:
-                out.add(monomial_weight(exps, weights) - shift)
-        return out
-
-    def weight_component(self, weights: tuple[int, ...], w: int) -> "PolyDiffOp":
-        out: dict[OpKey, Poly] = {}
-        for key, p in self.terms.items():
-            shift = sum(monomial_weight(b, weights) for b in key)
-            q = p.weight_component(weights, w + shift)
-            if not q.is_zero():
-                out[key] = q
-        return PolyDiffOp(self.n, out)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -227,12 +152,7 @@ def dp_insert(d1: PolyDiffOp, slot: int, d2: PolyDiffOp) -> PolyDiffOp:
                     for t in range(len(key2))
                 )
                 key = key1[:slot] + new_slots + key1[slot + 1:]
-                val = (p1 * dp2).scale(coeff)
-                s = acc.get(key, Poly.zero(n)) + val
-                if s.is_zero():
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
+                accumulate(acc, key, (p1 * dp2).scale(coeff))
     return PolyDiffOp(n, acc)
 
 
@@ -277,13 +197,7 @@ def cup(d1: PolyDiffOp, d2: PolyDiffOp) -> PolyDiffOp:
     acc: dict[OpKey, Poly] = {}
     for k1, p1 in d1.terms.items():
         for k2, p2 in d2.terms.items():
-            key = k1 + k2
-            val = p1 * p2
-            s = acc.get(key, Poly.zero(n)) + val
-            if s.is_zero():
-                acc.pop(key, None)
-            else:
-                acc[key] = s
+            accumulate(acc, k1 + k2, p1 * p2)
     return PolyDiffOp(n, acc)
 
 
@@ -298,12 +212,7 @@ def hkr(pv: PolyVector) -> PolyDiffOp:
     for idx, p in pv.terms.items():
         k = len(idx)
         if k == 0:
-            key: OpKey = ()
-            s = acc.get(key, Poly.zero(n)) + p
-            if s.is_zero():
-                acc.pop(key, None)
-            else:
-                acc[key] = s
+            accumulate(acc, (), p)
             continue
         factor = Fraction(1)
         for t in range(2, k + 1):
@@ -314,31 +223,23 @@ def hkr(pv: PolyVector) -> PolyDiffOp:
                 e = [0] * n
                 e[j] = 1
                 slots.append(tuple(e))
-            key = tuple(slots)
-            val = p.scale(factor * sign)
-            s = acc.get(key, Poly.zero(n)) + val
-            if s.is_zero():
-                acc.pop(key, None)
-            else:
-                acc[key] = s
+            accumulate(acc, tuple(slots), p.scale(factor * sign))
     return PolyDiffOp(n, acc)
 
 
 # ----------------------------------------------------- Lambda g-dual extension
 
-def _dp_components(v: PolyDiffOp):
-    return v.components_by_degree()
-
-
 def ext_gerstenhaber(a: Cochain, b: Cochain) -> Cochain:
     """Bracket extension with sign exponent q1*p2 (shifted degrees)."""
-    return ext_bilinear(a, b, gerstenhaber, _dp_components, lambda q1, p2: q1 * p2)
+    return ext_bilinear(a, b, gerstenhaber, PolyDiffOp.components_by_degree,
+                        lambda q1, p2: q1 * p2)
 
 
 def ext_cup(a: Cochain, b: Cochain) -> Cochain:
     """Cup extension; Koszul sign from the arity q1+1, matching the
     wedge extension on the polyvector side through hkr."""
-    return ext_bilinear(a, b, cup, _dp_components, lambda q1, p2: (q1 + 1) * p2)
+    return ext_bilinear(a, b, cup, PolyDiffOp.components_by_degree,
+                        lambda q1, p2: (q1 + 1) * p2)
 
 
 def ext_hkr(a: Cochain) -> Cochain:

@@ -1,5 +1,5 @@
-"""Finite-dimensional Lie algebras, the exterior algebra on the dual,
-and a generic Chevalley-Eilenberg differential.
+"""Finite-dimensional Lie algebras, cochains on the exterior algebra
+of the dual, and a generic Chevalley-Eilenberg differential.
 
 The Lie algebra is given by structure constants; antisymmetry and the
 Jacobi identity are checked exactly at construction.  Cochains with
@@ -13,6 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Mapping
+
+from .poly import Sparse, accumulate
 
 IndexTuple = tuple[int, ...]
 
@@ -117,83 +119,7 @@ class LieAlgebra:
         return LieAlgebra(dim, {})
 
 
-class ExtForm:
-    """Element of the exterior algebra on the dual of g, over Q."""
-
-    __slots__ = ("dim", "terms")
-
-    def __init__(self, dim: int, terms: Mapping[IndexTuple, Fraction] | None = None):
-        self.dim = dim
-        clean: dict[IndexTuple, Fraction] = {}
-        if terms:
-            for idx, coeff in terms.items():
-                if any(not 0 <= i < dim for i in idx) or list(idx) != sorted(set(idx)):
-                    raise ValueError(f"bad index tuple {idx} for dim {dim}")
-                c = Fraction(coeff)
-                if c:
-                    clean[idx] = c
-        self.terms = clean
-
-    @staticmethod
-    def unit(dim: int) -> "ExtForm":
-        return ExtForm(dim, {(): Fraction(1)})
-
-    @staticmethod
-    def dual(dim: int, i: int) -> "ExtForm":
-        return ExtForm(dim, {(i,): Fraction(1)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ExtForm) and self.dim == other.dim and self.terms == other.terms
-
-    def __add__(self, other: "ExtForm") -> "ExtForm":
-        out = dict(self.terms)
-        for idx, c in other.terms.items():
-            v = out.get(idx, Fraction(0)) + c
-            if v:
-                out[idx] = v
-            else:
-                out.pop(idx, None)
-        return ExtForm(self.dim, out)
-
-    def __neg__(self) -> "ExtForm":
-        return ExtForm(self.dim, {i: -c for i, c in self.terms.items()})
-
-    def __sub__(self, other: "ExtForm") -> "ExtForm":
-        return self + (-other)
-
-    def scale(self, factor) -> "ExtForm":
-        f = Fraction(factor)
-        return ExtForm(self.dim, {i: c * f for i, c in self.terms.items()} if f else {})
-
-    def wedge(self, other: "ExtForm") -> "ExtForm":
-        out: dict[IndexTuple, Fraction] = {}
-        for ia, ca in self.terms.items():
-            for ib, cb in other.terms.items():
-                merged = merge_indices(ia, ib)
-                if merged is None:
-                    continue
-                sign, idx = merged
-                v = out.get(idx, Fraction(0)) + ca * cb * sign
-                if v:
-                    out[idx] = v
-                else:
-                    out.pop(idx, None)
-        return ExtForm(self.dim, out)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}*e{list(i)}" for i, c in sorted(self.terms.items()))
-
-
-def wedge(a: ExtForm, b: ExtForm) -> ExtForm:
-    return a.wedge(b)
-
-
-class Cochain:
+class Cochain(Sparse):
     """Element of Lambda^p g-dual tensor V, for a coefficient module V.
 
     ``terms`` maps strictly increasing index tuples to V values.  Terms of
@@ -201,56 +127,14 @@ class Cochain:
     operations treat the object termwise.
     """
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ()
 
-    def __init__(self, dim: int, terms: Mapping[IndexTuple, object] | None = None):
-        self.dim = dim
-        clean: dict[IndexTuple, object] = {}
-        if terms:
-            for idx, v in terms.items():
-                if not v.is_zero():
-                    clean[idx] = v
-        self.terms = clean
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Cochain) and self.dim == other.dim and self.terms == other.terms
-
-    def __add__(self, other: "Cochain") -> "Cochain":
-        out = dict(self.terms)
-        for idx, v in other.terms.items():
-            if idx in out:
-                s = out[idx] + v
-                if s.is_zero():
-                    del out[idx]
-                else:
-                    out[idx] = s
-            else:
-                out[idx] = v
-        return Cochain(self.dim, out)
-
-    def __neg__(self) -> "Cochain":
-        return Cochain(self.dim, {i: v.scale(-1) for i, v in self.terms.items()})
-
-    def __sub__(self, other: "Cochain") -> "Cochain":
-        return self + (-other)
-
-    def scale(self, factor) -> "Cochain":
-        f = Fraction(factor)
-        if f == 0:
-            return Cochain(self.dim)
-        return Cochain(self.dim, {i: v.scale(f) for i, v in self.terms.items()})
+    @property
+    def dim(self) -> int:
+        return self.n
 
     def map_values(self, fn: Callable[[object], object]) -> "Cochain":
-        return Cochain(self.dim, {i: fn(v) for i, v in self.terms.items()})
-
-    def degrees(self) -> set[int]:
-        return {len(i) for i in self.terms}
-
-    def component(self, p: int) -> "Cochain":
-        return Cochain(self.dim, {i: v for i, v in self.terms.items() if len(i) == p})
+        return Cochain(self.n, {i: fn(v) for i, v in self.terms.items()})
 
     def evaluate(self, seq: IndexTuple):
         """Value on an arbitrary basis-index sequence, via antisymmetry.
@@ -280,19 +164,6 @@ def ce_differential(g: LieAlgebra, c: Cochain,
     """
     m = g.dim
     out: dict[IndexTuple, object] = {}
-
-    def accumulate(idx: IndexTuple, value) -> None:
-        if value is None or value.is_zero():
-            return
-        if idx in out:
-            s = out[idx] + value
-            if s.is_zero():
-                del out[idx]
-            else:
-                out[idx] = s
-        else:
-            out[idx] = value
-
     for p in sorted(c.degrees()):
         comp = c.component(p)
         for tup in combinations(range(m), p + 1):
@@ -320,7 +191,8 @@ def ce_differential(g: LieAlgebra, c: Cochain,
                             continue
                         sgn = coeff if (i + j) % 2 == 0 else -coeff
                         total = v.scale(sgn) if total is None else total + v.scale(sgn)
-            accumulate(tup, total)
+            if total is not None:
+                accumulate(out, tup, total)
     return Cochain(c.dim, out)
 
 

@@ -1,39 +1,20 @@
-"""Exact sparse linear algebra over the rationals.
+"""Exact sparse linear algebra over the rationals: one eliminator.
 
 Columns are sparse integer vectors (dict row -> int), kept primitive
-by gcd reduction.  Reduction is fraction-free: a column is cleared
-against a pivot by the cross-multiplication b*col - a*pivot, so no
-rational arithmetic and no pivot thresholds ever appear.  The reducer
-keeps one pivot column per leading row, which gives ranks, kernel
-combinations and image-membership tests for the slice matrices
-assembled elsewhere.
+by gcd reduction; Fraction entries are cleared of denominators on the
+way in.  Reduction is fraction-free: a column is cleared against a
+pivot by the cross-multiplication b*col - a*pivot, so no rational
+arithmetic and no pivot thresholds ever appear.  ``ColumnReducer``
+keeps one pivot column per leading row.  Filled once with a slice's
+differential columns, it answers every question asked of that slice:
+the rank is its pivot count, the kernel its tracked combinations, and
+image membership one further reduction against its pivots.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-
-
-def normalize_column(col: dict) -> dict[int, int]:
-    """Clear denominators and divide by the content."""
-    if not col:
-        return {}
-    denlcm = 1
-    for v in col.values():
-        f = Fraction(v)
-        denlcm = denlcm * f.denominator // gcd(denlcm, f.denominator)
-    out = {}
-    g = 0
-    for r, v in col.items():
-        f = Fraction(v) * denlcm
-        iv = int(f)
-        if iv:
-            out[r] = iv
-            g = gcd(g, abs(iv))
-    if g > 1:
-        out = {r: v // g for r, v in out.items()}
-    return out
 
 
 def _joint_reduce(col: dict[int, int], combo: dict | None):
@@ -63,49 +44,6 @@ def _axpy(b: int, col: dict, a: int, piv: dict) -> dict:
     return out
 
 
-def matrix_rank(columns: list[dict]) -> int:
-    """Exact rank of a sparse integer/rational column collection.
-
-    Fraction-free elimination with greedy sparsity pivoting (fewest
-    entries first), which keeps fill-in low on the slice matrices;
-    deterministic tie-breaking.
-    """
-    cols: dict[int, dict[int, int]] = {}
-    for ci, c in enumerate(columns):
-        nc = normalize_column(c)
-        if nc:
-            cols[ci] = nc
-    rows: dict[int, set[int]] = {}
-    for ci, col in cols.items():
-        for r in col:
-            rows.setdefault(r, set()).add(ci)
-    rank = 0
-    while cols:
-        ci = min(cols, key=lambda c: (len(cols[c]), c))
-        col = cols.pop(ci)
-        r = min(col, key=lambda rr: (len(rows[rr]), rr))
-        rank += 1
-        for rr in col:
-            rows[rr].discard(ci)
-        targets = sorted(rows.pop(r, ()))
-        pv = col[r]
-        for cj in targets:
-            other = cols[cj]
-            for rr in other:
-                s = rows.get(rr)
-                if s is not None:
-                    s.discard(cj)
-            new = _axpy(pv, other, other[r], col)
-            new, _ = _joint_reduce(new, None)
-            if new:
-                cols[cj] = new
-                for rr in new:
-                    rows.setdefault(rr, set()).add(cj)
-            else:
-                del cols[cj]
-    return rank
-
-
 class ColumnReducer:
     """Incremental column echelon with optional combination tracking.
 
@@ -120,15 +58,14 @@ class ColumnReducer:
         self.pivots: dict[int, dict[int, int]] = {}
         self.combos: dict[int, dict] = {}
         self.kernel: list[dict] = []  # combos of columns that reduced to zero
-        self.n_inserted = 0
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
     def reduce(self, col: dict, combo: dict | None = None):
-        if self.track and combo is None:
-            combo = {}
+        """Reduce col against the pivots.  A combo, when given, is carried
+        along and needs a tracking reducer."""
         # clear denominators, scaling the combo by the same factor
         denlcm = 1
         for v in col.values():
@@ -145,7 +82,7 @@ class ColumnReducer:
                 break
             a, b = col[lead], piv[lead]
             col = _axpy(b, col, a, piv)
-            if self.track:
+            if combo is not None:
                 combo = _axpy(b, combo, a, self.combos[lead])
             col, combo = _joint_reduce(col, combo)
         return col, combo
@@ -154,7 +91,6 @@ class ColumnReducer:
         """Reduce and keep the column; returns True if it was independent."""
         combo = {label: 1} if self.track else None
         col, combo = self.reduce(col, combo)
-        self.n_inserted += 1
         if not col:
             if self.track:
                 self.kernel.append(combo)

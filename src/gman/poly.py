@@ -9,6 +9,10 @@ touches a float.
 Monomials are ordered graded-lexicographically (total degree first,
 then exponent tuple).  Serialization and basis enumeration elsewhere
 rely on this order being fixed.
+
+``Sparse`` is the one container above Poly: a zero-free map from keys
+to Poly (or Sparse) values, with the linear operations every value
+type shares, and ``accumulate`` is its single in-place adder.
 """
 
 from __future__ import annotations
@@ -25,11 +29,6 @@ class DimensionMismatch(ValueError):
 
 def grlex_key(exps: Exponent) -> tuple[int, Exponent]:
     return (sum(exps), exps)
-
-
-def koszul_sign(deg_a: int, deg_b: int) -> int:
-    """(-1)**(deg_a*deg_b), the sign picked up when two graded factors swap."""
-    return -1 if (deg_a * deg_b) % 2 else 1
 
 
 def monomial_weight(exps: Exponent, weights: tuple[int, ...]) -> int:
@@ -166,18 +165,6 @@ class Poly:
                 p = p.partial(i)
         return p
 
-    # ------------------------------------------------------------------ weight
-
-    def weights_present(self, weights: tuple[int, ...]) -> set[int]:
-        return {monomial_weight(e, weights) for e in self.terms}
-
-    def weight_component(self, weights: tuple[int, ...], w: int) -> "Poly":
-        return Poly(self.n, {e: c for e, c in self.terms.items()
-                             if monomial_weight(e, weights) == w})
-
-    def is_weight_homogeneous(self, weights: tuple[int, ...]) -> bool:
-        return len(self.weights_present(weights)) <= 1
-
     # --------------------------------------------------------------- utilities
 
     def total_degree(self) -> int:
@@ -211,6 +198,87 @@ class Poly:
             else:
                 parts.append(str(coeff))
         return " + ".join(parts)
+
+
+def accumulate(acc: dict, key, value) -> None:
+    """acc[key] += value for Poly or Sparse values, keeping acc zero-free."""
+    if value.is_zero():
+        return
+    old = acc.get(key)
+    if old is None:
+        acc[key] = value
+        return
+    total = old + value
+    if total.is_zero():
+        del acc[key]
+    else:
+        acc[key] = total
+
+
+class Sparse:
+    """Zero-free finite map from keys to Poly or Sparse values.
+
+    Polyvector fields, forms, polydifferential operators, End(T)-valued
+    tensors and Lie algebra cochains are all such maps; they differ only
+    in their keys and in their own operations.  ``n`` is the dimension
+    the keys index.  A term with key ``k`` has degree ``len(k) + SHIFT``.
+    Subclasses validate keys in ``_check_key``.
+    """
+
+    __slots__ = ("n", "terms")
+    SHIFT = 0
+
+    def __init__(self, n: int, terms: Mapping | None = None):
+        self.n = n
+        clean = {}
+        if terms:
+            for key, value in terms.items():
+                self._check_key(key)
+                if not value.is_zero():
+                    clean[key] = value
+        self.terms = clean
+
+    def _check_key(self, key) -> None:
+        pass
+
+    def _like(self, terms: dict):
+        """Same type and dimension, from an already zero-free map."""
+        out = object.__new__(type(self))
+        out.n = self.n
+        out.terms = terms
+        return out
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.n == other.n and self.terms == other.terms
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for key, value in other.terms.items():
+            accumulate(out, key, value)
+        return self._like(out)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, factor):
+        f = Fraction(factor)
+        return self._like({k: v.scale(f) for k, v in self.terms.items()} if f else {})
+
+    def degrees(self) -> set[int]:
+        return {len(k) + self.SHIFT for k in self.terms}
+
+    def component(self, degree: int):
+        return self._like({k: v for k, v in self.terms.items()
+                           if len(k) + self.SHIFT == degree})
+
+    def components_by_degree(self) -> list:
+        return [(d, self.component(d)) for d in sorted(self.degrees())]
 
 
 def monomials_of_weight(n: int, weights: tuple[int, ...], target: int) -> list[Exponent]:

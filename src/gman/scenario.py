@@ -30,6 +30,13 @@ class Caps:
     max_arity: int
     max_ce_degree: int
 
+    def __post_init__(self):
+        for name, value in self.to_json().items():
+            if type(value) is not int or value < 0:
+                raise ScenarioError(f"cap {name} must be a non-negative integer, got {value!r}")
+        if self.max_order < 1:
+            raise ScenarioError(f"cap max_order must be at least 1, got {self.max_order}")
+
     def to_json(self) -> dict:
         return {
             "max_weight": self.max_weight,
@@ -95,7 +102,6 @@ def _parse_poly(n: int, data, where: str) -> Poly:
 def _homogeneous_weight(vf: PolyVector, weights: tuple[int, ...], label: str) -> int:
     """Weight of a homogeneous vector field; 0 for the zero field."""
     seen: set[int] = set()
-    witness = None
     for (j,), p in vf.terms.items():
         for exps in p.terms:
             w = monomial_weight(exps, weights) - weights[j]
@@ -104,12 +110,7 @@ def _homogeneous_weight(vf: PolyVector, weights: tuple[int, ...], label: str) ->
                     f"inhomogeneous action: {label} has monomial x^{list(exps)} d_{j} "
                     f"of weight {w}, expected {min(seen)}")
             seen.add(w)
-            witness = (exps, j)
-    if not seen:
-        return 0
-    if len(seen) > 1:
-        raise ScenarioError(f"inhomogeneous action: {label} mixes weights {sorted(seen)}")
-    return seen.pop()
+    return seen.pop() if seen else 0
 
 
 def load_scenario(document: str | dict, name: str = "") -> Scenario:
@@ -206,12 +207,13 @@ def load_scenario(document: str | dict, name: str = "") -> Scenario:
                     f"{monomial_weight(exps, weights)}, expected {want} (shift {shift})")
 
     raw_caps = doc.get("caps", {})
-    caps = Caps(
-        max_weight=int(raw_caps.get("max_weight", 6)),
-        max_order=int(raw_caps.get("max_order", 4)),
-        max_arity=int(raw_caps.get("max_arity", 4)),
-        max_ce_degree=min(int(raw_caps.get("max_ce_degree", m)), m),
-    )
+    try:
+        max_weight, max_order, max_arity, max_ce_degree = (
+            int(raw_caps.get(name, default)) for name, default in
+            (("max_weight", 6), ("max_order", 4), ("max_arity", 4), ("max_ce_degree", m)))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"malformed caps: {exc}") from exc
+    caps = Caps(max_weight, max_order, max_arity, min(max_ce_degree, m))
 
     return Scenario(
         n=n, weights=weights, lie=lie, action=tuple(action),

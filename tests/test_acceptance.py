@@ -60,7 +60,7 @@ def test_criterion_1_atiyah_flagship_value(capsys, paper):
                    "is the constant 2 and is CE-closed", 1.0):
         r = atiyah_cocycle(paper)
         assert set(r.terms) == {(0,)}
-        assert r.terms[(0,)].entries == {(0, 0, 0): Poly.const(1, 2)}
+        assert r.terms[(0,)].terms == {(0, 0, 0): Poly.const(1, 2)}
         assert is_ce_closed(paper, r)
 
 

@@ -18,7 +18,7 @@ F = Fraction
 def test_paper_value(paper):
     r = atiyah_cocycle(paper)
     assert set(r.terms) == {(0,)}
-    assert r.terms[(0,)].entries == {(0, 0, 0): Poly.const(1, 2)}
+    assert r.terms[(0,)].terms == {(0, 0, 0): Poly.const(1, 2)}
     assert is_ce_closed(paper, r)
 
 
@@ -46,7 +46,7 @@ def test_difference_tensor():
     s1 = with_connection(doc, [[[[[1, "1"]]]]], 2)
     s2 = with_connection(doc, [[[[[1, "4"]]]]], 2)
     d = difference_tensor(s1, s2)
-    assert d.entries == {(0, 0, 0): Poly.monomial((1,), -3)}
+    assert d.terms == {(0, 0, 0): Poly.monomial((1,), -3)}
     assert (d - d).is_zero()
     assert isinstance(d + d.scale(-1), EndTensor)
 

@@ -1,10 +1,8 @@
 import random
 from fractions import Fraction
 
-from gman.calculus import (DiffForm, PolyVector, contract, ext_pv_wedge,
-                           ext_schouten, interior_form, interior_vf,
-                           lie_derivative_form, mixed_mul, mixed_unit,
-                           pv_wedge, schouten)
+from gman.calculus import (DiffForm, PolyVector, contract, interior_form,
+                           mixed_mul, mixed_unit, pv_wedge, schouten)
 from gman.checks import Sampler, tpoly_axiom_checks
 from gman.liealg import Cochain
 from gman.poly import Poly
@@ -60,29 +58,11 @@ def test_ext_level_lemma_suite():
     assert report["passed"] == 60
 
 
-def test_de_rham_and_lie_derivative():
-    n = 1
-    x = Poly.var(n, 0)
-    omega = DiffForm(n, {(0,): x})  # x dx
-    q = PolyVector.vector_field([x * x])
-    # L_{d/dx}(x dx) = dx
-    assert lie_derivative_form(PolyVector.basis_vector(n, 0), omega) \
-        == DiffForm(n, {(0,): Poly.const(n, 1)})
-    # L_{x^2 d/dx}(dx) = 2x dx
-    assert lie_derivative_form(q, DiffForm.dx(n, 0)) \
-        == DiffForm(n, {(0,): Poly.monomial((1,), 2)})
-    f = DiffForm.function(x * x)
-    assert f.de_rham() == DiffForm(n, {(0,): Poly.monomial((1,), 2)})
-    assert f.de_rham().de_rham().is_zero()
-
-
 def test_interior_products():
     n = 2
     x = Poly.var(n, 0)
     v = PolyVector(n, {(0, 1): Poly.const(n, 1)})  # d_x ^ d_y
-    omega = DiffForm.dx(n, 0)
-    assert interior_vf(PolyVector.basis_vector(n, 0), omega) \
-        == DiffForm.function(Poly.const(n, 1))
+    omega = DiffForm(n, {(0,): Poly.const(n, 1)})
     # contracting d_x ^ d_y with dx eats the leftmost slot
     assert interior_form(omega, v) == PolyVector(n, {(1,): Poly.const(n, 1)})
     assert interior_form(DiffForm.function(x), v) == PolyVector(n, {(0, 1): x})

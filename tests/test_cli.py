@@ -101,6 +101,24 @@ def test_bad_caps_exits_2(capsys):
     assert status == 2
 
 
+@pytest.mark.parametrize("caps, cap", [
+    ("6,-1,4", "max_order"),
+    ("6,0,4", "max_order"),
+    ("-3,-3,-3", "max_weight"),
+])
+def test_out_of_range_caps_exit_2(capsys, caps, cap):
+    status, out, err = run(capsys, "cohomology", "paper_sec4", f"--caps={caps}")
+    assert status == 2
+    assert out == ""
+    assert f"cap {cap}" in err
+    assert "Traceback" not in err
+
+
+def test_zero_weight_cap_is_valid(capsys):
+    status, out, _ = run(capsys, "validate", "paper_sec4", "--caps", "0,2,3")
+    assert status == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["atiyah", "paper_sec4", "--json"],
     ["todd", "paper_sec4", "--json"],

@@ -37,13 +37,6 @@ def test_enumeration_order_is_stable(sl2):
     assert a == b
 
 
-def test_forms_side_enumeration(sl2):
-    # constant one-forms dx^j carry cochain weight +1
-    sl = enumerate_slice(sl2, "forms", 1, 0, 0)
-    assert sl == [((), (0,), (0, 0)), ((), (1,), (0, 0))]
-    assert enumerate_slice(sl2, "forms", -1, 0, 0) == []
-
-
 def test_differential_squares_to_zero_on_random_basis(paper, sl2):
     for s in (paper, sl2):
         for side in ("tpoly", "dpoly"):
@@ -122,3 +115,22 @@ def test_cochain_coords_roundtrip(sl2):
     elt = basis[0]
     coords = cochain_coords(basis_cochain(sl2, "tpoly", elt))
     assert coords == {elt: 1}
+
+
+def test_duflo_twists_share_echelons_and_representatives(paper, monkeypatch):
+    """The hkr_only pass after the td_sqrt pass reuses every cached
+    representative and echelon: nothing is recomputed or rebuilt."""
+    tp, dp = Workspace(paper, "tpoly"), Workspace(paper, "dpoly")
+    twisted = duflo_check(paper, tp=tp, dp=dp)
+    cached = [dict(tp._reps), dict(tp._echelons), dict(dp._echelons)]
+    built = []
+    columns = Workspace.columns
+    monkeypatch.setattr(Workspace, "columns",
+                        lambda ws, w, k: built.append((ws.side, w, k)) or columns(ws, w, k))
+    plain = duflo_check(paper, use_todd=False, tp=tp, dp=dp)
+    assert built == []
+    for before, after in zip(cached, [tp._reps, tp._echelons, dp._echelons]):
+        assert before.keys() == after.keys()
+        assert all(after[key] is value for key, value in before.items())
+    assert twisted["classes"] == plain["classes"] == 6
+    assert twisted["all_reduce"] and plain["all_reduce"]

@@ -102,13 +102,6 @@ def test_cup_concatenates():
     assert cup(a, b) == PolyDiffOp(N, {((1, 0), (0, 1)): x.scale(3)})
 
 
-def test_order_truncation():
-    op = PolyDiffOp(N, {((2, 0), (1, 1)): Poly.const(N, 1),
-                        ((1, 0),): Poly.const(N, 1)})
-    assert op.total_order() == 4
-    assert op.truncate_order(2) == PolyDiffOp(N, {((1, 0),): Poly.const(N, 1)})
-
-
 def test_ext_level_dgla_suite():
     report = dpoly_axiom_checks(SL2, cases=40, seed=24)
     assert report["failures"] == []

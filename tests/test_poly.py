@@ -69,16 +69,6 @@ def test_dimension_mismatch():
         Poly(2, {(1, 0, 0): Fraction(1)})
 
 
-def test_weight_machinery():
-    w = (1, 2)
-    p = Poly(2, {(2, 0): Fraction(1), (0, 1): Fraction(3), (1, 1): Fraction(-1)})
-    assert p.weights_present(w) == {2, 3}
-    assert p.weight_component(w, 2) == Poly(2, {(2, 0): Fraction(1),
-                                                (0, 1): Fraction(3)})
-    assert not p.is_weight_homogeneous(w)
-    assert p.weight_component(w, 5).is_zero()
-
-
 def test_monomial_weight_and_enumeration():
     assert monomial_weight((2, 1), (1, 3)) == 5
     ms = monomials_of_weight(2, (1, 1), 3)

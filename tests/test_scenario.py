@@ -90,6 +90,19 @@ def test_caps_defaults_and_override():
     assert s.caps.max_ce_degree == s.dim_g
 
 
+@pytest.mark.parametrize("caps, cap", [
+    ({"max_order": -1}, "max_order"),
+    ({"max_order": 0}, "max_order"),
+    ({"max_arity": -2}, "max_arity"),
+    ({"max_ce_degree": -1}, "max_ce_degree"),
+])
+def test_bad_json_caps_rejected(caps, cap):
+    doc = bundled_doc("paper_sec4")
+    doc["caps"].update(caps)
+    with pytest.raises(ScenarioError, match=f"cap {cap}"):
+        load_scenario(doc)
+
+
 def test_vf_bracket_against_action():
     s = load_scenario(bundled_doc("sl2_linear"))
     h, e, f = s.action
