@@ -46,10 +46,6 @@ class PolyVector(Sparse):
         n = components[0].n
         return PolyVector(n, {(j,): components[j] for j in range(n)})
 
-    @staticmethod
-    def basis_vector(n: int, j: int) -> "PolyVector":
-        return PolyVector(n, {(j,): Poly.const(n, 1)})
-
     def vf_components(self) -> list[Poly]:
         """Coefficients of a tensor-degree-1 multivector as a plain list."""
         return [self.terms.get((j,), Poly.zero(self.n)) for j in range(self.n)]

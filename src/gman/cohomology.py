@@ -7,13 +7,15 @@ the polyvector side nothing is truncated; on the operator side the
 arity cap limits the total degrees whose cohomology is reliable to
 k <= max_arity - 2 (one arity step of headroom for the outgoing
 differential), and the order cap is a filtration whose effect is
-audited by recomputing every dimension at max_order + 1.
+audited slice by slice: dim H is recomputed at max_order + 1 by
+extending the slice's own echelon with the basis elements of total
+order exactly max_order + 1.
 
 Each (weight, total degree) slice is eliminated once: a Workspace keeps
-one tracked echelon of the slice's differential columns and answers
-rank, kernel (cocycle representatives) and image membership from it,
-for the cohomology report, the HKR injectivity test and both Duflo
-twists alike.
+one echelon of the slice's differential columns and answers rank,
+kernel (cocycle representatives, on the polyvector side) and image
+membership from it, for the cohomology report, the order-cap audit,
+the HKR injectivity test and both Duflo twists alike.
 """
 
 from __future__ import annotations
@@ -139,20 +141,23 @@ def stable_degree_max(s: Scenario, side: str) -> int:
 class Workspace:
     """Per-(scenario, side) cache of bases and of one echelon per slice.
 
-    The echelon of slice (w, k) is a tracked ColumnReducer filled once
-    with the images of the slice's basis under the total differential.
-    Every question about the slice is answered from it: its pivot count
-    is the rank of d on the slice, its kernel combinations are the
+    The echelon of slice (w, k) is a ColumnReducer filled once with the
+    images of the slice's basis under the total differential.  Every
+    question about the slice is answered from it: its pivot count is the
+    rank of d on the slice, its kernel combinations (tracked on the
+    tpoly side only, the one side whose cocycles are read) are the
     cocycles, and its pivots span the image of d in slice (w, k + 1),
-    against which membership and independence are tested.
+    against which membership and independence are tested.  The
+    order-cap audit extends the same echelons by the basis elements of
+    total order max_order + 1.
     """
 
-    def __init__(self, s: Scenario, side: str, max_order: int | None = None):
+    def __init__(self, s: Scenario, side: str):
         if side not in SIDES:
             raise ValueError("cohomology is computed on the tpoly or dpoly side")
         self.s = s
         self.side = side
-        self.max_order = s.caps.max_order if max_order is None else max_order
+        self.max_order = s.caps.max_order
         self.pmax = min(s.dim_g, s.caps.max_ce_degree)
         self.qmax = s.n - 1 if side == "tpoly" else s.caps.max_arity - 1
         if side == "tpoly":
@@ -166,20 +171,18 @@ class Workspace:
         self._echelons: dict[tuple[int, int], ColumnReducer] = {}
         self._reps: dict[tuple[int, int], list[Cochain]] = {}
 
-    @property
-    def kmax(self) -> int:
-        return self.pmax + self.qmax
+    def _enumerate(self, w: int, k: int, max_order: int) -> list:
+        elems = []
+        for p in range(self.pmax + 1):
+            q = k - p
+            if -1 <= q <= self.qmax:
+                elems.extend(enumerate_slice(self.s, self.side, w, p, q, max_order=max_order))
+        return elems
 
     def basis(self, w: int, k: int) -> list:
         key = (w, k)
         if key not in self._bases:
-            elems = []
-            for p in range(self.pmax + 1):
-                q = k - p
-                if -1 <= q <= self.qmax:
-                    elems.extend(enumerate_slice(self.s, self.side, w, p, q,
-                                                 max_order=self.max_order))
-            self._bases[key] = elems
+            self._bases[key] = self._enumerate(w, k, self.max_order)
         return self._bases[key]
 
     def _column(self, w: int, coords: dict[tuple, object]) -> dict[int, object]:
@@ -188,16 +191,19 @@ class Workspace:
         table = self._rows.setdefault(w, {})
         return {table.setdefault(key, len(table)): v for key, v in coords.items()}
 
+    def _images(self, w: int, elems: list) -> list[dict]:
+        return [self._column(w, cochain_coords(self._diff(basis_cochain(self.s, self.side, elt))))
+                for elt in elems]
+
     def columns(self, w: int, k: int) -> list[dict]:
         """Images of the degree-k basis under the total differential.
         Built once per slice, to fill its echelon, and not kept."""
-        return [self._column(w, cochain_coords(self._diff(basis_cochain(self.s, self.side, elt))))
-                for elt in self.basis(w, k)]
+        return self._images(w, self.basis(w, k))
 
     def _echelon(self, w: int, k: int) -> ColumnReducer:
         key = (w, k)
         if key not in self._echelons:
-            red = ColumnReducer(track=True)
+            red = ColumnReducer(track=self.side == "tpoly")
             for u, col in enumerate(self.columns(w, k)):
                 red.insert(col, label=u)
             self._echelons[key] = red
@@ -213,6 +219,19 @@ class Workspace:
         incoming = self.rank(w, k - 1) if k - 1 >= -1 else 0
         return dim - self.rank(w, k) - incoming
 
+    def order_up(self, w: int, k: int) -> tuple[int, int]:
+        """Dimension of slice (w, k) with the order cap raised by one, and
+        the rank of d on it: the slice's echelon, copied and extended by
+        the images of the basis elements of total order exactly
+        max_order + 1.  The polyvector side has no order cap."""
+        top = self.max_order + 1
+        extra = [] if self.side == "tpoly" else [
+            e for e in self._enumerate(w, k, top) if sum(map(sum, e[1])) == top]
+        red = self._echelon(w, k).copy()
+        for col in self._images(w, extra):
+            red.insert(col)
+        return len(self.basis(w, k)) + len(extra), red.rank
+
     def in_image(self, w: int, k: int, c: Cochain) -> bool:
         """Is the cochain, of slice (w, k), a coboundary?"""
         coords = cochain_coords(c)
@@ -224,12 +243,14 @@ class Workspace:
     def independent_mod_image(self, w: int, k: int, coords: list[dict]) -> list[bool]:
         """For each coordinate map of slice (w, k), in order: is it
         independent of the image of d and of the ones before it?"""
-        quotient = ColumnReducer()
-        quotient.pivots = dict(self._echelon(w, k - 1).pivots)
+        quotient = self._echelon(w, k - 1).copy()
         return [quotient.insert(self._column(w, c)) for c in coords]
 
     def representatives(self, w: int, k: int) -> list[Cochain]:
-        """One cocycle per cohomology class in the (w, k) slice."""
+        """One cocycle per cohomology class in the (w, k) slice, on the
+        tpoly side."""
+        if self.side != "tpoly":
+            raise ValueError("representatives are computed on the tpoly side only")
         key = (w, k)
         if key not in self._reps:
             basis = self.basis(w, k)
@@ -241,30 +262,22 @@ class Workspace:
         return self._reps[key]
 
 
-def cohomology_report(s: Scenario, side: str, *, weights: list[int] | None = None,
-                      kmax: int | None = None, stability: bool = True,
-                      workspace: Workspace | None = None,
-                      recheck_workspace: Workspace | None = None) -> dict:
-    """Exact dims of H per (weight, total degree), with the order-cap
-    stability audit on the operator side."""
+def cohomology_report(s: Scenario, side: str, *, workspace: Workspace | None = None) -> dict:
+    """Exact dims of H per (weight, total degree), each slice with its
+    order-cap stability audit."""
     ws = Workspace(s, side) if workspace is None else workspace
-    wlist = weight_window(s) if weights is None else list(weights)
-    ktop = min(stable_degree_max(s, side), ws.kmax) if kmax is None else kmax
-    recheck = recheck_workspace
-    if recheck is None and stability and side == "dpoly":
-        recheck = Workspace(s, side, max_order=s.caps.max_order + 1)
+    wlist = weight_window(s)
+    ktop = stable_degree_max(s, side)
     slices = []
     for w in wlist:
+        rank_in = 0  # rank of d into slice (w, k) with the order cap raised by one
         for k in range(-1, ktop + 1):
-            dim = len(ws.basis(w, k))
             h = ws.dim_h(w, k)
-            entry = {"weight": w, "total_degree": k,
-                     "dim_cochains": dim, "dim_H": h}
-            if recheck is not None:
-                entry["stable"] = (recheck.dim_h(w, k) == h)
-            else:
-                entry["stable"] = True
-            slices.append(entry)
+            dim_up, rank_up = ws.order_up(w, k)
+            slices.append({"weight": w, "total_degree": k,
+                           "dim_cochains": len(ws.basis(w, k)), "dim_H": h,
+                           "stable": (dim_up - rank_up - rank_in if dim_up else 0) == h})
+            rank_in = rank_up
     return {
         "side": side,
         "window": {"weights": [wlist[0], wlist[-1]], "max_total_degree": ktop,
@@ -274,13 +287,13 @@ def cohomology_report(s: Scenario, side: str, *, weights: list[int] | None = Non
     }
 
 
-def hkr_check(s: Scenario, *, weights: list[int] | None = None,
-              tp: Workspace | None = None, dp: Workspace | None = None) -> dict:
+def hkr_check(s: Scenario, *, tp: Workspace | None = None,
+              dp: Workspace | None = None) -> dict:
     """Dimension comparison between the two sides plus injectivity of
     the induced HKR map on representatives, within the stable window."""
     tp = Workspace(s, "tpoly") if tp is None else tp
     dp = Workspace(s, "dpoly") if dp is None else dp
-    wlist = weight_window(s) if weights is None else list(weights)
+    wlist = weight_window(s)
     ktop = min(stable_degree_max(s, "tpoly"), stable_degree_max(s, "dpoly"))
     mismatches = []
     injective = True
@@ -292,8 +305,7 @@ def hkr_check(s: Scenario, *, weights: list[int] | None = None,
             slices.append({"weight": w, "total_degree": k,
                            "dim_H_tpoly": ht, "dim_H_dpoly": hd})
             if ht != hd:
-                mismatches.append({"weight": w, "total_degree": k,
-                                   "dim_H_tpoly": ht, "dim_H_dpoly": hd})
+                mismatches.append(slices[-1])
             if ht:
                 mapped = [cochain_coords(ext_hkr(rep)) for rep in tp.representatives(w, k)]
                 if not all(dp.independent_mod_image(w, k, mapped)):
@@ -322,8 +334,8 @@ def _pair_from_rank(r: int, count: int) -> tuple[int, int]:
 
 
 def duflo_check(s: Scenario, *, seed: int = 0, sample_cap: int = 1000,
-                weights: list[int] | None = None, use_todd: bool = True,
-                tp: Workspace | None = None, dp: Workspace | None = None) -> dict:
+                use_todd: bool = True, tp: Workspace | None = None,
+                dp: Workspace | None = None) -> dict:
     """Windowed Gerstenhaber-morphism check for hkr twisted by td^{1/2}.
 
     For sampled pairs of polyvector-side cohomology classes, the cup
@@ -333,7 +345,7 @@ def duflo_check(s: Scenario, *, seed: int = 0, sample_cap: int = 1000,
     """
     tp = Workspace(s, "tpoly") if tp is None else tp
     dp = Workspace(s, "dpoly") if dp is None else dp
-    wlist = weight_window(s) if weights is None else list(weights)
+    wlist = weight_window(s)
     ktop = min(stable_degree_max(s, "tpoly"), stable_degree_max(s, "dpoly"))
 
     classes = []

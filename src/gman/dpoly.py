@@ -107,18 +107,6 @@ class PolyDiffOp(Sparse):
             terms[(tuple(e),)] = p
         return PolyDiffOp(n, terms)
 
-    def apply(self, args: list[Poly]) -> Poly:
-        """Evaluate on functions (arity must match each term)."""
-        out = Poly.zero(self.n)
-        for key, p in self.terms.items():
-            if len(key) != len(args):
-                raise ValueError(f"arity {len(key)} term applied to {len(args)} arguments")
-            term = p
-            for beta, f in zip(key, args):
-                term = term * f.partial_multi(beta)
-            out = out + term
-        return out
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"

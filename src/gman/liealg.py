@@ -114,10 +114,6 @@ class LieAlgebra:
                 out[k] = v
         return out
 
-    @staticmethod
-    def abelian(dim: int) -> "LieAlgebra":
-        return LieAlgebra(dim, {})
-
 
 class Cochain(Sparse):
     """Element of Lambda^p g-dual tensor V, for a coefficient module V.

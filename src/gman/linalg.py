@@ -63,6 +63,13 @@ class ColumnReducer:
     def rank(self) -> int:
         return len(self.pivots)
 
+    def copy(self) -> "ColumnReducer":
+        """An untracked reducer over the same pivots, to extend without touching
+        this one; pivot columns are never mutated, so they are shared."""
+        out = ColumnReducer()
+        out.pivots = dict(self.pivots)
+        return out
+
     def reduce(self, col: dict, combo: dict | None = None):
         """Reduce col against the pivots.  A combo, when given, is carried
         along and needs a tracking reducer."""

@@ -42,7 +42,7 @@ class Poly:
     treated as frozen; all operations return new objects.
     """
 
-    __slots__ = ("n", "terms", "_hash")
+    __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: Mapping[Exponent, Fraction] | None = None):
         self.n = n
@@ -57,7 +57,6 @@ class Poly:
                 if c != 0:
                     clean[exps] = c
         self.terms = clean
-        self._hash = None
 
     # ------------------------------------------------------------------ basics
 
@@ -90,11 +89,6 @@ class Poly:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.n, tuple(sorted(self.terms.items(), key=lambda t: grlex_key(t[0])))))
-        return self._hash
 
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
@@ -176,15 +170,6 @@ class Poly:
     def to_json(self) -> list:
         """Lists [coefficient string "num/den", exponent list], grlex order."""
         return [[f"{c.numerator}/{c.denominator}", list(e)] for e, c in self.sorted_terms()]
-
-    @staticmethod
-    def from_json(n: int, data: list) -> "Poly":
-        terms: dict[Exponent, Fraction] = {}
-        for item in data:
-            coeff_s, exps = item
-            e = tuple(int(x) for x in exps)
-            terms[e] = terms.get(e, Fraction(0)) + Fraction(coeff_s)
-        return Poly(n, terms)
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -31,10 +31,10 @@ F = Fraction
 _WORKSPACES: dict = {}
 
 
-def workspace(s, side, max_order=None):
-    key = (s.name, side, max_order)
+def workspace(s, side):
+    key = (s.name, side)
     if key not in _WORKSPACES:
-        _WORKSPACES[key] = Workspace(s, side, max_order=max_order)
+        _WORKSPACES[key] = Workspace(s, side)
     return _WORKSPACES[key]
 
 
@@ -100,13 +100,8 @@ def test_criterion_5_hkr_quasi_isomorphism(capsys, paper, sl2):
         for s in (paper, sl2):
             tp = workspace(s, "tpoly")
             dp = workspace(s, "dpoly")
-            order_up = s.caps.max_order + 1
-            rep_t = cohomology_report(
-                s, "tpoly", workspace=tp,
-                recheck_workspace=workspace(s, "tpoly", order_up))
-            rep_d = cohomology_report(
-                s, "dpoly", workspace=dp,
-                recheck_workspace=workspace(s, "dpoly", order_up))
+            rep_t = cohomology_report(s, "tpoly", workspace=tp)
+            rep_d = cohomology_report(s, "dpoly", workspace=dp)
             assert rep_t["all_stable"] and rep_d["all_stable"]
             match = hkr_check(s, tp=tp, dp=dp)
             assert match["dimensions_match"], match["mismatches"]

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gman import cli
 from gman.cli import main
 
 
@@ -146,6 +147,43 @@ def test_cohomology_report_shape(capsys):
     nonzero = [(e["weight"], e["total_degree"]) for e in res["tpoly"]["slices"]
                if e["dim_H"]]
     assert nonzero == [(-2, 1), (-1, 0), (0, -1), (0, 0), (1, 0), (1, 1)]
+
+
+def test_truncated_hkr_mismatch_exits_2(capsys):
+    """At order cap 1 the only sl2 mismatch sits in a slice the order
+    audit marks unstable: inconclusive, not falsified."""
+    status, out, err = run(capsys, "cohomology", "sl2_linear", "--caps", "1,1,3", "--json")
+    assert status == 2
+    res = json.loads(out)["results"]
+    assert [(m["weight"], m["total_degree"]) for m in res["hkr"]["mismatches"]] == [(-2, 1)]
+    assert res["hkr"]["hkr_injective_on_H"]
+    assert "max_order=1" in err and "(w -2, k 1)" in err
+
+
+def test_hkr_mismatch_in_stable_slice_exits_1(capsys, monkeypatch):
+    """Negative control: the same mismatch in a slice the audit reads as
+    stable is a falsification."""
+    report = cli.cohomology_report
+
+    def all_stable(s, side, **kwargs):
+        rep = report(s, side, **kwargs)
+        for e in rep["slices"]:
+            e["stable"] = True
+        return rep
+    monkeypatch.setattr(cli, "cohomology_report", all_stable)
+    status, _, err = run(capsys, "cohomology", "sl2_linear", "--caps", "1,1,3", "--json")
+    assert status == 1
+    assert err == ""
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    """An exception inside a subcommand is not a falsification (exit 1)."""
+    monkeypatch.setitem(cli.COMMANDS, "validate", lambda s, digest, args: 1 // 0)
+    status, out, err = run(capsys, "validate", "paper_sec4", "--json")
+    assert status == 3
+    assert out == ""
+    assert err.startswith("internal error:")
+    assert "Traceback" in err and "ZeroDivisionError" in err
 
 
 def test_duflo_report_shape(capsys):

@@ -1,8 +1,12 @@
 import random
+from dataclasses import replace
+
+import pytest
 
 from gman.cohomology import (Workspace, basis_cochain, cochain_coords,
                              cohomology_report, duflo_check, enumerate_slice,
                              hkr_check, stable_degree_max, weight_window)
+from gman.scenario import Caps
 
 rng = random.Random(31)
 
@@ -134,3 +138,41 @@ def test_duflo_twists_share_echelons_and_representatives(paper, monkeypatch):
         assert all(after[key] is value for key, value in before.items())
     assert twisted["classes"] == plain["classes"] == 6
     assert twisted["all_reduce"] and plain["all_reduce"]
+
+
+def with_caps(s, w, o, a):
+    return replace(s, caps=Caps(w, o, a, s.caps.max_ce_degree))
+
+
+@pytest.mark.parametrize("caps", [None, (1, 3, 3), (1, 1, 3)])
+def test_order_audit_matches_fresh_workspace(paper, sl2, caps):
+    """The audit extends each slice's own echelon by the basis elements
+    of order max_order + 1; its verdict on every operator slice equals
+    one from a fresh workspace whose order cap is one higher."""
+    s = paper if caps is None else with_caps(sl2, *caps)
+    c = s.caps
+    ref = Workspace(with_caps(s, c.max_weight, c.max_order + 1, c.max_arity), "dpoly")
+    for e in cohomology_report(s, "dpoly")["slices"]:
+        assert e["stable"] == (ref.dim_h(e["weight"], e["total_degree"]) == e["dim_H"])
+
+
+def test_order_audit_flags_truncated_slice(sl2):
+    """Negative control: at order cap 1 the sl2 slice (w -2, k 1) changes
+    one order up, and the audit says so."""
+    s = with_caps(sl2, 1, 1, 3)
+    rep = cohomology_report(s, "dpoly")
+    stable = {(e["weight"], e["total_degree"]): e["stable"] for e in rep["slices"]}
+    assert stable[(-2, 1)] is False
+    assert not rep["all_stable"]
+    assert cohomology_report(s, "tpoly")["all_stable"]
+
+
+def test_kernels_tracked_on_tpoly_only(paper):
+    tp, dp = Workspace(paper, "tpoly"), Workspace(paper, "dpoly")
+    cohomology_report(paper, "dpoly", workspace=dp)
+    hkr_check(paper, tp=tp, dp=dp)
+    assert tp._echelons and all(red.track for red in tp._echelons.values())
+    assert dp._echelons and not any(red.track or red.combos or red.kernel
+                                    for red in dp._echelons.values())
+    with pytest.raises(ValueError, match="tpoly"):
+        dp.representatives(0, 0)

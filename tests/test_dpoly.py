@@ -35,10 +35,12 @@ def test_insert_examples():
 
 
 def test_apply():
+    """Inserting functions into every slot evaluates the operator."""
     x, y = Poly.var(N, 0), Poly.var(N, 1)
     op = PolyDiffOp(N, {((1, 0), (0, 1)): x})
-    assert op.apply([x * x, y * y]) == x * (x + x) * (y + y)
-    assert PolyDiffOp.function(x).apply([]) == x
+    fx, fy = PolyDiffOp.function(x * x), PolyDiffOp.function(y * y)
+    assert dp_insert(dp_insert(op, 1, fy), 0, fx) == PolyDiffOp.function(x * (x + x) * (y + y))
+    assert dp_insert(dp_insert(op, 0, fx), 0, fy) == PolyDiffOp.function(x * (x + x) * (y + y))
 
 
 def test_hochschild_examples():

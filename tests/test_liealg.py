@@ -45,7 +45,7 @@ def test_structure_validation():
     with pytest.raises(StructureError):
         LieAlgebra(3, bad)
     assert sl2().bracket_basis(1, 2) == {0: Fraction(1)}
-    assert LieAlgebra.abelian(4).bracket_basis(0, 1) == {}
+    assert LieAlgebra(4, {}).bracket_basis(0, 1) == {}
 
 
 def dual_form(g, terms):

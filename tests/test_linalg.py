@@ -66,6 +66,16 @@ def test_membership_and_solve():
     assert red.solve({0: 0, 2: 5}) is None
 
 
+def test_copy_extends_without_touching_the_original():
+    red = ColumnReducer(track=True)
+    red.insert({0: 1, 1: 2}, label=0)
+    ext = red.copy()
+    assert not ext.track and ext.pivots == red.pivots
+    assert ext.insert({1: 1, 2: 1}) and not ext.insert({0: 1, 1: 3, 2: 1})
+    assert ext.rank == 2 and red.rank == 1
+    assert not red.contains({1: 1, 2: 1})
+
+
 def test_solve_randomized():
     for _ in range(30):
         nrows, ncols = rng.randint(2, 7), rng.randint(1, 6)
