@@ -7,8 +7,8 @@ invocations are byte-identical.
 
 Exit codes: 0 all checks pass, 1 a mathematical check was falsified
 (the witness is in the report), 2 malformed input or usage error, or a
-result that only a truncation cap decides (the cap and the slices are
-named on stderr), 3 an internal error (the traceback is on stderr).
+result that only a truncation cap decides (the caps and the slices or
+pairs are named on stderr), 3 an internal error (traceback on stderr).
 """
 
 from __future__ import annotations
@@ -182,6 +182,15 @@ def cmd_cohomology(s, digest, args) -> tuple[int, dict, list[str]]:
     return status, results, lines
 
 
+def _caps_exceeded(s, failure: dict) -> set[str]:
+    """The caps that a failing Duflo pair's residual rows exceed: a row of
+    higher arity or order than the operator basis cannot reduce in it."""
+    mids = [row[1] for row in failure["product_residual"] + failure["bracket_residual"]]
+    c = s.caps
+    return ({f"max_arity={c.max_arity}" for mid in mids if len(mid) > c.max_arity}
+            | {f"max_order={c.max_order}" for mid in mids if sum(map(sum, mid)) > c.max_order})
+
+
 def cmd_duflo(s, digest, args) -> tuple[int, dict, list[str]]:
     tp = Workspace(s, "tpoly")
     dp = Workspace(s, "dpoly")
@@ -198,6 +207,13 @@ def cmd_duflo(s, digest, args) -> tuple[int, dict, list[str]]:
     ]
     for f in twisted["failures"][:3]:
         lines.append(f"  FAILED pair {f['pair']}")
+    bitten = [_caps_exceeded(s, f) for f in twisted["failures"]]
+    if bitten and all(bitten):
+        pairs = (" x ".join(f"(w {c['weight']}, k {c['degree']}, #{c['index']})" for c in f["pair"])
+                 for f in twisted["failures"])
+        print(f"inconclusive: every failing pair has a residual beyond the cap(s) "
+              f"{', '.join(sorted(set().union(*bitten)))}: {', '.join(pairs)}", file=sys.stderr)
+        return 2, results, lines
     return (0 if twisted["all_reduce"] else 1), results, lines
 
 

@@ -16,6 +16,13 @@ one echelon of the slice's differential columns and answers rank,
 kernel (cocycle representatives, on the polyvector side) and image
 membership from it, for the cohomology report, the order-cap audit,
 the HKR injectivity test and both Duflo twists alike.
+
+Columns are built from unit generators.  The total differential is
+linear over polynomial coefficients but for the g-action by vector
+fields phi_a, and L_X(fV) = X(f)V + f L_X V for both brackets, so
+d(x^e e_I (x) V) = x^e d(e_I (x) V) + sum_{a not in I} +-phi_a(x^e) e_{I+a} (x) V
+with the sign of merge_indices((a,), I): the symbolic differential, the
+one source of signs, runs once per generator (I, V).
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from .actions import on_dpoly, on_polyvectors
 from .atiyah import todd_sqrt
 from .calculus import PolyVector, contract, ext_pv_wedge, ext_schouten
 from .dpoly import PolyDiffOp, ext_cup, ext_gerstenhaber, ext_hkr, hochschild
-from .liealg import Cochain, ce_differential, total_differential
+from .liealg import Cochain, ce_differential, merge_indices, total_differential
 from .linalg import ColumnReducer
 from .poly import Poly, accumulate, grlex_key, monomial_weight, monomials_of_weight
 from .scenario import Scenario
@@ -149,7 +156,8 @@ class Workspace:
     cocycles, and its pivots span the image of d in slice (w, k + 1),
     against which membership and independence are tested.  The
     order-cap audit extends the same echelons by the basis elements of
-    total order max_order + 1.
+    total order max_order + 1.  Columns come from ``image_coords``, off
+    one cached symbolic differential per unit generator e_I (x) V.
     """
 
     def __init__(self, s: Scenario, side: str):
@@ -166,6 +174,7 @@ class Workspace:
         else:
             act = on_dpoly(s)
             self._diff = lambda c: total_differential(s.lie, c, act, hochschild)
+        self._units: dict[tuple, list] = {}  # (I, V) -> coordinates of d(e_I (x) V)
         self._bases: dict[tuple[int, int], list] = {}
         self._rows: dict[int, dict[tuple, int]] = {}
         self._echelons: dict[tuple[int, int], ColumnReducer] = {}
@@ -191,14 +200,28 @@ class Workspace:
         table = self._rows.setdefault(w, {})
         return {table.setdefault(key, len(table)): v for key, v in coords.items()}
 
-    def _images(self, w: int, elems: list) -> list[dict]:
-        return [self._column(w, cochain_coords(self._diff(basis_cochain(self.s, self.side, elt))))
-                for elt in elems]
+    def image_coords(self, elt: tuple) -> dict[tuple, object]:
+        """Basis-key coordinates of d(x^e e_I (x) V), for the key
+        (I, V, e): the unit generator's image, cached per (I, V) and
+        shifted by x^e, plus the derivative term of the action."""
+        idx, mid, exps = elt
+        unit = self._units.get((idx, mid))
+        if unit is None:
+            one = coords_cochain(self.s, self.side, {(idx, mid, (0,) * self.s.n): 1})
+            unit = self._units[(idx, mid)] = list(cochain_coords(self._diff(one)).items())
+        out = {(j, v, tuple([a + b for a, b in zip(f, exps)])): c for (j, v, f), c in unit}
+        mono = Poly.monomial(exps, 1)
+        for a, field in enumerate(self.s.action):
+            if (merged := merge_indices((a,), idx)) is not None:
+                sign, j = merged
+                for f, c in field.apply_to(mono).terms.items():
+                    out[(j, mid, f)] = out.get((j, mid, f), 0) + sign * c
+        return {key: c for key, c in out.items() if c}
 
     def columns(self, w: int, k: int) -> list[dict]:
         """Images of the degree-k basis under the total differential.
         Built once per slice, to fill its echelon, and not kept."""
-        return self._images(w, self.basis(w, k))
+        return [self._column(w, self.image_coords(elt)) for elt in self.basis(w, k)]
 
     def _echelon(self, w: int, k: int) -> ColumnReducer:
         key = (w, k)
@@ -228,8 +251,8 @@ class Workspace:
         extra = [] if self.side == "tpoly" else [
             e for e in self._enumerate(w, k, top) if sum(map(sum, e[1])) == top]
         red = self._echelon(w, k).copy()
-        for col in self._images(w, extra):
-            red.insert(col)
+        for elt in extra:
+            red.insert(self._column(w, self.image_coords(elt)))
         return len(self.basis(w, k)) + len(extra), red.rank
 
     def in_image(self, w: int, k: int, c: Cochain) -> bool:

@@ -176,6 +176,39 @@ def test_hkr_mismatch_in_stable_slice_exits_1(capsys, monkeypatch):
     assert err == ""
 
 
+@pytest.mark.parametrize("name, caps, bitten, pairs", [
+    ("paper_sec4", "2,1,2", "max_order=1", "(w 1, k 0, #0) x (w 1, k 0, #0)"),
+    ("sl2_linear", "2,2,3", "max_arity=3, max_order=2",
+     "(w -2, k 1, #0) x (w -2, k 1, #0), (w -2, k 1, #0) x (w 0, k 0, #0)"),
+])
+def test_duflo_residual_beyond_caps_exits_2(capsys, name, caps, bitten, pairs):
+    """A residual row of higher order or arity than the operator basis
+    cannot reduce in the truncated complex: inconclusive, not falsified."""
+    status, out, err = run(capsys, "duflo-check", name, "--caps", caps, "--json")
+    assert status == 2
+    assert not json.loads(out)["results"]["twisted"]["all_reduce"]
+    assert f"beyond the cap(s) {bitten}: {pairs}" in err
+
+
+def test_duflo_residual_within_caps_exits_1(capsys, monkeypatch):
+    """Negative control: the same failing pair, its residual moved into
+    the window (every row a function), is a falsification."""
+    check = cli.duflo_check
+
+    def in_window(s, **kwargs):
+        rep = check(s, **kwargs)
+        for f in rep["failures"]:
+            for rows in (f["product_residual"], f["bracket_residual"]):
+                for row in rows:
+                    row[1] = []
+        return rep
+    monkeypatch.setattr(cli, "duflo_check", in_window)
+    status, out, err = run(capsys, "duflo-check", "paper_sec4", "--caps", "2,1,2", "--json")
+    assert status == 1
+    assert json.loads(out)["results"]["twisted"]["failures"]
+    assert err == ""
+
+
 def test_internal_error_exits_3(capsys, monkeypatch):
     """An exception inside a subcommand is not a falsification (exit 1)."""
     monkeypatch.setitem(cli.COMMANDS, "validate", lambda s, digest, args: 1 // 0)
