@@ -25,7 +25,7 @@ def main():
     tp = Workspace(s, "tpoly")
     dp = Workspace(s, "dpoly")
 
-    rep = cohomology_report(s, "tpoly", workspace=tp)
+    rep = cohomology_report(tp)
     print("nonzero cohomology (polyvector side):")
     for e in rep["slices"]:
         if e["dim_H"]:
@@ -33,7 +33,7 @@ def main():
                   f"{e['total_degree']:+d}: dim H = {e['dim_H']}")
     print("order-cap stable:", rep["all_stable"])
 
-    match = hkr_check(s, tp=tp, dp=dp)
+    match = hkr_check(tp, dp)
     print("\nHKR comparison:")
     print("  dimensions match on both sides:", match["dimensions_match"])
     print("  hkr injective on cohomology:", match["hkr_injective_on_H"])
@@ -41,12 +41,12 @@ def main():
     # Twist HKR by the square root of the Todd cocycle and check that
     # cup products and Gerstenhaber brackets of classes are respected
     # up to coboundaries, pair by pair.
-    dc = duflo_check(s, tp=tp, dp=dp)
+    dc = duflo_check(tp, dp, "td_sqrt")
     print(f"\nDuflo-type window check: {dc['classes']} classes, "
           f"{dc['pairs_checked']} pairs")
     print("  all products and brackets reduce to zero:", dc["all_reduce"])
 
-    plain = duflo_check(s, use_todd=False, tp=tp, dp=dp)
+    plain = duflo_check(tp, dp, "hkr_only")
     print("  untwisted comparison (hkr alone):", plain["all_reduce"])
 
 

@@ -157,11 +157,9 @@ def cmd_todd(s, digest, args) -> tuple[int, dict, list[str]]:
 
 
 def cmd_cohomology(s, digest, args) -> tuple[int, dict, list[str]]:
-    tp = Workspace(s, "tpoly")
-    dp = Workspace(s, "dpoly")
-    rep_t = cohomology_report(s, "tpoly", workspace=tp)
-    rep_d = cohomology_report(s, "dpoly", workspace=dp)
-    match = hkr_check(s, tp=tp, dp=dp)
+    tp, dp = Workspace(s, "tpoly"), Workspace(s, "dpoly")
+    rep_t, rep_d = cohomology_report(tp), cohomology_report(dp)
+    match = hkr_check(tp, dp)
     results = {"tpoly": rep_t, "dpoly": rep_d, "hkr": match}
     status = 0 if match["dimensions_match"] and match["hkr_injective_on_H"] else 1
     unstable = {(e["weight"], e["total_degree"]) for e in rep_d["slices"] if not e["stable"]}
@@ -192,13 +190,10 @@ def _caps_exceeded(s, failure: dict) -> set[str]:
 
 
 def cmd_duflo(s, digest, args) -> tuple[int, dict, list[str]]:
-    tp = Workspace(s, "tpoly")
-    dp = Workspace(s, "dpoly")
-    twisted = duflo_check(s, seed=args.seed, sample_cap=args.sample_cap,
-                          tp=tp, dp=dp)
-    plain = duflo_check(s, seed=args.seed, sample_cap=args.sample_cap,
-                        use_todd=False, tp=tp, dp=dp)
-    results = {"twisted": twisted, "hkr_only": plain}
+    tp, dp = Workspace(s, "tpoly"), Workspace(s, "dpoly")
+    results = {key: duflo_check(tp, dp, twist, seed=args.seed, sample_cap=args.sample_cap)
+               for key, twist in (("twisted", "td_sqrt"), ("hkr_only", "hkr_only"))}
+    twisted, plain = results["twisted"], results["hkr_only"]
     lines = [
         f"classes: {twisted['classes']}; pairs checked: {twisted['pairs_checked']}"
         + (" (sampled)" if twisted["sampled"] else " (exhaustive)"),
@@ -227,6 +222,17 @@ COMMANDS = {
 }
 
 
+def _int_at_least(lo: int):
+    """argparse type: an integer >= lo, so that a value out of range
+    exits 2 with a message naming its option."""
+    def parse(text: str) -> int:
+        if (value := int(text)) < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names a type by it: "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gman",
@@ -249,12 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override caps: max_weight,max_order,max_arity")
         p.add_argument("--seed", type=int, default=0)
         if name == "axioms":
-            p.add_argument("--cases", type=int, default=200)
+            p.add_argument("--cases", type=_int_at_least(1), default=200)
         if name == "atiyah":
-            p.add_argument("--obstruction-weight", type=int, default=None,
+            p.add_argument("--obstruction-weight", type=_int_at_least(0), default=None,
                            help="polynomial weight window for the obstruction solve")
         if name == "duflo-check":
-            p.add_argument("--sample-cap", type=int, default=1000)
+            p.add_argument("--sample-cap", type=_int_at_least(1), default=1000)
     return parser
 
 

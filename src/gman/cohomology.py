@@ -285,14 +285,18 @@ class Workspace:
         return self._reps[key]
 
 
-def cohomology_report(s: Scenario, side: str, *, workspace: Workspace | None = None) -> dict:
-    """Exact dims of H per (weight, total degree), each slice with its
-    order-cap stability audit."""
-    ws = Workspace(s, side) if workspace is None else workspace
+def _window(s: Scenario, ktop: int) -> dict:
     wlist = weight_window(s)
-    ktop = stable_degree_max(s, side)
+    return {"weights": [wlist[0], wlist[-1]], "max_total_degree": ktop,
+            "caps": s.caps.to_json()}
+
+
+def cohomology_report(ws: Workspace) -> dict:
+    """Exact dims of H per (weight, total degree) on the workspace's
+    side, each slice with its order-cap stability audit."""
+    ktop = stable_degree_max(ws.s, ws.side)
     slices = []
-    for w in wlist:
+    for w in weight_window(ws.s):
         rank_in = 0  # rank of d into slice (w, k) with the order cap raised by one
         for k in range(-1, ktop + 1):
             h = ws.dim_h(w, k)
@@ -302,26 +306,22 @@ def cohomology_report(s: Scenario, side: str, *, workspace: Workspace | None = N
                            "stable": (dim_up - rank_up - rank_in if dim_up else 0) == h})
             rank_in = rank_up
     return {
-        "side": side,
-        "window": {"weights": [wlist[0], wlist[-1]], "max_total_degree": ktop,
-                   "caps": s.caps.to_json()},
+        "side": ws.side,
+        "window": _window(ws.s, ktop),
         "slices": slices,
         "all_stable": all(e["stable"] for e in slices),
     }
 
 
-def hkr_check(s: Scenario, *, tp: Workspace | None = None,
-              dp: Workspace | None = None) -> dict:
+def hkr_check(tp: Workspace, dp: Workspace) -> dict:
     """Dimension comparison between the two sides plus injectivity of
     the induced HKR map on representatives, within the stable window."""
-    tp = Workspace(s, "tpoly") if tp is None else tp
-    dp = Workspace(s, "dpoly") if dp is None else dp
-    wlist = weight_window(s)
+    s = tp.s
     ktop = min(stable_degree_max(s, "tpoly"), stable_degree_max(s, "dpoly"))
     mismatches = []
     injective = True
     slices = []
-    for w in wlist:
+    for w in weight_window(s):
         for k in range(-1, ktop + 1):
             ht = tp.dim_h(w, k)
             hd = dp.dim_h(w, k)
@@ -334,8 +334,7 @@ def hkr_check(s: Scenario, *, tp: Workspace | None = None,
                 if not all(dp.independent_mod_image(w, k, mapped)):
                     injective = False
     return {
-        "window": {"weights": [wlist[0], wlist[-1]], "max_total_degree": ktop,
-                   "caps": s.caps.to_json()},
+        "window": _window(s, ktop),
         "slices": slices,
         "dimensions_match": not mismatches,
         "mismatches": mismatches,
@@ -345,61 +344,46 @@ def hkr_check(s: Scenario, *, tp: Workspace | None = None,
 
 # ----------------------------------------------------------------- Duflo check
 
-def _pair_from_rank(r: int, count: int) -> tuple[int, int]:
-    """The r-th unordered pair (i <= j) of range(count), row by row."""
-    i = 0
-    row = count
-    while r >= row:
-        r -= row
-        i += 1
-        row -= 1
-    return i, i + r
-
-
-def duflo_check(s: Scenario, *, seed: int = 0, sample_cap: int = 1000,
-                use_todd: bool = True, tp: Workspace | None = None,
-                dp: Workspace | None = None) -> dict:
-    """Windowed Gerstenhaber-morphism check for hkr twisted by td^{1/2}.
+def duflo_check(tp: Workspace, dp: Workspace, twist: str, *, seed: int = 0,
+                sample_cap: int = 1000) -> dict:
+    """Windowed Gerstenhaber-morphism check for hkr twisted by td^{1/2}
+    (twist "td_sqrt") or for hkr alone (twist "hkr_only").
 
     For sampled pairs of polyvector-side cohomology classes, the cup
-    and bracket compatibility defects of the twisted HKR map are
-    reduced modulo the image of the total differential in their slice;
-    a non-reducible residual is reported as a falsification witness.
+    and bracket compatibility defects of the map are reduced modulo the
+    image of the total differential in their slice; a non-reducible
+    residual is reported as a falsification witness.  Each class is
+    mapped once, not once per pair.
     """
-    tp = Workspace(s, "tpoly") if tp is None else tp
-    dp = Workspace(s, "dpoly") if dp is None else dp
-    wlist = weight_window(s)
+    s = tp.s
+    if twist == "td_sqrt":
+        td_half = todd_sqrt(s)
+        phi = lambda a: ext_hkr(contract(td_half, a))
+    elif twist == "hkr_only":
+        phi = ext_hkr
+    else:
+        raise ValueError(f"unknown twist {twist!r}: td_sqrt or hkr_only")
+    if sample_cap < 1:
+        raise ValueError(f"sample_cap must be at least 1, got {sample_cap}")
     ktop = min(stable_degree_max(s, "tpoly"), stable_degree_max(s, "dpoly"))
-
     classes = []
-    for w in wlist:
+    for w in weight_window(s):
         for k in range(-1, ktop + 1):
             for i, rep in enumerate(tp.representatives(w, k)):
                 classes.append({"weight": w, "degree": k, "index": i, "rep": rep})
-
-    td_half = todd_sqrt(s)
-
-    def phi_twisted(a: Cochain) -> Cochain:
-        return ext_hkr(contract(td_half, a))
-
-    phi = phi_twisted if use_todd else ext_hkr
+    images = [phi(c["rep"]) for c in classes]
 
     count = len(classes)
-    total_pairs = count * (count + 1) // 2
-    if total_pairs <= sample_cap:
-        pair_ranks = list(range(total_pairs))
-        sampled = False
-    else:
-        rng = random.Random(seed)
-        pair_ranks = sorted(rng.sample(range(total_pairs), sample_cap))
-        sampled = True
+    pairs = [(i, j) for i in range(count) for j in range(i, count)]  # row by row
+    sampled = len(pairs) > sample_cap
+    if sampled:
+        ranks = random.Random(seed).sample(range(len(pairs)), sample_cap)
+        pairs = [pairs[r] for r in sorted(ranks)]
 
     failures = []
-    checked = 0
-    for r in pair_ranks:
-        i, j = _pair_from_rank(r, count)
+    for i, j in pairs:
         a, b = classes[i], classes[j]
-        fa, fb = phi(a["rep"]), phi(b["rep"])
+        fa, fb = images[i], images[j]
         wsum = a["weight"] + b["weight"]
 
         prod_res = ext_cup(fa, fb) - phi(ext_pv_wedge(a["rep"], b["rep"]))
@@ -408,7 +392,6 @@ def duflo_check(s: Scenario, *, seed: int = 0, sample_cap: int = 1000,
         br_res = ext_gerstenhaber(fa, fb) - phi(ext_schouten(a["rep"], b["rep"]))
         br_ok = dp.in_image(wsum, a["degree"] + b["degree"], br_res)
 
-        checked += 1
         if not (prod_ok and br_ok):
             failures.append({
                 "pair": [{k2: v for k2, v in c.items() if k2 != "rep"} for c in (a, b)],
@@ -418,11 +401,10 @@ def duflo_check(s: Scenario, *, seed: int = 0, sample_cap: int = 1000,
                 "bracket_residual": serialize_cochain(br_res) if not br_ok else [],
             })
     return {
-        "window": {"weights": [wlist[0], wlist[-1]], "max_total_degree": ktop,
-                   "caps": s.caps.to_json()},
-        "twist": "td_sqrt" if use_todd else "hkr_only",
-        "classes": len(classes),
-        "pairs_checked": checked,
+        "window": _window(s, ktop),
+        "twist": twist,
+        "classes": count,
+        "pairs_checked": len(pairs),
         "sampled": sampled,
         "seed": seed,
         "failures": failures,

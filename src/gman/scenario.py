@@ -34,8 +34,9 @@ class Caps:
         for name, value in self.to_json().items():
             if type(value) is not int or value < 0:
                 raise ScenarioError(f"cap {name} must be a non-negative integer, got {value!r}")
-        if self.max_order < 1:
-            raise ScenarioError(f"cap max_order must be at least 1, got {self.max_order}")
+        for name in ("max_order", "max_arity"):
+            if getattr(self, name) < 1:
+                raise ScenarioError(f"cap {name} must be at least 1, got {getattr(self, name)}")
 
     def to_json(self) -> dict:
         return {

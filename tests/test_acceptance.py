@@ -100,10 +100,10 @@ def test_criterion_5_hkr_quasi_isomorphism(capsys, paper, sl2):
         for s in (paper, sl2):
             tp = workspace(s, "tpoly")
             dp = workspace(s, "dpoly")
-            rep_t = cohomology_report(s, "tpoly", workspace=tp)
-            rep_d = cohomology_report(s, "dpoly", workspace=dp)
+            rep_t = cohomology_report(tp)
+            rep_d = cohomology_report(dp)
             assert rep_t["all_stable"] and rep_d["all_stable"]
-            match = hkr_check(s, tp=tp, dp=dp)
+            match = hkr_check(tp, dp)
             assert match["dimensions_match"], match["mismatches"]
             assert match["hkr_injective_on_H"]
 
@@ -140,8 +140,7 @@ def test_criterion_8_duflo_window(capsys, paper, sl2):
     with criterion(capsys, 8, "twisted HKR respects products and brackets "
                    "on every class pair in the stable window", 600.0):
         for s, classes in ((paper, 6), (sl2, 4)):
-            dc = duflo_check(s, tp=workspace(s, "tpoly"),
-                             dp=workspace(s, "dpoly"))
+            dc = duflo_check(workspace(s, "tpoly"), workspace(s, "dpoly"), "td_sqrt")
             assert dc["classes"] == classes
             assert not dc["sampled"]
             assert dc["all_reduce"], dc["failures"][:3]

@@ -1,9 +1,12 @@
 import json
+import pathlib
 
 import pytest
 
 from gman import cli
 from gman.cli import main
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def run(capsys, *argv):
@@ -106,6 +109,7 @@ def test_bad_caps_exits_2(capsys):
     ("6,-1,4", "max_order"),
     ("6,0,4", "max_order"),
     ("-3,-3,-3", "max_weight"),
+    ("0,1,0", "max_arity"),
 ])
 def test_out_of_range_caps_exit_2(capsys, caps, cap):
     status, out, err = run(capsys, "cohomology", "paper_sec4", f"--caps={caps}")
@@ -118,6 +122,46 @@ def test_out_of_range_caps_exit_2(capsys, caps, cap):
 def test_zero_weight_cap_is_valid(capsys):
     status, out, _ = run(capsys, "validate", "paper_sec4", "--caps", "0,2,3")
     assert status == 0
+
+
+def test_arity_one_cap_is_valid(capsys):
+    """max_arity 0 is rejected (the operator side would have no stable
+    degree, so every check compared nothing); at 1 the check compares
+    functions."""
+    status, out, _ = run(capsys, "duflo-check", "paper_sec4", "--caps", "6,4,1", "--json")
+    assert status == 0
+    assert json.loads(out)["results"]["twisted"]["window"]["max_total_degree"] == -1
+
+
+@pytest.mark.parametrize("argv", [
+    ["duflo-check", "paper_sec4", "--sample-cap", "-1"],
+    ["duflo-check", "paper_sec4", "--sample-cap", "0"],
+    ["axioms", "abelian_trivial", "--cases", "-5"],
+    ["axioms", "abelian_trivial", "--cases", "0"],
+    ["atiyah", "paper_sec4", "--obstruction-weight", "-3"],
+], ids=lambda argv: "=".join(argv[-2:]))
+def test_out_of_range_option_exits_2(capsys, argv):
+    """A count or window below its smallest meaningful value is a usage
+    error naming the option, not a traceback or a vacuous pass."""
+    status, out, err = run(capsys, *argv)
+    assert (status, out) == (2, "")
+    assert f"argument {argv[-2]}: must be at least" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, check", [
+    pytest.param(["duflo-check", "paper_sec4", "--sample-cap", "1"],
+                 lambda r: r["twisted"]["pairs_checked"] == 1 and r["twisted"]["sampled"],
+                 id="--sample-cap=1"),
+    pytest.param(["axioms", "abelian_trivial", "--cases", "1"],
+                 lambda r: r["tpoly"]["cases"] == 1, id="--cases=1"),
+    pytest.param(["atiyah", "paper_sec4", "--obstruction-weight", "0"],
+                 lambda r: r["obstruction"]["window"] == 0, id="--obstruction-weight=0"),
+])
+def test_smallest_valid_option_runs(capsys, argv, check):
+    status, out, _ = run(capsys, *argv, "--json")
+    assert status == 0
+    assert check(json.loads(out)["results"])
 
 
 @pytest.mark.parametrize("argv", [
@@ -165,8 +209,8 @@ def test_hkr_mismatch_in_stable_slice_exits_1(capsys, monkeypatch):
     stable is a falsification."""
     report = cli.cohomology_report
 
-    def all_stable(s, side, **kwargs):
-        rep = report(s, side, **kwargs)
+    def all_stable(ws):
+        rep = report(ws)
         for e in rep["slices"]:
             e["stable"] = True
         return rep
@@ -195,8 +239,8 @@ def test_duflo_residual_within_caps_exits_1(capsys, monkeypatch):
     the window (every row a function), is a falsification."""
     check = cli.duflo_check
 
-    def in_window(s, **kwargs):
-        rep = check(s, **kwargs)
+    def in_window(tp, dp, twist, **kwargs):
+        rep = check(tp, dp, twist, **kwargs)
         for f in rep["failures"]:
             for rows in (f["product_residual"], f["bracket_residual"]):
                 for row in rows:
@@ -227,6 +271,20 @@ def test_duflo_report_shape(capsys):
     assert res["twisted"]["all_reduce"] is True
     assert res["twisted"]["classes"] == 6
     assert res["twisted"]["failures"] == []
+
+
+@pytest.mark.parametrize("argv, fixture, code", [
+    (["cohomology", "paper_sec4"], "paper_sec4_cohomology.json", 0),
+    (["duflo-check", "paper_sec4"], "paper_sec4_duflo.json", 0),
+    (["duflo-check", "sl2_linear", "--caps", "2,2,3"], "sl2_linear_caps_2_2_3_duflo.json", 2),
+])
+def test_report_matches_golden_fixture(capsys, argv, fixture, code):
+    """The cohomology and Duflo reports, with their exit codes, are
+    byte-identical to stored fixtures; the sl2 one has failures in both
+    twists, every one beyond the caps."""
+    status, out, _ = run(capsys, *argv, "--json")
+    assert status == code
+    assert out == (FIXTURES / fixture).read_text()
 
 
 def test_version_flag(capsys):

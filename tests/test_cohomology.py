@@ -1,14 +1,22 @@
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gman import cohomology
+from gman.calculus import mixed_unit
 from gman.cohomology import (SIDES, Workspace, basis_cochain, cochain_coords,
                              cohomology_report, duflo_check, enumerate_slice,
                              hkr_check, stable_degree_max, weight_window)
-from gman.scenario import Caps
+from gman.poly import monomials_of_weight
+from gman.scenario import Caps, load_scenario
+
+
+def both_sides(s):
+    return Workspace(s, "tpoly"), Workspace(s, "dpoly")
 
 
 def test_enumerate_slice_paper_examples(paper):
@@ -59,7 +67,7 @@ def test_differential_squares_to_zero_on_random_basis(paper, sl2):
 
 def test_paper_cohomology_dimensions(paper):
     """Hand-checked table for Q = x^2 d_x: one class in each of six slices."""
-    rep = cohomology_report(paper, "tpoly")
+    rep = cohomology_report(Workspace(paper, "tpoly"))
     nonzero = {(e["weight"], e["total_degree"]): e["dim_H"]
                for e in rep["slices"] if e["dim_H"]}
     assert nonzero == {(-2, 1): 1, (-1, 0): 1, (0, -1): 1,
@@ -68,7 +76,7 @@ def test_paper_cohomology_dimensions(paper):
 
 
 def test_paper_hkr_match(paper):
-    hc = hkr_check(paper)
+    hc = hkr_check(*both_sides(paper))
     assert hc["dimensions_match"]
     assert hc["hkr_injective_on_H"]
     assert hc["mismatches"] == []
@@ -84,9 +92,9 @@ def test_abelian_zero_action_cohomology(abelian):
 
 
 def test_abelian_hkr_and_duflo(abelian):
-    hc = hkr_check(abelian)
-    assert hc["dimensions_match"]
-    dc = duflo_check(abelian, sample_cap=120)
+    tp, dp = both_sides(abelian)
+    assert hkr_check(tp, dp)["dimensions_match"]
+    dc = duflo_check(tp, dp, "td_sqrt", sample_cap=120)
     assert dc["all_reduce"]
 
 
@@ -102,17 +110,24 @@ def test_representatives_are_cocycles(paper):
 
 
 def test_duflo_paper_flagship(paper):
-    dc = duflo_check(paper)
-    assert dc["classes"] == 6
-    assert not dc["sampled"]
-    assert dc["all_reduce"], dc["failures"]
+    tp, dp = both_sides(paper)
+    for twist in ("td_sqrt", "hkr_only"):
+        dc = duflo_check(tp, dp, twist)
+        assert dc["twist"] == twist
+        assert dc["classes"] == 6
+        assert not dc["sampled"]
+        assert dc["all_reduce"], dc["failures"]
+    with pytest.raises(ValueError, match="unknown twist"):
+        duflo_check(tp, dp, "td")
 
 
 def test_duflo_sampling_is_seeded(paper):
-    a = duflo_check(paper, seed=3, sample_cap=5)
-    b = duflo_check(paper, seed=3, sample_cap=5)
+    a = duflo_check(*both_sides(paper), "td_sqrt", seed=3, sample_cap=5)
+    b = duflo_check(*both_sides(paper), "td_sqrt", seed=3, sample_cap=5)
     assert a == b
     assert a["sampled"] and a["pairs_checked"] == 5
+    with pytest.raises(ValueError, match="sample_cap must be at least 1"):
+        duflo_check(*both_sides(paper), "td_sqrt", sample_cap=0)
 
 
 def test_cochain_coords_roundtrip(sl2):
@@ -125,20 +140,51 @@ def test_cochain_coords_roundtrip(sl2):
 def test_duflo_twists_share_echelons_and_representatives(paper, monkeypatch):
     """The hkr_only pass after the td_sqrt pass reuses every cached
     representative and echelon: nothing is recomputed or rebuilt."""
-    tp, dp = Workspace(paper, "tpoly"), Workspace(paper, "dpoly")
-    twisted = duflo_check(paper, tp=tp, dp=dp)
+    tp, dp = both_sides(paper)
+    twisted = duflo_check(tp, dp, "td_sqrt")
     cached = [dict(tp._reps), dict(tp._echelons), dict(dp._echelons)]
     built = []
     columns = Workspace.columns
     monkeypatch.setattr(Workspace, "columns",
                         lambda ws, w, k: built.append((ws.side, w, k)) or columns(ws, w, k))
-    plain = duflo_check(paper, use_todd=False, tp=tp, dp=dp)
+    plain = duflo_check(tp, dp, "hkr_only")
     assert built == []
     for before, after in zip(cached, [tp._reps, tp._echelons, dp._echelons]):
         assert before.keys() == after.keys()
         assert all(after[key] is value for key, value in before.items())
     assert twisted["classes"] == plain["classes"] == 6
     assert twisted["all_reduce"] and plain["all_reduce"]
+
+
+def test_duflo_maps_each_class_once(paper, monkeypatch):
+    """Each twist maps every class once, not once per pair: over both
+    twists, for C classes and P pairs, P wedges and P Schouten brackets
+    per twist (2P each), the td^{1/2} contraction of each class and of
+    each pair's two products (C + 2P), and HKR of the same under each
+    twist (2C + 4P)."""
+    calls = Counter()
+    for name in ("ext_schouten", "ext_pv_wedge", "contract", "ext_hkr"):
+        fn = getattr(cohomology, name)
+        monkeypatch.setattr(cohomology, name,
+                            lambda *a, fn=fn, name=name: calls.update([name]) or fn(*a))
+    tp, dp = both_sides(paper)
+    dc = duflo_check(tp, dp, "td_sqrt")
+    duflo_check(tp, dp, "hkr_only")
+    c, p = dc["classes"], dc["pairs_checked"]
+    assert (c, p) == (6, 21)
+    assert calls == {"ext_schouten": 2 * p, "ext_pv_wedge": 2 * p,
+                     "contract": c + 2 * p, "ext_hkr": 2 * c + 4 * p}
+
+
+def test_wrong_twist_fails_only_its_own_map(paper, monkeypatch):
+    """Negative control: twisting by 2 instead of td^{1/2} makes the
+    twisted map fail, and hkr alone, checked on the same workspaces,
+    still reduces."""
+    monkeypatch.setattr(cohomology, "todd_sqrt", lambda s: mixed_unit(s.dim_g, s.n).scale(2))
+    tp, dp = both_sides(paper)
+    assert len(duflo_check(tp, dp, "td_sqrt")["failures"]) == 7
+    plain = duflo_check(tp, dp, "hkr_only")
+    assert plain["all_reduce"] and plain["failures"] == []
 
 
 def with_caps(s, w, o, a):
@@ -153,7 +199,7 @@ def test_order_audit_matches_fresh_workspace(paper, sl2, caps):
     s = paper if caps is None else with_caps(sl2, *caps)
     c = s.caps
     ref = Workspace(with_caps(s, c.max_weight, c.max_order + 1, c.max_arity), "dpoly")
-    for e in cohomology_report(s, "dpoly")["slices"]:
+    for e in cohomology_report(Workspace(s, "dpoly"))["slices"]:
         assert e["stable"] == (ref.dim_h(e["weight"], e["total_degree"]) == e["dim_H"])
 
 
@@ -161,17 +207,17 @@ def test_order_audit_flags_truncated_slice(sl2):
     """Negative control: at order cap 1 the sl2 slice (w -2, k 1) changes
     one order up, and the audit says so."""
     s = with_caps(sl2, 1, 1, 3)
-    rep = cohomology_report(s, "dpoly")
+    rep = cohomology_report(Workspace(s, "dpoly"))
     stable = {(e["weight"], e["total_degree"]): e["stable"] for e in rep["slices"]}
     assert stable[(-2, 1)] is False
     assert not rep["all_stable"]
-    assert cohomology_report(s, "tpoly")["all_stable"]
+    assert cohomology_report(Workspace(s, "tpoly"))["all_stable"]
 
 
 def test_kernels_tracked_on_tpoly_only(paper):
-    tp, dp = Workspace(paper, "tpoly"), Workspace(paper, "dpoly")
-    cohomology_report(paper, "dpoly", workspace=dp)
-    hkr_check(paper, tp=tp, dp=dp)
+    tp, dp = both_sides(paper)
+    cohomology_report(dp)
+    hkr_check(tp, dp)
     assert tp._echelons and all(red.track for red in tp._echelons.values())
     assert dp._echelons and not any(red.track or red.combos or red.kernel
                                     for red in dp._echelons.values())
@@ -233,7 +279,47 @@ def test_one_symbolic_differential_per_generator(paper):
     calls = []
     diff = ws._diff
     ws._diff = lambda c: calls.append(c) or diff(c)
-    cohomology_report(paper, "dpoly", workspace=ws)
+    cohomology_report(ws)
     built = [e for w, k in ws._bases for e in ws._enumerate(w, k, ws.max_order + 1)]
     generators = {(idx, mid) for idx, mid, _ in built}
     assert len(calls) == len(generators) < len(built)
+
+
+@st.composite
+def one_generator_scenarios(draw):
+    """A valid scenario beyond the bundled ones: a 1-dim algebra on R^1
+    or R^2 (coordinate weights 1-2) acting by one weight-homogeneous
+    nonzero polynomial vector field, which is a Lie morphism since
+    [e, e] = 0, at small caps."""
+    n = draw(st.integers(1, 2))
+    weights = tuple(draw(st.lists(st.integers(1, 2), min_size=n, max_size=n)))
+    shift = draw(st.integers(-2, 2))  # the weight of the field
+    field = []
+    for j in range(n):
+        monos = monomials_of_weight(n, weights, shift + weights[j])
+        chosen = draw(st.lists(st.sampled_from(monos), unique=True, max_size=2)) if monos else []
+        field.append([[*e, draw(st.sampled_from(["-2", "-1", "1", "1/2", "3"]))] for e in chosen])
+    assume(any(field))
+    caps = {"max_weight": draw(st.integers(0, 2)), "max_order": draw(st.integers(1, 2)),
+            "max_arity": draw(st.integers(1, 3))}
+    return load_scenario({"dim_g": 1, "dim_m": n, "coordinate_weights": list(weights),
+                          "structure_constants": [], "action": [field], "caps": caps})
+
+
+@settings(deadline=None, derandomize=True, max_examples=25)
+@given(s=one_generator_scenarios(), side=st.sampled_from(SIDES))
+def test_compiled_columns_on_random_scenarios(s, side):
+    """On random one-generator scenarios, every compiled column, the
+    audit's order-(N+1) extras included, equals the symbolic
+    differential, and the compiled map squares to zero."""
+    ws = Workspace(s, side)
+    for w in weight_window(s):
+        for k in range(-1, stable_degree_max(s, side) + 1):
+            for elt in ws._enumerate(w, k, s.caps.max_order + 1):
+                image = ws.image_coords(elt)
+                assert image == cochain_coords(ws._diff(basis_cochain(s, side, elt))), elt
+                twice: dict = {}
+                for key, c in image.items():
+                    for key2, c2 in ws.image_coords(key).items():
+                        twice[key2] = twice.get(key2, 0) + c * c2
+                assert not any(twice.values()), elt

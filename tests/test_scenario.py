@@ -95,6 +95,7 @@ def test_caps_defaults_and_override():
     ({"max_order": 0}, "max_order"),
     ({"max_arity": -2}, "max_arity"),
     ({"max_ce_degree": -1}, "max_ce_degree"),
+    ({"max_arity": 0}, "max_arity"),
 ])
 def test_bad_json_caps_rejected(caps, cap):
     doc = bundled_doc("paper_sec4")
