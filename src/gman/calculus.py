@@ -180,18 +180,18 @@ def interior_form(theta: DiffForm, v: PolyVector) -> PolyVector:
 
 # ----------------------------------------------------- Lambda g-dual extension
 
-def ext_bilinear(a: Cochain, b: Cochain, op: Callable, components: Callable,
+def ext_bilinear(a: Cochain, b: Cochain, op: Callable,
                  exponent: Callable[[int, int], int]) -> Cochain:
     """Bilinear extension of a value-level operation to cochains.
 
     On decomposables (alpha (x) v1) op (beta (x) v2) the result is
     (-1)**exponent(q1, p2) (alpha ^ beta) (x) op(v1, v2), where q1 runs
-    over the homogeneous degrees of v1 (via ``components``) and p2 is
-    the exterior degree of beta.
+    over the homogeneous degrees of v1 and p2 is the exterior degree of
+    beta.
     """
     acc: dict[IndexTuple, object] = {}
     for i1, v1 in a.terms.items():
-        for q1, v1c in components(v1):
+        for q1, v1c in v1.components_by_degree():
             for i2, v2 in b.terms.items():
                 merged = merge_indices(i1, i2)
                 if merged is None:
@@ -208,20 +208,17 @@ def ext_bilinear(a: Cochain, b: Cochain, op: Callable, components: Callable,
 
 def ext_schouten(a: Cochain, b: Cochain) -> Cochain:
     """Bracket extension: sign exponent q1*p2 with shifted degrees."""
-    return ext_bilinear(a, b, schouten, PolyVector.components_by_degree,
-                        lambda q1, p2: q1 * p2)
+    return ext_bilinear(a, b, schouten, lambda q1, p2: q1 * p2)
 
 
 def ext_pv_wedge(a: Cochain, b: Cochain) -> Cochain:
     """Product extension: Koszul sign from the tensor degree q1+1."""
-    return ext_bilinear(a, b, pv_wedge, PolyVector.components_by_degree,
-                        lambda q1, p2: (q1 + 1) * p2)
+    return ext_bilinear(a, b, pv_wedge, lambda q1, p2: (q1 + 1) * p2)
 
 
 def mixed_mul(a: Cochain, b: Cochain) -> Cochain:
     """Product of mixed forms (Cochains with DiffForm values)."""
-    return ext_bilinear(a, b, pv_wedge, DiffForm.components_by_degree,
-                        lambda k1, p2: k1 * p2)
+    return ext_bilinear(a, b, pv_wedge, lambda k1, p2: k1 * p2)
 
 
 def mixed_unit(dim: int, n: int) -> Cochain:

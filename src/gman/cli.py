@@ -272,11 +272,11 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)
     try:
-        s, digest = _load(args)
-    except (ScenarioError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        try:
+            s, digest = _load(args)
+        except (ScenarioError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         status, results, lines = COMMANDS[args.command](s, digest, args)
     except Exception:
         import traceback  # here, not at the top: it adds ~4 ms to every start-up

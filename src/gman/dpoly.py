@@ -15,61 +15,28 @@ exactly one source of signs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from itertools import permutations, product
+from math import comb, factorial, prod
 
 from .calculus import PolyVector, ext_bilinear
-from .liealg import Cochain
+from .liealg import Cochain, sort_indices
 from .poly import Poly, Sparse, accumulate
 
 MultiIndex = tuple[int, ...]
 OpKey = tuple[MultiIndex, ...]
 
 
-def _permutations_signed(items: tuple):
-    """(sign, permutation) pairs; plain recursive expansion."""
-    if len(items) <= 1:
-        yield 1, items
-        return
-    for i in range(len(items)):
-        rest = items[:i] + items[i + 1:]
-        head_sign = -1 if i % 2 else 1
-        for sign, perm in _permutations_signed(rest):
-            yield head_sign * sign, (items[i],) + perm
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _split_multiindex(alpha: MultiIndex, parts: int):
     """All ways to write alpha as a sum of ``parts`` multi-indices,
     with the multinomial coefficient of the split."""
-    per_coord = []
-    for a in alpha:
-        options = []
-        for comp in _compositions(a, parts):
-            coeff = 1
-            rem = a
-            for c in comp[:-1]:
-                coeff *= comb(rem, c)
-                rem -= c
-            options.append((comp, coeff))
-        per_coord.append(options)
-
-    def rec(c: int):
-        if c == len(alpha):
-            yield tuple(() for _ in range(parts)), 1
-            return
-        for tail, tcoeff in rec(c + 1):
-            for comp, coeff in per_coord[c]:
-                yield tuple((comp[t],) + tail[t] for t in range(parts)), coeff * tcoeff
-
-    yield from rec(0)
+    if parts == 1:
+        yield (alpha,), 1
+        return
+    for first in product(*(range(a + 1) for a in alpha)):
+        coeff = prod(comb(a, b) for a, b in zip(alpha, first))
+        rest = tuple(a - b for a, b in zip(alpha, first))
+        for tail, tcoeff in _split_multiindex(rest, parts - 1):
+            yield (first,) + tail, coeff * tcoeff
 
 
 class PolyDiffOp(Sparse):
@@ -116,62 +83,39 @@ class PolyDiffOp(Sparse):
 
 # ------------------------------------------------------------------ insertion
 
-def dp_insert(d1: PolyDiffOp, slot: int, d2: PolyDiffOp) -> PolyDiffOp:
-    """Substitute the output of d2 into the given argument slot of d1.
+def _insert(acc: dict, key1: OpKey, p1: Poly, slot: int, key2: OpKey, p2: Poly,
+            sign: int) -> None:
+    """acc += sign * (the term p2 D^key2 substituted into the given slot of
+    the term p1 D^key1).
 
-    The derivative on the consumed slot distributes over d2's
-    coefficient and arguments by the multivariate Leibniz rule with
-    multinomial coefficients.
+    The derivative on the consumed slot distributes over p2 and the
+    slots of key2 by the multivariate Leibniz rule with multinomial
+    coefficients.
     """
-    n = d1.n
-    acc: dict[OpKey, Poly] = {}
-    for key1, p1 in d1.terms.items():
-        if not 0 <= slot < len(key1):
-            raise IndexError(f"slot {slot} out of range for arity {len(key1)}")
-        alpha = key1[slot]
-        for key2, p2 in d2.terms.items():
-            parts = len(key2) + 1  # coefficient of d2 plus its slots
-            for split, coeff in _split_multiindex(alpha, parts):
-                dp2 = p2.partial_multi(split[0])
-                if dp2.is_zero():
-                    continue
-                new_slots = tuple(
-                    tuple(b + d for b, d in zip(key2[t], split[t + 1]))
-                    for t in range(len(key2))
-                )
-                key = key1[:slot] + new_slots + key1[slot + 1:]
-                accumulate(acc, key, (p1 * dp2).scale(coeff))
-    return PolyDiffOp(n, acc)
-
-
-def _circ(d1: PolyDiffOp, d2: PolyDiffOp) -> PolyDiffOp:
-    """d1 o d2 = sum_i (-1)^{i * deg d2} insert(d1, i, d2), per arity."""
-    n = d1.n
-    out = PolyDiffOp(n)
-    for k1, c1 in d1.components_by_degree():
-        if k1 < 0:
-            continue  # functions have no slots
-        for l2, c2 in d2.components_by_degree():
-            for i in range(k1 + 1):
-                term = dp_insert(c1, i, c2)
-                if (i * l2) % 2:
-                    term = term.scale(-1)
-                out = out + term
-    return out
+    for split, coeff in _split_multiindex(key1[slot], len(key2) + 1):
+        dp2 = p2.partial_multi(split[0])
+        if dp2.is_zero():
+            continue
+        new_slots = tuple(tuple(b + d for b, d in zip(beta, delta))
+                          for beta, delta in zip(key2, split[1:]))
+        accumulate(acc, key1[:slot] + new_slots + key1[slot + 1:],
+                   (p1 * dp2).scale(sign * coeff))
 
 
 def gerstenhaber(d1: PolyDiffOp, d2: PolyDiffOp) -> PolyDiffOp:
-    """[d1, d2] = d1 o d2 - (-1)^{kl} d2 o d1 in shifted degrees."""
-    n = d1.n
-    out = PolyDiffOp(n)
-    for k, c1 in d1.components_by_degree():
-        for l, c2 in d2.components_by_degree():
-            term = _circ(c1, c2)
-            swap = _circ(c2, c1)
-            if (k * l) % 2:
-                swap = swap.scale(-1)
-            out = out + term - swap
-    return out
+    """[d1, d2] = d1 o d2 - (-1)^{kl} d2 o d1 in shifted degrees, where
+    d1 o d2 = sum_i (-1)^{il} (d2 inserted into slot i of d1), summed
+    term pair by term pair."""
+    acc: dict[OpKey, Poly] = {}
+    for key1, p1 in d1.terms.items():
+        k = len(key1) - 1
+        for key2, p2 in d2.terms.items():
+            l = len(key2) - 1
+            for i in range(k + 1):
+                _insert(acc, key1, p1, i, key2, p2, -1 if i * l % 2 else 1)
+            for j in range(l + 1):
+                _insert(acc, key2, p2, j, key1, p1, 1 if (k * l + j * k) % 2 else -1)
+    return PolyDiffOp(d1.n, acc)
 
 
 def hochschild(d: PolyDiffOp) -> PolyDiffOp:
@@ -198,20 +142,11 @@ def hkr(pv: PolyVector) -> PolyDiffOp:
     n = pv.n
     acc: dict[OpKey, Poly] = {}
     for idx, p in pv.terms.items():
-        k = len(idx)
-        if k == 0:
-            accumulate(acc, (), p)
-            continue
-        factor = Fraction(1)
-        for t in range(2, k + 1):
-            factor /= t
-        for sign, perm in _permutations_signed(idx):
-            slots = []
-            for j in perm:
-                e = [0] * n
-                e[j] = 1
-                slots.append(tuple(e))
-            accumulate(acc, tuple(slots), p.scale(factor * sign))
+        factor = Fraction(1, factorial(len(idx)))
+        for perm in permutations(idx):
+            sign, _ = sort_indices(perm)
+            slots = tuple(tuple(int(i == j) for i in range(n)) for j in perm)
+            accumulate(acc, slots, p.scale(factor * sign))
     return PolyDiffOp(n, acc)
 
 
@@ -219,15 +154,13 @@ def hkr(pv: PolyVector) -> PolyDiffOp:
 
 def ext_gerstenhaber(a: Cochain, b: Cochain) -> Cochain:
     """Bracket extension with sign exponent q1*p2 (shifted degrees)."""
-    return ext_bilinear(a, b, gerstenhaber, PolyDiffOp.components_by_degree,
-                        lambda q1, p2: q1 * p2)
+    return ext_bilinear(a, b, gerstenhaber, lambda q1, p2: q1 * p2)
 
 
 def ext_cup(a: Cochain, b: Cochain) -> Cochain:
     """Cup extension; Koszul sign from the arity q1+1, matching the
     wedge extension on the polyvector side through hkr."""
-    return ext_bilinear(a, b, cup, PolyDiffOp.components_by_degree,
-                        lambda q1, p2: (q1 + 1) * p2)
+    return ext_bilinear(a, b, cup, lambda q1, p2: (q1 + 1) * p2)
 
 
 def ext_hkr(a: Cochain) -> Cochain:

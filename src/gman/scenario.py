@@ -89,7 +89,10 @@ def _parse_poly(n: int, data, where: str) -> Poly:
     terms = {}
     try:
         for item in data or []:
-            exps = tuple(int(v) for v in item[:-1])
+            exps = tuple(item[:-1])
+            if any(type(v) is not int or v < 0 for v in exps):
+                raise ScenarioError(f"term {item} has an exponent that is not "
+                                    "a non-negative integer")
             if len(exps) != n:
                 raise ScenarioError(
                     f"{where}: term {item} has {len(exps)} exponents, expected {n}")
@@ -98,6 +101,12 @@ def _parse_poly(n: int, data, where: str) -> Poly:
     except (TypeError, ValueError, IndexError) as exc:
         raise ScenarioError(f"{where}: malformed polynomial encoding: {exc}") from exc
     return Poly(n, terms)
+
+
+def _is_array(data, shape: tuple[int, ...]) -> bool:
+    """data is nested lists of exactly the given shape."""
+    return not shape or (isinstance(data, list) and len(data) == shape[0]
+                         and all(_is_array(d, shape[1:]) for d in data))
 
 
 def _homogeneous_weight(vf: PolyVector, weights: tuple[int, ...], label: str) -> int:
@@ -134,6 +143,8 @@ def load_scenario(document: str | dict, name: str = "") -> Scenario:
         weights = tuple(int(w) for w in doc["coordinate_weights"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"missing or malformed header field: {exc}") from exc
+    if m < 0 or n < 1:
+        raise ScenarioError(f"need dim_g >= 0 and dim_m >= 1, got {m} and {n}")
     if len(weights) != n:
         raise ScenarioError(f"{len(weights)} coordinate weights for dim_m={n}")
     if any(w <= 0 for w in weights):
@@ -144,9 +155,11 @@ def load_scenario(document: str | dict, name: str = "") -> Scenario:
         try:
             i, j, klist = entry
             for k, coeff in klist:
-                key = (int(i), int(j), int(k))
+                if any(type(v) is not int or not 0 <= v < m for v in (i, j, k)):
+                    raise ScenarioError(f"index outside 0..{m - 1}")
+                key = (i, j, k)
                 structure[key] = structure.get(key, Fraction(0)) + Fraction(str(coeff))
-                key_op = (int(j), int(i), int(k))
+                key_op = (j, i, k)
                 structure[key_op] = structure.get(key_op, Fraction(0)) - Fraction(str(coeff))
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"malformed structure constant entry {entry}: {exc}") from exc
@@ -156,12 +169,10 @@ def load_scenario(document: str | dict, name: str = "") -> Scenario:
         raise ScenarioError(str(exc)) from exc
 
     raw_action = doc.get("action")
-    if raw_action is None or len(raw_action) != m:
-        raise ScenarioError(f"action must list {m} vector fields")
+    if not _is_array(raw_action, (m, n)):
+        raise ScenarioError(f"action must list {m} vector fields of {n} coordinate components")
     action = []
     for a, rows in enumerate(raw_action):
-        if len(rows) != n:
-            raise ScenarioError(f"action[{a}] must have {n} coordinate components")
         comps = [_parse_poly(n, rows[j], f"action[{a}][{j}]") for j in range(n)]
         action.append(PolyVector.vector_field(comps))
 
@@ -185,8 +196,8 @@ def load_scenario(document: str | dict, name: str = "") -> Scenario:
     christoffel: dict[tuple[int, int, int], Poly] = {}
     raw_gamma = doc.get("christoffel")
     if raw_gamma:
-        if len(raw_gamma) != n:
-            raise ScenarioError("christoffel must be indexed [k][i][j]")
+        if not _is_array(raw_gamma, (n, n, n)):
+            raise ScenarioError(f"christoffel must be indexed [k][i][j], each in 0..{n - 1}")
         for k in range(n):
             for i in range(n):
                 for j in range(n):

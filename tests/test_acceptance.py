@@ -158,8 +158,9 @@ def test_criterion_9_deterministic_reports(capsys):
                 first = capsys.readouterr().out
                 assert main(list(argv)) in (0, 1)
                 assert capsys.readouterr().out == first
-            fixture = (pathlib.Path(__file__).parent / "fixtures"
-                       / f"{name}_atiyah.json")
-            assert main(["atiyah", name, "--json"]) == 0
-            got = capsys.readouterr().out
-            assert got == fixture.read_text()
+            for command in ("atiyah", "todd"):
+                fixture = (pathlib.Path(__file__).parent / "fixtures"
+                           / f"{name}_{command}.json")
+                assert main([command, name, "--json"]) == 0
+                got = capsys.readouterr().out
+                assert got == fixture.read_text()

@@ -263,6 +263,38 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert "Traceback" in err and "ZeroDivisionError" in err
 
 
+def test_internal_error_while_loading_exits_3(capsys, monkeypatch):
+    """An exception other than a scenario error while loading is not a
+    falsification either."""
+    def broken(text):
+        raise RuntimeError("loader bug")
+    monkeypatch.setattr(cli, "load_scenario", broken)
+    status, out, err = run(capsys, "validate", "paper_sec4")
+    assert status == 3
+    assert out == ""
+    assert err.startswith("internal error:")
+    assert "Traceback" in err and "RuntimeError: loader bug" in err
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"action": [[[[-2, "1"]]]]}, "non-negative integer"),
+    ({"action": [[[[1.7, "1"]]]]}, "non-negative integer"),
+    ({"structure_constants": [[0, 3, [[0, "1"]]]]}, "index outside"),
+    ({"dim_m": 2, "coordinate_weights": [1, 1], "action": [[[], []]],
+      "christoffel": [[[]], [[]]]}, "christoffel must be indexed"),
+    ({"dim_m": 0, "coordinate_weights": [], "action": [[]]}, "dim_m >= 1"),
+])
+def test_malformed_shape_exits_2(capsys, tmp_path, change, message):
+    doc = {"dim_g": 1, "dim_m": 1, "coordinate_weights": [1],
+           "structure_constants": [], "action": [[[]]], **change}
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    status, out, err = run(capsys, "validate", str(p))
+    assert (status, out) == (2, "")
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
 def test_duflo_report_shape(capsys):
     status, out, _ = run(capsys, "duflo-check", "paper_sec4", "--json")
     assert status == 0

@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import permutations
+from math import comb
 
 import pytest
 
 from gman.calculus import PolyVector, schouten
 from gman.checks import Sampler, dpoly_axiom_checks
-from gman.dpoly import (PolyDiffOp, cup, dp_insert, gerstenhaber, hkr,
+from gman.dpoly import (PolyDiffOp, _insert, cup, gerstenhaber, hkr,
                         hochschild)
-from gman.poly import Poly
+from gman.poly import Poly, accumulate
 from gman.scenario import load_scenario, vf_bracket
 
 from conftest import bundled_doc
@@ -18,18 +20,27 @@ smp = Sampler(SL2, rng)
 N = 2
 
 
+def insert(d1: PolyDiffOp, slot: int, d2: PolyDiffOp) -> PolyDiffOp:
+    """d2 substituted into the given slot of every term of d1."""
+    acc = {}
+    for key1, p1 in d1.terms.items():
+        for key2, p2 in d2.terms.items():
+            _insert(acc, key1, p1, slot, key2, p2, 1)
+    return PolyDiffOp(d1.n, acc)
+
+
 def test_insert_examples():
     x = Poly.var(N, 0)
     dx = PolyDiffOp(N, {((1, 0),): Poly.const(N, 1)})
     xdx = PolyDiffOp(N, {((1, 0),): x})
     # d_x(x d_x f) = d_x f + x d_x^2 f
-    assert dp_insert(dx, 0, xdx) == PolyDiffOp(N, {((2, 0),): x,
-                                                   ((1, 0),): Poly.const(N, 1)})
+    assert insert(dx, 0, xdx) == PolyDiffOp(N, {((2, 0),): x,
+                                                ((1, 0),): Poly.const(N, 1)})
     # Leibniz split of d_x^2 through the product
     dxx = PolyDiffOp(N, {((2, 0),): Poly.const(N, 1)})
     mm = PolyDiffOp.multiplication(N)
     z = (0, 0)
-    assert dp_insert(dxx, 0, mm) == PolyDiffOp(N, {
+    assert insert(dxx, 0, mm) == PolyDiffOp(N, {
         ((2, 0), z): Poly.const(N, 1),
         ((1, 0), (1, 0)): Poly.const(N, 2),
         (z, (2, 0)): Poly.const(N, 1),
@@ -41,8 +52,98 @@ def test_apply():
     x, y = Poly.var(N, 0), Poly.var(N, 1)
     op = PolyDiffOp(N, {((1, 0), (0, 1)): x})
     fx, fy = PolyDiffOp.function(x * x), PolyDiffOp.function(y * y)
-    assert dp_insert(dp_insert(op, 1, fy), 0, fx) == PolyDiffOp.function(x * (x + x) * (y + y))
-    assert dp_insert(dp_insert(op, 0, fx), 0, fy) == PolyDiffOp.function(x * (x + x) * (y + y))
+    assert insert(insert(op, 1, fy), 0, fx) == PolyDiffOp.function(x * (x + x) * (y + y))
+    assert insert(insert(op, 0, fx), 0, fy) == PolyDiffOp.function(x * (x + x) * (y + y))
+
+
+# The bracket as composed before it worked term by term: components of
+# each degree, one whole-operator insertion per slot, sums of operators.
+# Kept as an independent oracle for ``gerstenhaber``.
+
+def _old_split(alpha, parts):
+    def compositions(total, parts):
+        if parts == 1:
+            yield (total,)
+            return
+        for first in range(total + 1):
+            for rest in compositions(total - first, parts - 1):
+                yield (first,) + rest
+
+    if not alpha:
+        yield ((),) * parts, 1
+        return
+    for comp in compositions(alpha[0], parts):
+        coeff, rem = 1, alpha[0]
+        for c in comp[:-1]:
+            coeff *= comb(rem, c)
+            rem -= c
+        for tail, tcoeff in _old_split(alpha[1:], parts):
+            yield tuple((c,) + t for c, t in zip(comp, tail)), coeff * tcoeff
+
+
+def _old_insert(d1, slot, d2):
+    acc = {}
+    for key1, p1 in d1.terms.items():
+        for key2, p2 in d2.terms.items():
+            for split, coeff in _old_split(key1[slot], len(key2) + 1):
+                new_slots = tuple(tuple(b + d for b, d in zip(key2[t], split[t + 1]))
+                                  for t in range(len(key2)))
+                accumulate(acc, key1[:slot] + new_slots + key1[slot + 1:],
+                           (p1 * p2.partial_multi(split[0])).scale(coeff))
+    return PolyDiffOp(d1.n, acc)
+
+
+def _old_circ(d1, d2):
+    out = PolyDiffOp(d1.n)
+    for k1, c1 in d1.components_by_degree():
+        for l2, c2 in d2.components_by_degree():
+            for i in range(k1 + 1):
+                out = out + _old_insert(c1, i, c2).scale((-1) ** (i * l2))
+    return out
+
+
+def _old_gerstenhaber(d1, d2):
+    out = PolyDiffOp(d1.n)
+    for k, c1 in d1.components_by_degree():
+        for l, c2 in d2.components_by_degree():
+            out = out + _old_circ(c1, c2) - _old_circ(c2, c1).scale((-1) ** (k * l))
+    return out
+
+
+def _random_sum(r: random.Random, n: int) -> PolyDiffOp:
+    """A sum of up to three terms of arity 0-3, functions included."""
+    terms = {}
+    for _ in range(r.randint(1, 3)):
+        key = tuple(tuple(r.randint(0, 2) for _ in range(n)) for _ in range(r.randint(0, 3)))
+        coeff = Poly(n, {tuple(r.randint(0, 2) for _ in range(n)):
+                         Fraction(r.randint(-3, 3), r.randint(1, 2))
+                         for _ in range(r.randint(1, 2))})
+        accumulate(terms, key, coeff)
+    return PolyDiffOp(n, terms)
+
+
+def test_gerstenhaber_matches_component_composition():
+    r = random.Random(31)
+    nonzero = 0
+    for _ in range(300):
+        n = r.randint(1, 3)
+        a, b = _random_sum(r, n), _random_sum(r, n)
+        got = gerstenhaber(a, b)
+        assert got == _old_gerstenhaber(a, b), (a, b)
+        nonzero += not got.is_zero()
+    assert nonzero > 250
+
+
+def test_gerstenhaber_builds_one_operator(monkeypatch):
+    r = random.Random(5)
+    a, b = _random_sum(r, 2), _random_sum(r, 2)
+    assert len({len(k) for k in a.terms}) > 1
+    built = []
+    init = PolyDiffOp.__init__
+    monkeypatch.setattr(PolyDiffOp, "__init__",
+                        lambda self, *args: built.append(1) or init(self, *args))
+    assert not gerstenhaber(a, b).is_zero()
+    assert len(built) == 1
 
 
 def test_hochschild_examples():
@@ -109,6 +210,22 @@ def test_hkr_is_closed_and_respects_generators():
         ((1, 0), (0, 1)): Poly.const(N, half),
         ((0, 1), (1, 0)): Poly.const(N, -half),
     })
+
+
+def test_hkr_of_a_trivector():
+    """d_x ^ d_y ^ d_z on R^3: one term per slot order, +-1/6 by the
+    sign of the permutation."""
+    unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    sixth = Fraction(1, 6)
+    want = {
+        (0, 1, 2): sixth, (0, 2, 1): -sixth, (1, 0, 2): -sixth,
+        (1, 2, 0): sixth, (2, 0, 1): sixth, (2, 1, 0): -sixth,
+    }
+    assert sorted(want) == sorted(permutations(range(3)))
+    got = hkr(PolyVector(3, {(0, 1, 2): Poly.const(3, 1)}))
+    assert got == PolyDiffOp(3, {tuple(unit[j] for j in perm): Poly.const(3, c)
+                                 for perm, c in want.items()})
+    assert hochschild(got).is_zero()
 
 
 def test_cup_concatenates():

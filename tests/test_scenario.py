@@ -104,6 +104,38 @@ def test_bad_json_caps_rejected(caps, cap):
         load_scenario(doc)
 
 
+def _tiny(**change) -> dict:
+    return {"dim_g": 1, "dim_m": 1, "coordinate_weights": [1],
+            "structure_constants": [], "action": [[[]]], **change}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_tiny(action=[[[[-2, "1"]]]]), "not a non-negative integer"),
+    (_tiny(action=[[[[1.7, "1"]]]]), "not a non-negative integer"),
+    (_tiny(action=[[[[True, "1"]]]]), "not a non-negative integer"),
+    (_tiny(structure_constants=[[0, 3, [[0, "1"]]]]), "index outside 0..0"),
+    (_tiny(structure_constants=[[0, 0, [[-1, "1"]]]]), "index outside 0..0"),
+    (_tiny(dim_m=2, coordinate_weights=[1, 1], action=[[[], []]],
+           christoffel=[[[]], [[]]]), "christoffel must be indexed"),
+    (_tiny(christoffel=[[[], []]]), "christoffel must be indexed"),
+    (_tiny(christoffel=[5]), "christoffel must be indexed"),
+    (_tiny(dim_m=0, coordinate_weights=[], action=[[]]), "dim_m >= 1"),
+    (_tiny(dim_g=-1, action=[]), "dim_g >= 0"),
+    (_tiny(action=5), "action must list 1 vector fields"),
+    (_tiny(action=[[[], []]]), "of 1 coordinate components"),
+])
+def test_malformed_shapes_rejected(doc, message):
+    with pytest.raises(ScenarioError, match=message):
+        load_scenario(doc)
+
+
+def test_flat_shapes_still_accepted():
+    """The smallest well-formed documents: no algebra, or a full
+    christoffel array of empty polynomials."""
+    assert load_scenario(_tiny(dim_g=0, action=[])).dim_g == 0
+    assert load_scenario(_tiny(christoffel=[[[[]]]])).christoffel == {}
+
+
 def test_vf_bracket_against_action():
     s = load_scenario(bundled_doc("sl2_linear"))
     h, e, f = s.action
