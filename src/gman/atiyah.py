@@ -1,23 +1,30 @@
 """Atiyah cocycle of a connection, the obstruction to an invariant
 connection, and the Todd cocycle with its square root.
 
-The Atiyah cocycle is the failure of the Lie derivative along action
-fields to commute with covariant derivation.  Assembled as a matrix of
-balanced mixed forms (dual-generator times one-form entries) it feeds
-a determinant computed as exp of trace of log, which is exact because
-the entries are nilpotent and commute.
+The Atiyah cocycle is the Lie derivative of the connection along the
+action fields, R_a = L_{phi_a} nabla.  Written as the flat coordinate
+connection plus the tensor Gamma, nabla has L_{phi_a} nabla = the
+Hessian of phi_a plus L_{phi_a} Gamma, and the second term is the
+Chevalley-Eilenberg differential of the 0-cochain Gamma.  So
+R = Hess(phi) + d_CE Gamma, and a change of connection changes R by a
+coboundary.  Assembled as a matrix of balanced mixed forms
+(dual-generator times one-form entries) R feeds a determinant computed
+as exp of trace of log, which is exact because the entries are
+nilpotent and commute.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
-from .calculus import DiffForm, PolyVector, mixed_mul, mixed_unit
+from .calculus import DiffForm, mixed_mul, mixed_unit
 from .liealg import Cochain, ce_differential
 from .linalg import ColumnReducer
-from .poly import Poly, Sparse, accumulate, monomial_weight
-from .scenario import Scenario, vf_bracket
+from .poly import Poly, Sparse, accumulate, monomial_weight, monomials_of_weight
+from .scenario import Scenario
 from .series import log_todd_generator_series
 
 
@@ -27,18 +34,12 @@ class EndTensor(Sparse):
 
     __slots__ = ()
 
-    def entry(self, i: int, j: int, k: int) -> Poly:
-        return self.terms.get((i, j, k), Poly.zero(self.n))
-
-    def tensor_weight(self, key: tuple[int, int, int], exps, weights) -> int:
-        i, j, k = key
-        return monomial_weight(exps, weights) + weights[i] + weights[j] - weights[k]
-
     def __repr__(self) -> str:
         return "EndTensor(" + ", ".join(f"{k}: {p!r}" for k, p in sorted(self.terms.items())) + ")"
 
 
-def _end_action_full(s: Scenario, a: int, t: EndTensor) -> EndTensor:
+def lie_derivative(s: Scenario, a: int, t: EndTensor) -> EndTensor:
+    """L_{phi_a} t: the action of e_a on End-valued tensors."""
     n = s.n
     phi = s.action[a].vf_components()
     out: dict[tuple[int, int, int], Poly] = {}
@@ -56,90 +57,34 @@ def _end_action_full(s: Scenario, a: int, t: EndTensor) -> EndTensor:
     return EndTensor(n, out)
 
 
+def connection_tensor(s: Scenario) -> EndTensor:
+    """Gamma, the connection minus the flat coordinate connection:
+    entry (i, j, k) is Gamma^k_ij."""
+    return EndTensor(s.n, {(i, j, k): p for (k, i, j), p in s.christoffel.items()})
+
+
 def atiyah_cocycle(s: Scenario) -> Cochain:
-    """The connection's equivariance defect as a 1-cochain of EndTensor
-    values: R(e_a, d_i) d_j = [a-hat, nabla_i d_j] - nabla_i [a-hat, d_j]
-    - nabla_{[a-hat, d_i]} d_j."""
+    """R(e_a, d_i) d_j = (L_{phi_a} nabla)(d_i, d_j): the Hessian
+    d_i d_j phi_a^k d_k plus (d_CE Gamma)(e_a)."""
     n = s.n
-    terms: dict[tuple[int, ...], EndTensor] = {}
+    hessian: dict[tuple[int, ...], EndTensor] = {}
     for a in range(s.dim_g):
-        phi = s.action[a].vf_components()
         entries: dict[tuple[int, int, int], Poly] = {}
-        for i in range(n):
-            for j in range(n):
-                # term 1: [a-hat, Gamma^k_ij d_k]
-                t1 = vf_bracket(s.action[a], s.covariant_basis(i, j))
-                for k, p in enumerate(t1.vf_components()):
-                    accumulate(entries, (i, j, k), p)
-                # term 2: nabla_i [a-hat, d_j], [a-hat, d_j] = -d_j(phi^c) d_c
-                for c in range(n):
-                    g = phi[c].partial(j).scale(-1)
-                    if g.is_zero():
-                        continue
-                    accumulate(entries, (i, j, c), g.partial(i).scale(-1))
-                    for k in range(n):
-                        accumulate(entries, (i, j, k), (g * s.gamma(k, i, c)).scale(-1))
-                # term 3: nabla_{[a-hat, d_i]} d_j
-                for c in range(n):
-                    g = phi[c].partial(i).scale(-1)
-                    if g.is_zero():
-                        continue
-                    for k in range(n):
-                        accumulate(entries, (i, j, k), (g * s.gamma(k, c, j)).scale(-1))
-        tensor = EndTensor(n, entries)
-        if not tensor.is_zero():
-            terms[(a,)] = tensor
-    return Cochain(s.dim_g, terms)
-
-
-def atiyah_action(s: Scenario):
-    def act(a: int, t: EndTensor) -> EndTensor:
-        return _end_action_full(s, a, t)
-    return act
+        for k, p in enumerate(s.action[a].vf_components()):
+            for i in range(n):
+                for j in range(n):
+                    accumulate(entries, (i, j, k), p.partial(i).partial(j))
+        if entries:
+            hessian[(a,)] = EndTensor(n, entries)
+    gamma = Cochain(s.dim_g, {(): connection_tensor(s)})
+    return Cochain(s.dim_g, hessian) + ce_differential(s.lie, gamma, partial(lie_derivative, s))
 
 
 def is_ce_closed(s: Scenario, cochain: Cochain) -> bool:
-    return ce_differential(s.lie, cochain, atiyah_action(s)).is_zero()
-
-
-def difference_tensor(s1: Scenario, s2: Scenario) -> EndTensor:
-    """nabla - nabla' as an EndTensor (entry (i,j,k) = Gamma - Gamma')."""
-    n = s1.n
-    entries = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                d = s1.gamma(k, i, j) - s2.gamma(k, i, j)
-                if not d.is_zero():
-                    entries[(i, j, k)] = d
-    return EndTensor(n, entries)
-
-
-def check_connection_independence(s: Scenario, s_alt: Scenario) -> dict:
-    """Verify R(nabla) - R(nabla') = d_CE(nabla - nabla') exactly."""
-    r1 = atiyah_cocycle(s)
-    r2 = atiyah_cocycle(s_alt)
-    diff = difference_tensor(s, s_alt)
-    coboundary = ce_differential(s.lie, Cochain(s.dim_g, {(): diff}), atiyah_action(s))
-    residual = (r1 - r2) - coboundary
-    return {
-        "residual_zero": residual.is_zero(),
-        "residual": residual,
-    }
+    return ce_differential(s.lie, cochain, partial(lie_derivative, s)).is_zero()
 
 
 # --------------------------------------------------------------- obstruction
-
-def _flatten_end_cochain(c: Cochain) -> dict:
-    """Index the coefficients of a 1-cochain of EndTensors."""
-    out = {}
-    for idx, t in c.terms.items():
-        (a,) = idx
-        for key, p in t.terms.items():
-            for exps, coeff in p.terms.items():
-                out[(a, key, exps)] = coeff
-    return out
-
 
 def invariant_connection_obstruction(s: Scenario, max_poly_weight: int | None = None) -> dict:
     """Solve d_CE(A) = R for a difference tensor A, per weight slice.
@@ -152,10 +97,9 @@ def invariant_connection_obstruction(s: Scenario, max_poly_weight: int | None = 
     n, w = s.n, s.weights
     window = s.caps.max_weight if max_poly_weight is None else max_poly_weight
     r = atiyah_cocycle(s)
-    act = atiyah_action(s)
+    act = partial(lie_derivative, s)
 
     # unknown basis grouped by tensor weight
-    from .poly import monomials_of_weight
     unknowns: dict[int, list] = {}
     for i in range(n):
         for j in range(n):
@@ -167,33 +111,26 @@ def invariant_connection_obstruction(s: Scenario, max_poly_weight: int | None = 
 
     # required slices from the cocycle
     required: dict[int, dict] = {}
-    for idx, t in r.terms.items():
-        (a,) = idx
-        for key, p in t.terms.items():
+    for (a,), t in r.terms.items():
+        for (i, j, k), p in t.terms.items():
             for exps, coeff in p.terms.items():
-                tau = t.tensor_weight(key, exps, w) - s.action_weights[a]
-                required.setdefault(tau, {})[(a, key, exps)] = coeff
+                tau = monomial_weight(exps, w) + w[i] + w[j] - w[k] - s.action_weights[a]
+                required.setdefault(tau, {})[(a, (i, j, k), exps)] = coeff
 
     solution = EndTensor(n)
     certificates = []
-    row_index: dict = {}
-
-    def row_of(key):
-        if key not in row_index:
-            row_index[key] = len(row_index)
-        return row_index[key]
-
+    rows: dict = {}
     for tau, rhs in sorted(required.items()):
         basis = unknowns.get(tau, [])
         reducer = ColumnReducer(track=True)
         for u, (i, j, k, exps) in enumerate(basis):
-            tensor = EndTensor(n, {(i, j, k): Poly.monomial(exps, 1)})
-            image = Cochain(s.dim_g, {(): tensor})
-            dimg = ce_differential(s.lie, image, act)
-            col = {row_of(key): c for key, c in _flatten_end_cochain(dimg).items()}
-            reducer.insert(col, label=u)
-        rhs_col = {row_of(key): c for key, c in rhs.items()}
-        combo = reducer.solve(rhs_col)
+            unit = Cochain(s.dim_g, {(): EndTensor(n, {(i, j, k): Poly.monomial(exps, 1)})})
+            image = ce_differential(s.lie, unit, act)
+            reducer.insert({rows.setdefault((a, key, e), len(rows)): c
+                            for (a,), t in image.terms.items()
+                            for key, p in t.terms.items()
+                            for e, c in p.terms.items()}, label=u)
+        combo = reducer.solve({rows.setdefault(key, len(rows)): c for key, c in rhs.items()})
         if combo is None:
             certificates.append({
                 "tensor_weight_slice": tau,
@@ -211,14 +148,7 @@ def invariant_connection_obstruction(s: Scenario, max_poly_weight: int | None = 
     # verify d(A) = R and the invariance identity for nabla - A
     coboundary = ce_differential(s.lie, Cochain(s.dim_g, {(): solution}), act)
     assert (coboundary - r).is_zero(), "internal error: solver produced a non-solution"
-    inv_gamma = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                p = s.gamma(k, i, j) - solution.entry(i, j, k)
-                if not p.is_zero():
-                    inv_gamma[(k, i, j)] = p
-    from dataclasses import replace
+    inv_gamma = {(k, i, j): p for (i, j, k), p in (connection_tensor(s) - solution).terms.items()}
     s_inv = replace(s, christoffel=inv_gamma)
     assert atiyah_cocycle(s_inv).is_zero(), "invariant connection fails re-verification"
     return {"solvable": True, "difference_tensor": solution,
@@ -282,15 +212,12 @@ def todd_log(s: Scenario, r: Cochain) -> Cochain:
     return acc
 
 
-def todd_cocycle(s: Scenario, r: Cochain | None = None) -> Cochain:
+def todd_cocycle(s: Scenario) -> Cochain:
     """det(R / (1 - exp(-R))) as a balanced mixed form with unit term."""
-    if r is None:
-        r = atiyah_cocycle(s)
-    return _mixed_exp(todd_log(s, r), min(s.dim_g, s.n), s.dim_g, s.n)
+    return _mixed_exp(todd_log(s, atiyah_cocycle(s)), min(s.dim_g, s.n), s.dim_g, s.n)
 
 
-def todd_sqrt(s: Scenario, r: Cochain | None = None) -> Cochain:
+def todd_sqrt(s: Scenario) -> Cochain:
     """The square root with constant term 1."""
-    if r is None:
-        r = atiyah_cocycle(s)
-    return _mixed_exp(todd_log(s, r).scale(Fraction(1, 2)), min(s.dim_g, s.n), s.dim_g, s.n)
+    return _mixed_exp(todd_log(s, atiyah_cocycle(s)).scale(Fraction(1, 2)),
+                      min(s.dim_g, s.n), s.dim_g, s.n)

@@ -138,9 +138,8 @@ def cmd_atiyah(s, digest, args) -> tuple[int, dict, list[str]]:
 
 
 def cmd_todd(s, digest, args) -> tuple[int, dict, list[str]]:
-    r = atiyah_cocycle(s)
-    td = todd_cocycle(s, r)
-    half = todd_sqrt(s, r)
+    td = todd_cocycle(s)
+    half = todd_sqrt(s)
     square_ok = mixed_mul(half, half) == td
     nterms = min(s.dim_g, s.n) + 1
     coeffs = log_todd_generator_series(max(nterms, 5))

@@ -14,7 +14,7 @@ image membership one further reduction against its pivots.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def _joint_reduce(col: dict[int, int], combo: dict | None):
@@ -74,11 +74,9 @@ class ColumnReducer:
         """Reduce col against the pivots.  A combo, when given, is carried
         along and needs a tracking reducer."""
         # clear denominators, scaling the combo by the same factor
-        denlcm = 1
-        for v in col.values():
-            f = Fraction(v)
-            denlcm = denlcm * f.denominator // gcd(denlcm, f.denominator)
-        col = {r: int(Fraction(v) * denlcm) for r, v in col.items() if Fraction(v)}
+        col = {r: f for r, v in col.items() if (f := Fraction(v))}
+        denlcm = lcm(*(f.denominator for f in col.values()))
+        col = {r: f.numerator * (denlcm // f.denominator) for r, f in col.items()}
         if combo and denlcm != 1:
             combo = {k: v * denlcm for k, v in combo.items()}
         col, combo = _joint_reduce(col, combo)

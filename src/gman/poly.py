@@ -161,12 +161,6 @@ class Poly:
 
     # --------------------------------------------------------------- utilities
 
-    def total_degree(self) -> int:
-        """Max total degree of any monomial; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def to_json(self) -> list:
         """Lists [coefficient string "num/den", exponent list], grlex order."""
         return [[f"{c.numerator}/{c.denominator}", list(e)] for e, c in self.sorted_terms()]

@@ -85,19 +85,28 @@ def vf_bracket(x: PolyVector, y: PolyVector) -> PolyVector:
     return PolyVector.vector_field(comps)
 
 
+def _int(value, where: str) -> int:
+    """A JSON integer, never a float, bool or string read as one."""
+    if type(value) is not int:
+        raise ScenarioError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
 def _parse_poly(n: int, data, where: str) -> Poly:
     terms = {}
     try:
         for item in data or []:
             exps = tuple(item[:-1])
             if any(type(v) is not int or v < 0 for v in exps):
-                raise ScenarioError(f"term {item} has an exponent that is not "
+                raise ScenarioError(f"{where}: term {item} has an exponent that is not "
                                     "a non-negative integer")
             if len(exps) != n:
                 raise ScenarioError(
                     f"{where}: term {item} has {len(exps)} exponents, expected {n}")
             coeff = Fraction(str(item[-1]))
             terms[exps] = terms.get(exps, Fraction(0)) + coeff
+    except ScenarioError:
+        raise
     except (TypeError, ValueError, IndexError) as exc:
         raise ScenarioError(f"{where}: malformed polynomial encoding: {exc}") from exc
     return Poly(n, terms)
@@ -138,10 +147,10 @@ def load_scenario(document: str | dict, name: str = "") -> Scenario:
         doc = document
 
     try:
-        m = int(doc["dim_g"])
-        n = int(doc["dim_m"])
-        weights = tuple(int(w) for w in doc["coordinate_weights"])
-    except (KeyError, TypeError, ValueError) as exc:
+        m = _int(doc["dim_g"], "dim_g")
+        n = _int(doc["dim_m"], "dim_m")
+        weights = tuple(_int(w, "coordinate_weights") for w in doc["coordinate_weights"])
+    except (KeyError, TypeError) as exc:
         raise ScenarioError(f"missing or malformed header field: {exc}") from exc
     if m < 0 or n < 1:
         raise ScenarioError(f"need dim_g >= 0 and dim_m >= 1, got {m} and {n}")
@@ -192,7 +201,7 @@ def load_scenario(document: str | dict, name: str = "") -> Scenario:
                     f"action is not a Lie algebra morphism: phi([e_{a},e_{b}]) != "
                     f"[phi(e_{a}),phi(e_{b})], residual {(rhs - lhs)!r}")
 
-    shift = int(doc.get("christoffel_shift", 0))
+    shift = _int(doc.get("christoffel_shift", 0), "christoffel_shift")
     christoffel: dict[tuple[int, int, int], Poly] = {}
     raw_gamma = doc.get("christoffel")
     if raw_gamma:
@@ -221,9 +230,9 @@ def load_scenario(document: str | dict, name: str = "") -> Scenario:
     raw_caps = doc.get("caps", {})
     try:
         max_weight, max_order, max_arity, max_ce_degree = (
-            int(raw_caps.get(name, default)) for name, default in
+            _int(raw_caps.get(name, default), f"cap {name}") for name, default in
             (("max_weight", 6), ("max_order", 4), ("max_arity", 4), ("max_ce_degree", m)))
-    except (AttributeError, TypeError, ValueError) as exc:
+    except AttributeError as exc:
         raise ScenarioError(f"malformed caps: {exc}") from exc
     caps = Caps(max_weight, max_order, max_arity, min(max_ce_degree, m))
 

@@ -1,64 +1,17 @@
-"""Truncated formal power series over the rationals.
-
-A series is a plain list of Fraction coefficients [c0, c1, ...]; all
-operations truncate at the requested number of terms.
-"""
+"""The log-Todd generator series over the rationals."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
-
-
-def series_mul(a: list[Fraction], b: list[Fraction], nterms: int) -> list[Fraction]:
-    out = [Fraction(0)] * nterms
-    for i, ai in enumerate(a[:nterms]):
-        if not ai:
-            continue
-        for j, bj in enumerate(b[: nterms - i]):
-            out[i + j] += ai * bj
-    return out
-
-
-def series_inv(a: list[Fraction], nterms: int) -> list[Fraction]:
-    """Multiplicative inverse; requires a[0] != 0."""
-    if not a or a[0] == 0:
-        raise ValueError("series has no inverse (zero constant term)")
-    out = [Fraction(0)] * nterms
-    out[0] = 1 / Fraction(a[0])
-    for k in range(1, nterms):
-        s = Fraction(0)
-        for i in range(1, k + 1):
-            if i < len(a):
-                s += a[i] * out[k - i]
-        out[k] = -s / a[0]
-    return out
-
-
-def series_log1p(u: list[Fraction], nterms: int) -> list[Fraction]:
-    """log(1 + u) for a series u with zero constant term."""
-    if u and u[0] != 0:
-        raise ValueError("series_log1p needs zero constant term")
-    out = [Fraction(0)] * nterms
-    power = [Fraction(0)] * nterms
-    power[0] = Fraction(1)  # u^0
-    for k in range(1, nterms):
-        power = series_mul(power, u, nterms)
-        sign = Fraction(-1) ** (k + 1)
-        for i, v in enumerate(power):
-            out[i] += sign * v / k
-    return out
-
-
-def todd_generator_series(nterms: int) -> list[Fraction]:
-    """Coefficients of x / (1 - exp(-x))."""
-    # (1 - exp(-x)) / x = sum_{t>=0} (-1)^t x^t / (t+1)!
-    base = [Fraction((-1) ** t, factorial(t + 1)) for t in range(nterms)]
-    return series_inv(base, nterms)
+from math import comb, factorial
 
 
 def log_todd_generator_series(nterms: int) -> list[Fraction]:
-    """Coefficients of log(x / (1 - exp(-x)))."""
-    a = todd_generator_series(nterms)
-    u = [Fraction(0)] + a[1:]
-    return series_log1p(u, nterms)
+    """Coefficients of log(x / (1 - exp(-x))) = x/2 - sum_{m>=2} B_m x^m / (m m!)
+    through x^(nterms-1), with the Bernoulli numbers B_m from the
+    recurrence sum_{k<=m} C(m+1, k) B_k = 0, B_0 = 1."""
+    b = [Fraction(1)]
+    for m in range(1, nterms):
+        b.append(-sum(comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return [Fraction(0), Fraction(1, 2)][:nterms] + [-b[m] / (m * factorial(m))
+                                                      for m in range(2, nterms)]

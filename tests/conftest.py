@@ -5,8 +5,10 @@ from importlib import resources
 
 import pytest
 
-from gman.poly import Poly, monomials_of_weight
-from gman.scenario import Scenario, load_scenario
+from gman.atiyah import EndTensor
+from gman.liealg import Cochain
+from gman.poly import Poly, accumulate, monomials_of_weight
+from gman.scenario import Scenario, load_scenario, vf_bracket
 
 
 def bundled(name: str) -> Scenario:
@@ -59,3 +61,39 @@ def random_connection(s: Scenario, shift: int, rng) -> Scenario:
                 if i != j:
                     gamma[(k, j, i)] = p
     return replace(s, christoffel=gamma, christoffel_shift=shift)
+
+
+def atiyah_reference(s: Scenario) -> Cochain:
+    """The Atiyah cocycle by its three-term definition, the reference for
+    gman.atiyah.atiyah_cocycle:
+    R(e_a, d_i) d_j = [a-hat, nabla_i d_j] - nabla_i [a-hat, d_j] - nabla_{[a-hat, d_i]} d_j."""
+    n = s.n
+    terms: dict[tuple[int, ...], EndTensor] = {}
+    for a in range(s.dim_g):
+        phi = s.action[a].vf_components()
+        entries: dict[tuple[int, int, int], Poly] = {}
+        for i in range(n):
+            for j in range(n):
+                # term 1: [a-hat, Gamma^k_ij d_k]
+                t1 = vf_bracket(s.action[a], s.covariant_basis(i, j))
+                for k, p in enumerate(t1.vf_components()):
+                    accumulate(entries, (i, j, k), p)
+                # term 2: nabla_i [a-hat, d_j], [a-hat, d_j] = -d_j(phi^c) d_c
+                for c in range(n):
+                    g = phi[c].partial(j).scale(-1)
+                    if g.is_zero():
+                        continue
+                    accumulate(entries, (i, j, c), g.partial(i).scale(-1))
+                    for k in range(n):
+                        accumulate(entries, (i, j, k), (g * s.gamma(k, i, c)).scale(-1))
+                # term 3: nabla_{[a-hat, d_i]} d_j
+                for c in range(n):
+                    g = phi[c].partial(i).scale(-1)
+                    if g.is_zero():
+                        continue
+                    for k in range(n):
+                        accumulate(entries, (i, j, k), (g * s.gamma(k, c, j)).scale(-1))
+        tensor = EndTensor(n, entries)
+        if not tensor.is_zero():
+            terms[(a,)] = tensor
+    return Cochain(s.dim_g, terms)

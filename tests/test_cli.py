@@ -283,6 +283,8 @@ def test_internal_error_while_loading_exits_3(capsys, monkeypatch):
     ({"dim_m": 2, "coordinate_weights": [1, 1], "action": [[[], []]],
       "christoffel": [[[]], [[]]]}, "christoffel must be indexed"),
     ({"dim_m": 0, "coordinate_weights": [], "action": [[]]}, "dim_m >= 1"),
+    ({"coordinate_weights": [1.5]}, "coordinate_weights must be an integer, got 1.5"),
+    ({"caps": {"max_weight": 4.7}}, "cap max_weight must be an integer, got 4.7"),
 ])
 def test_malformed_shape_exits_2(capsys, tmp_path, change, message):
     doc = {"dim_g": 1, "dim_m": 1, "coordinate_weights": [1],

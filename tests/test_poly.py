@@ -92,9 +92,3 @@ def test_partial_multi():
     p = Poly(2, {(3, 2): Fraction(1)})
     assert p.partial_multi((2, 1)) == Poly(2, {(1, 1): Fraction(12)})
     assert p.partial_multi((4, 0)).is_zero()
-
-
-def test_total_degree():
-    assert Poly.zero(2).total_degree() == -1
-    assert Poly.const(2, 5).total_degree() == 0
-    assert Poly(2, {(1, 3): Fraction(2)}).total_degree() == 4

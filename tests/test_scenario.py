@@ -96,6 +96,10 @@ def test_caps_defaults_and_override():
     ({"max_arity": -2}, "max_arity"),
     ({"max_ce_degree": -1}, "max_ce_degree"),
     ({"max_arity": 0}, "max_arity"),
+    ({"max_weight": 4.7}, "max_weight"),
+    ({"max_order": True}, "max_order"),
+    ({"max_arity": "3"}, "max_arity"),
+    ({"max_ce_degree": 0.5}, "max_ce_degree"),
 ])
 def test_bad_json_caps_rejected(caps, cap):
     doc = bundled_doc("paper_sec4")
@@ -123,6 +127,14 @@ def _tiny(**change) -> dict:
     (_tiny(dim_g=-1, action=[]), "dim_g >= 0"),
     (_tiny(action=5), "action must list 1 vector fields"),
     (_tiny(action=[[[], []]]), "of 1 coordinate components"),
+    (_tiny(coordinate_weights=[1.5]), "coordinate_weights must be an integer, got 1.5"),
+    (_tiny(dim_g=1.9), "dim_g must be an integer, got 1.9"),
+    (_tiny(dim_m=True), "dim_m must be an integer, got True"),
+    (_tiny(christoffel_shift=0.5), "christoffel_shift must be an integer, got 0.5"),
+    (_tiny(christoffel_shift="1"), "christoffel_shift must be an integer, got '1'"),
+    # the location is named once, not once more by a wrapping handler
+    (_tiny(action=[[[[1, 0, "1"]]]]), r"^action\[0\]\[0\]: term \[1, 0, '1'\] has 2 exponents"),
+    (_tiny(action=[[[[-2, "1"]]]]), r"^action\[0\]\[0\]: term \[-2, '1'\] has an exponent"),
 ])
 def test_malformed_shapes_rejected(doc, message):
     with pytest.raises(ScenarioError, match=message):

@@ -2,40 +2,9 @@ from fractions import Fraction
 
 import sympy
 
-from gman.series import (log_todd_generator_series, series_inv, series_log1p,
-                         series_mul, todd_generator_series)
+from gman.series import log_todd_generator_series
 
 F = Fraction
-
-
-def test_series_mul():
-    a = [F(1), F(2), F(3)]
-    b = [F(0), F(1)]
-    assert series_mul(a, b, 4) == [F(0), F(1), F(2), F(3)]
-
-
-def test_series_inv():
-    a = [F(1), F(-1)]  # 1 - x
-    assert series_inv(a, 5) == [F(1)] * 5  # geometric series
-    inv = series_inv([F(2), F(1), F(3)], 6)
-    assert series_mul([F(2), F(1), F(3)], inv, 6) == [F(1)] + [F(0)] * 5
-
-
-def test_series_log1p():
-    u = [F(0), F(1)]  # log(1+x)
-    got = series_log1p(u, 5)
-    assert got == [F(0), F(1), F(-1, 2), F(1, 3), F(-1, 4)]
-
-
-def test_todd_generator_against_sympy():
-    x = sympy.symbols("x")
-    nterms = 9
-    expr = x / (1 - sympy.exp(-x))
-    ser = sympy.series(expr, x, 0, nterms).removeO()
-    want = [F(str(sympy.nsimplify(ser.coeff(x, k)))) for k in range(nterms)]
-    assert todd_generator_series(nterms) == want
-    # the classical leading terms
-    assert todd_generator_series(5) == [F(1), F(1, 2), F(1, 12), F(0), F(-1, 720)]
 
 
 def test_log_todd_generator_against_sympy():
