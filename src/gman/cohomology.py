@@ -28,7 +28,6 @@ one source of signs, runs once per generator (I, V).
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import combinations
 
 from .actions import on_dpoly, on_polyvectors
@@ -37,7 +36,7 @@ from .calculus import PolyVector, contract, ext_pv_wedge, ext_schouten
 from .dpoly import PolyDiffOp, ext_cup, ext_gerstenhaber, ext_hkr, hochschild
 from .liealg import Cochain, ce_differential, merge_indices, total_differential
 from .linalg import ColumnReducer
-from .poly import Poly, accumulate, grlex_key, monomial_weight, monomials_of_weight
+from .poly import Coeff, Poly, accumulate, grlex_key, monomial_weight, monomials_of_weight
 from .scenario import Scenario
 
 SIDES = ("tpoly", "dpoly")
@@ -109,13 +108,9 @@ def coords_cochain(s: Scenario, side: str, coords: dict[tuple, object]) -> Cocha
     return Cochain(s.dim_g, terms)
 
 
-def basis_cochain(s: Scenario, side: str, elt: tuple) -> Cochain:
-    return coords_cochain(s, side, {elt: 1})
-
-
-def cochain_coords(c: Cochain) -> dict[tuple, Fraction]:
+def cochain_coords(c: Cochain) -> dict[tuple, Coeff]:
     """Flatten a tpoly/dpoly-valued cochain to basis-key coordinates."""
-    out: dict[tuple, Fraction] = {}
+    out: dict[tuple, Coeff] = {}
     for idx, v in c.terms.items():
         for mid, p in v.terms.items():
             for exps, coeff in p.terms.items():

@@ -15,6 +15,7 @@ exactly one source of signs.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import permutations, product
 from math import comb, factorial, prod
 
@@ -26,17 +27,20 @@ MultiIndex = tuple[int, ...]
 OpKey = tuple[MultiIndex, ...]
 
 
-def _split_multiindex(alpha: MultiIndex, parts: int):
+@cache
+def _split_multiindex(alpha: MultiIndex, parts: int) -> tuple[tuple[OpKey, int], ...]:
     """All ways to write alpha as a sum of ``parts`` multi-indices,
-    with the multinomial coefficient of the split."""
+    with the multinomial coefficient of the split.  Few distinct
+    (alpha, parts) occur, so each is computed once."""
     if parts == 1:
-        yield (alpha,), 1
-        return
+        return (((alpha,), 1),)
+    out = []
     for first in product(*(range(a + 1) for a in alpha)):
         coeff = prod(comb(a, b) for a, b in zip(alpha, first))
         rest = tuple(a - b for a, b in zip(alpha, first))
         for tail, tcoeff in _split_multiindex(rest, parts - 1):
-            yield (first,) + tail, coeff * tcoeff
+            out.append(((first,) + tail, coeff * tcoeff))
+    return tuple(out)
 
 
 class PolyDiffOp(Sparse):

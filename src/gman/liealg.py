@@ -10,11 +10,10 @@ module only needs to support ``+``, ``scale`` and ``is_zero``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Mapping
 
-from .poly import Sparse, accumulate
+from .poly import Coeff, Sparse, _norm, accumulate
 
 IndexTuple = tuple[int, ...]
 
@@ -72,11 +71,11 @@ def sort_indices(seq: IndexTuple) -> tuple[int, IndexTuple] | None:
 class LieAlgebra:
     """Lie algebra over Q given by structure constants c[i][j][k]."""
 
-    def __init__(self, dim: int, structure: Mapping[tuple[int, int, int], Fraction]):
+    def __init__(self, dim: int, structure: Mapping[tuple[int, int, int], Coeff]):
         self.dim = dim
-        self.c: dict[tuple[int, int, int], Fraction] = {}
+        self.c: dict[tuple[int, int, int], Coeff] = {}
         for (i, j, k), v in structure.items():
-            v = Fraction(v)
+            v = _norm(v)
             if v:
                 self.c[(i, j, k)] = v
         self._validate()
@@ -86,7 +85,7 @@ class LieAlgebra:
         for i in range(m):
             for j in range(m):
                 for k in range(m):
-                    if self.c.get((i, j, k), Fraction(0)) != -self.c.get((j, i, k), Fraction(0)):
+                    if self.c.get((i, j, k), 0) != -self.c.get((j, i, k), 0):
                         raise StructureError(
                             f"antisymmetry fails: c[{i}][{j}][{k}] != -c[{j}][{i}][{k}]"
                         )
@@ -94,22 +93,22 @@ class LieAlgebra:
             for j in range(m):
                 for k in range(m):
                     for l in range(m):
-                        s = Fraction(0)
+                        s = 0
                         for r in range(m):
-                            s += self.c.get((i, j, r), Fraction(0)) * self.c.get((r, k, l), Fraction(0))
-                            s += self.c.get((j, k, r), Fraction(0)) * self.c.get((r, i, l), Fraction(0))
-                            s += self.c.get((k, i, r), Fraction(0)) * self.c.get((r, j, l), Fraction(0))
+                            s += self.c.get((i, j, r), 0) * self.c.get((r, k, l), 0)
+                            s += self.c.get((j, k, r), 0) * self.c.get((r, i, l), 0)
+                            s += self.c.get((k, i, r), 0) * self.c.get((r, j, l), 0)
                         if s != 0:
                             raise StructureError(
                                 f"Jacobi fails on basis triple ({i},{j},{k}), "
                                 f"component {l}: residual {s}"
                             )
 
-    def bracket_basis(self, i: int, j: int) -> dict[int, Fraction]:
+    def bracket_basis(self, i: int, j: int) -> dict[int, Coeff]:
         """[e_i, e_j] as a map k -> coefficient."""
         out = {}
         for k in range(self.dim):
-            v = self.c.get((i, j, k), Fraction(0))
+            v = self.c.get((i, j, k), 0)
             if v:
                 out[k] = v
         return out

@@ -1,10 +1,11 @@
 """Exact sparse linear algebra over the rationals: one eliminator.
 
 Columns are sparse integer vectors (dict row -> int), kept primitive
-by gcd reduction; Fraction entries are cleared of denominators on the
-way in.  Reduction is fraction-free: a column is cleared against a
-pivot by the cross-multiplication b*col - a*pivot, so no rational
-arithmetic and no pivot thresholds ever appear.  ``ColumnReducer``
+by gcd reduction.  A column whose entries are all ints goes in as it
+is; one with a Fraction entry is first cleared of denominators.
+Reduction is fraction-free: a column is cleared against a pivot by the
+cross-multiplication b*col - a*pivot, so no rational arithmetic and no
+pivot thresholds ever appear.  ``ColumnReducer``
 keeps one pivot column per leading row.  Filled once with a slice's
 differential columns, it answers every question asked of that slice:
 the rank is its pivot count, the kernel its tracked combinations, and
@@ -73,12 +74,15 @@ class ColumnReducer:
     def reduce(self, col: dict, combo: dict | None = None):
         """Reduce col against the pivots.  A combo, when given, is carried
         along and needs a tracking reducer."""
-        # clear denominators, scaling the combo by the same factor
-        col = {r: f for r, v in col.items() if (f := Fraction(v))}
-        denlcm = lcm(*(f.denominator for f in col.values()))
-        col = {r: f.numerator * (denlcm // f.denominator) for r, f in col.items()}
-        if combo and denlcm != 1:
-            combo = {k: v * denlcm for k, v in combo.items()}
+        if all(type(v) is int for v in col.values()):
+            col = {r: v for r, v in col.items() if v}
+        else:
+            # clear denominators, scaling the combo by the same factor
+            col = {r: f for r, v in col.items() if (f := Fraction(v))}
+            denlcm = lcm(*(f.denominator for f in col.values()))
+            col = {r: f.numerator * (denlcm // f.denominator) for r, f in col.items()}
+            if combo and denlcm != 1:
+                combo = {k: v * denlcm for k, v in combo.items()}
         col, combo = _joint_reduce(col, combo)
         while col:
             lead = max(col)

@@ -1,10 +1,12 @@
 """Sparse multivariate polynomials over exact rationals.
 
 A polynomial in n coordinates is a finite map from exponent tuples
-(one non-negative int per coordinate) to nonzero Fractions.  The zero
-polynomial has an empty term map, so equality of term maps is equality
-of polynomials.  All arithmetic is exact; nothing in this package ever
-touches a float.
+(one non-negative int per coordinate) to nonzero exact coefficients.
+A coefficient is an ``int`` when it is integral and a ``Fraction`` only
+when it is not (``_norm``), so the integers that make up almost every
+coefficient never pay for rational arithmetic, and equal polynomials
+have equal term maps.  The zero polynomial has an empty term map.  All
+arithmetic is exact; a float coefficient is refused with TypeError.
 
 Monomials are ordered graded-lexicographically (total degree first,
 then exponent tuple).  Serialization and basis enumeration elsewhere
@@ -21,10 +23,19 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 Exponent = tuple[int, ...]
+Coeff = int | Fraction
 
 
 class DimensionMismatch(ValueError):
     """Operands live over different numbers of coordinates."""
+
+
+def _norm(c):
+    """The exact coefficient c: an int when integral, else a Fraction."""
+    if isinstance(c, float):
+        raise TypeError(f"float coefficient {c!r}: coefficients are exact")
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def grlex_key(exps: Exponent) -> tuple[int, Exponent]:
@@ -36,25 +47,26 @@ def monomial_weight(exps: Exponent, weights: tuple[int, ...]) -> int:
 
 
 class Poly:
-    """Immutable sparse polynomial with Fraction coefficients.
+    """Immutable sparse polynomial with int-first exact coefficients.
 
-    ``terms`` never stores a zero coefficient.  Instances should be
-    treated as frozen; all operations return new objects.
+    ``terms`` never stores a zero coefficient, and stores an int for
+    every integral one.  Instances should be treated as frozen; all
+    operations return new objects.
     """
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: Mapping[Exponent, Fraction] | None = None):
+    def __init__(self, n: int, terms: Mapping[Exponent, Coeff] | None = None):
         self.n = n
-        clean: dict[Exponent, Fraction] = {}
+        clean: dict[Exponent, Coeff] = {}
         if terms:
             for exps, coeff in terms.items():
                 if len(exps) != n:
                     raise DimensionMismatch(
                         f"exponent tuple {exps} has length {len(exps)}, expected {n}"
                     )
-                c = Fraction(coeff)
-                if c != 0:
+                c = coeff if type(coeff) is int else _norm(coeff)
+                if c:
                     clean[exps] = c
         self.terms = clean
 
@@ -66,7 +78,7 @@ class Poly:
 
     @staticmethod
     def const(n: int, value) -> "Poly":
-        return Poly(n, {(0,) * n: Fraction(value)})
+        return Poly(n, {(0,) * n: value})
 
     @staticmethod
     def var(n: int, i: int, power: int = 1) -> "Poly":
@@ -74,12 +86,12 @@ class Poly:
             raise IndexError(f"coordinate index {i} out of range for n={n}")
         exps = [0] * n
         exps[i] = power
-        return Poly(n, {tuple(exps): Fraction(1)})
+        return Poly(n, {tuple(exps): 1})
 
     @staticmethod
     def monomial(exps: Iterable[int], coeff) -> "Poly":
         exps = tuple(exps)
-        return Poly(len(exps), {exps: Fraction(coeff)})
+        return Poly(len(exps), {exps: coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -90,7 +102,7 @@ class Poly:
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.n == other.n and self.terms == other.terms
 
-    def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponent, Coeff]]:
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
 
     # -------------------------------------------------------------- arithmetic
@@ -103,7 +115,7 @@ class Poly:
         self._check(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            c = out.get(exps, Fraction(0)) + coeff
+            c = out.get(exps, 0) + coeff
             if c:
                 out[exps] = c
             else:
@@ -118,11 +130,11 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Coeff] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                c = out.get(e, Fraction(0)) + c1 * c2
+                c = out.get(e, 0) + c1 * c2
                 if c:
                     out[e] = c
                 else:
@@ -130,8 +142,8 @@ class Poly:
         return Poly(self.n, out)
 
     def scale(self, factor) -> "Poly":
-        f = Fraction(factor)
-        if f == 0:
+        f = factor if type(factor) is int else _norm(factor)
+        if not f:
             return Poly.zero(self.n)
         return Poly(self.n, {e: c * f for e, c in self.terms.items()})
 
@@ -139,7 +151,7 @@ class Poly:
         """Formal partial derivative with respect to coordinate i."""
         if not 0 <= i < self.n:
             raise IndexError(f"coordinate index {i} out of range for n={self.n}")
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Coeff] = {}
         for exps, coeff in self.terms.items():
             k = exps[i]
             if k == 0:
@@ -246,7 +258,7 @@ class Sparse:
         return self + (-other)
 
     def scale(self, factor):
-        f = Fraction(factor)
+        f = factor if type(factor) is int else _norm(factor)
         return self._like({k: v.scale(f) for k, v in self.terms.items()} if f else {})
 
     def degrees(self) -> set[int]:

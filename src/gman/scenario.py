@@ -63,14 +63,6 @@ class Scenario:
     def dim_g(self) -> int:
         return self.lie.dim
 
-    def gamma(self, k: int, i: int, j: int) -> Poly:
-        return self.christoffel.get((k, i, j), Poly.zero(self.n))
-
-    def covariant_basis(self, i: int, j: int) -> PolyVector:
-        """nabla_{d_i} d_j as a vector field."""
-        comps = [self.gamma(k, i, j) for k in range(self.n)]
-        return PolyVector.vector_field(comps)
-
 
 def vf_bracket(x: PolyVector, y: PolyVector) -> PolyVector:
     """Commutator of vector fields: [X,Y]^j = X(Y^j) - Y(X^j)."""

@@ -6,6 +6,8 @@ from importlib import resources
 import pytest
 
 from gman.atiyah import EndTensor
+from gman.calculus import PolyVector
+from gman.cohomology import coords_cochain
 from gman.liealg import Cochain
 from gman.poly import Poly, accumulate, monomials_of_weight
 from gman.scenario import Scenario, load_scenario, vf_bracket
@@ -43,6 +45,21 @@ def with_connection(doc: dict, christoffel, shift: int) -> Scenario:
     return load_scenario(doc)
 
 
+def basis_cochain(s: Scenario, side: str, elt: tuple) -> Cochain:
+    """The cochain of one basis element (idx, mid, exps) of a slice."""
+    return coords_cochain(s, side, {elt: 1})
+
+
+def gamma(s: Scenario, k: int, i: int, j: int) -> Poly:
+    """The Christoffel symbol Gamma^k_ij of s."""
+    return s.christoffel.get((k, i, j), Poly.zero(s.n))
+
+
+def covariant_basis(s: Scenario, i: int, j: int) -> PolyVector:
+    """nabla_{d_i} d_j as a vector field."""
+    return PolyVector.vector_field([gamma(s, k, i, j) for k in range(s.n)])
+
+
 def random_connection(s: Scenario, shift: int, rng) -> Scenario:
     """A random torsionfree weight-homogeneous connection for s."""
     n, w = s.n, s.weights
@@ -75,7 +92,7 @@ def atiyah_reference(s: Scenario) -> Cochain:
         for i in range(n):
             for j in range(n):
                 # term 1: [a-hat, Gamma^k_ij d_k]
-                t1 = vf_bracket(s.action[a], s.covariant_basis(i, j))
+                t1 = vf_bracket(s.action[a], covariant_basis(s, i, j))
                 for k, p in enumerate(t1.vf_components()):
                     accumulate(entries, (i, j, k), p)
                 # term 2: nabla_i [a-hat, d_j], [a-hat, d_j] = -d_j(phi^c) d_c
@@ -85,14 +102,14 @@ def atiyah_reference(s: Scenario) -> Cochain:
                         continue
                     accumulate(entries, (i, j, c), g.partial(i).scale(-1))
                     for k in range(n):
-                        accumulate(entries, (i, j, k), (g * s.gamma(k, i, c)).scale(-1))
+                        accumulate(entries, (i, j, k), (g * gamma(s, k, i, c)).scale(-1))
                 # term 3: nabla_{[a-hat, d_i]} d_j
                 for c in range(n):
                     g = phi[c].partial(i).scale(-1)
                     if g.is_zero():
                         continue
                     for k in range(n):
-                        accumulate(entries, (i, j, k), (g * s.gamma(k, c, j)).scale(-1))
+                        accumulate(entries, (i, j, k), (g * gamma(s, k, c, j)).scale(-1))
         tensor = EndTensor(n, entries)
         if not tensor.is_zero():
             terms[(a,)] = tensor

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from gman import cohomology
 from gman.calculus import mixed_unit
-from gman.cohomology import (SIDES, Workspace, basis_cochain, cochain_coords,
-                             cohomology_report, duflo_check, enumerate_slice,
-                             hkr_check, stable_degree_max, weight_window)
+from gman.cohomology import (SIDES, Workspace, cochain_coords, cohomology_report,
+                             duflo_check, enumerate_slice, hkr_check, stable_degree_max,
+                             weight_window)
 from gman.poly import monomials_of_weight
 from gman.scenario import Caps, load_scenario
+
+from conftest import basis_cochain
 
 
 def both_sides(s):

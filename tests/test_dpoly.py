@@ -1,14 +1,14 @@
 import random
 from fractions import Fraction
-from itertools import permutations
-from math import comb
+from itertools import permutations, product
+from math import comb, factorial, prod
 
 import pytest
 
 from gman.calculus import PolyVector, schouten
 from gman.checks import Sampler, dpoly_axiom_checks
-from gman.dpoly import (PolyDiffOp, _insert, cup, gerstenhaber, hkr,
-                        hochschild)
+from gman.dpoly import (PolyDiffOp, _insert, _split_multiindex, cup, gerstenhaber,
+                        hkr, hochschild)
 from gman.poly import Poly, accumulate
 from gman.scenario import load_scenario, vf_bracket
 
@@ -56,6 +56,31 @@ def test_apply():
     assert insert(insert(op, 0, fx), 0, fy) == PolyDiffOp.function(x * (x + x) * (y + y))
 
 
+def _brute_split(alpha, parts):
+    """Every tuple of ``parts`` multi-indices summing to alpha, with its
+    multinomial coefficient, by enumeration."""
+    indices = list(product(*(range(a + 1) for a in alpha)))
+    out = {}
+    for split in product(indices, repeat=parts):
+        if tuple(map(sum, zip(*split))) == alpha:
+            out[split] = prod(factorial(a) // prod(factorial(b[i]) for b in split)
+                              for i, a in enumerate(alpha))
+    return out
+
+
+def test_split_multiindex_against_brute_force():
+    for n in (1, 2, 3):
+        for alpha in product(range(5), repeat=n):
+            if sum(alpha) > 4:
+                continue
+            for parts in (1, 2, 3):
+                got = _split_multiindex(alpha, parts)
+                assert type(got) is tuple
+                assert sum(c for _, c in got) == parts ** sum(alpha)
+                assert len({split for split, _ in got}) == len(got)
+                assert dict(got) == _brute_split(alpha, parts)
+
+
 # The bracket as composed before it worked term by term: components of
 # each degree, one whole-operator insertion per slot, sums of operators.
 # Kept as an independent oracle for ``gerstenhaber``.
@@ -98,7 +123,7 @@ def _old_circ(d1, d2):
     for k1, c1 in d1.components_by_degree():
         for l2, c2 in d2.components_by_degree():
             for i in range(k1 + 1):
-                out = out + _old_insert(c1, i, c2).scale((-1) ** (i * l2))
+                out = out + _old_insert(c1, i, c2).scale(-1 if (i * l2) % 2 else 1)
     return out
 
 
@@ -106,7 +131,7 @@ def _old_gerstenhaber(d1, d2):
     out = PolyDiffOp(d1.n)
     for k, c1 in d1.components_by_degree():
         for l, c2 in d2.components_by_degree():
-            out = out + _old_circ(c1, c2) - _old_circ(c2, c1).scale((-1) ** (k * l))
+            out = out + _old_circ(c1, c2) - _old_circ(c2, c1).scale(-1 if (k * l) % 2 else 1)
     return out
 
 
@@ -162,11 +187,11 @@ def test_gerstenhaber_value_level_identities():
     for _ in range(120):
         k, l, e = (rng.randint(-1, 2) for _ in range(3))
         dk, dl, de = smp.diffop(k), smp.diffop(l), smp.diffop(e)
-        anti = gerstenhaber(dk, dl) + gerstenhaber(dl, dk).scale((-1) ** (k * l))
+        anti = gerstenhaber(dk, dl) + gerstenhaber(dl, dk).scale(-1 if (k * l) % 2 else 1)
         assert anti.is_zero()
         jac = gerstenhaber(dk, gerstenhaber(dl, de)) \
             - gerstenhaber(gerstenhaber(dk, dl), de) \
-            - gerstenhaber(dl, gerstenhaber(dk, de)).scale((-1) ** (k * l))
+            - gerstenhaber(dl, gerstenhaber(dk, de)).scale(-1 if (k * l) % 2 else 1)
         assert jac.is_zero()
         assert hochschild(hochschild(dk)).is_zero()
 

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 
+from gman import linalg
 from gman.linalg import ColumnReducer
 
 rng = random.Random(17)
@@ -112,3 +114,45 @@ def test_fraction_entries_accepted():
     red = ColumnReducer()
     red.insert({0: Fraction(1, 2), 1: Fraction(1, 3)})
     assert red.contains({0: 3, 1: 2})
+
+
+def test_int_fraction_and_mixed_columns_agree():
+    """The same columns as ints, as Fractions of denominator 1 and mixed
+    give the same echelon, kernel and solutions, and int pivots."""
+    for _ in range(30):
+        nrows, ncols = rng.randint(2, 7), rng.randint(1, 6)
+        cols = rand_columns(nrows, ncols, density=0.6)
+        target = {}
+        for u, c in enumerate(cols):
+            k = rng.randint(-3, 3)
+            for r, v in c.items():
+                target[r] = target.get(r, 0) + k * v
+        target = {r: v for r, v in target.items() if v}
+        forms = [
+            lambda r, v: v,
+            lambda r, v: Fraction(v),
+            lambda r, v: Fraction(v) if r % 2 else v,
+        ]
+        results = []
+        for form in forms:
+            red = ColumnReducer(track=True)
+            for u, c in enumerate(cols):
+                red.insert({r: form(r, v) for r, v in c.items()}, label=u)
+            assert all(type(v) is int for piv in red.pivots.values() for v in piv.values())
+            sol = red.solve({r: form(r, v) for r, v in target.items()})
+            assert sol is not None
+            results.append((red.rank, red.pivots, red.kernel, sol))
+        assert results[0] == results[1] == results[2]
+
+
+def test_int_columns_skip_denominator_clearing(monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError("an all-int column was converted to Fraction")
+
+    red = ColumnReducer()
+    monkeypatch.setattr(linalg, "Fraction", no_fraction)
+    assert red.insert({0: 2, 1: 4, 2: 0})
+    assert red.pivots == {1: {0: 1, 1: 2}}
+    assert red.contains({0: -3, 1: -6})
+    with pytest.raises(AssertionError):
+        red.insert({0: Fraction(1, 2)})

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gman.poly import (DimensionMismatch, Poly, grlex_key, monomial_weight,
+from gman import poly
+from gman.poly import (DimensionMismatch, Poly, Sparse, grlex_key, monomial_weight,
                        monomials_of_weight)
 
 rng = random.Random(11)
@@ -92,3 +93,98 @@ def test_partial_multi():
     p = Poly(2, {(3, 2): Fraction(1)})
     assert p.partial_multi((2, 1)) == Poly(2, {(1, 1): Fraction(12)})
     assert p.partial_multi((4, 0)).is_zero()
+
+
+def test_float_coefficients_refused():
+    with pytest.raises(TypeError):
+        Poly.const(1, 0.5)
+    p = Poly.var(2, 0)
+    with pytest.raises(TypeError):
+        p.scale(-1.0)
+    with pytest.raises(TypeError):
+        Poly(2, {(1, 0): 2.0})
+    with pytest.raises(TypeError):
+        Sparse(2, {(0,): p}).scale(-1.0)
+
+
+# Int-first coefficients: every stored coefficient is an int exactly when
+# it is integral.  The reference below computes on plain dicts of
+# Fractions, apart from Poly.
+
+def _ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return out
+
+
+def _ref_scale(a: dict, f) -> dict:
+    return {e: c * f for e, c in a.items()}
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(i + j for i, j in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return out
+
+
+def _ref_partial(a: dict, i: int) -> dict:
+    out = {}
+    for e, c in a.items():
+        if e[i]:
+            d = list(e)
+            d[i] -= 1
+            out[tuple(d)] = c * e[i]
+    return out
+
+
+def _ref_json(ref: dict) -> list:
+    nonzero = sorted(((e, c) for e, c in ref.items() if c), key=lambda t: grlex_key(t[0]))
+    return [[f"{c.numerator}/{c.denominator}", list(e)] for e, c in nonzero]
+
+
+def check_int_first(da: dict, db: dict) -> None:
+    a, b = Poly(2, da), Poly(2, db)
+    ra = {e: Fraction(c) for e, c in da.items()}
+    rb = {e: Fraction(c) for e, c in db.items()}
+    half = Fraction(1, 2)
+    results = [
+        (a, ra),
+        (a + b, _ref_add(ra, rb)),
+        (a - b, _ref_add(ra, _ref_scale(rb, -1))),
+        (a * b, _ref_mul(ra, rb)),
+        (a.partial(0), _ref_partial(ra, 0)),
+        (a.partial(1), _ref_partial(ra, 1)),
+        (a.scale(-3), _ref_scale(ra, -3)),
+        (a.scale(half), _ref_scale(ra, half)),
+        (a.scale(half).scale(2), ra),
+    ]
+    for p, ref in results:
+        for c in p.terms.values():
+            assert type(c) is (int if Fraction(c).denominator == 1 else Fraction), c
+        assert p.to_json() == _ref_json(ref)
+
+
+small_terms = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.one_of(st.integers(-4, 4),
+              st.fractions(min_value=-4, max_value=4, max_denominator=3)),
+    max_size=4)
+
+
+@given(small_terms, small_terms)
+@settings(max_examples=150, deadline=None)
+def test_int_first_coefficients(da, db):
+    check_int_first(da, db)
+
+
+def test_int_first_check_trips_on_fraction_everywhere(monkeypatch):
+    """Negative control: a _norm that keeps every Fraction as it is leaves
+    Fraction(1) behind after scaling by 1/2 and then by 2."""
+    check_int_first({(1, 0): 1}, {})
+    monkeypatch.setattr(poly, "_norm", Fraction)
+    with pytest.raises(AssertionError):
+        check_int_first({(1, 0): 1}, {})
