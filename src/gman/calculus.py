@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .liealg import Cochain, IndexTuple, merge_indices
-from .poly import Poly, Sparse, accumulate
+from .poly import Poly, Sparse, accumulate, addmul, polys
 
 CoordTuple = tuple[int, ...]
 
@@ -69,16 +69,15 @@ class PolyVector(Sparse):
 
 def pv_wedge(a: PolyVector, b: PolyVector) -> PolyVector:
     """Exterior product; serves forms too, whose keys are also coordinate tuples."""
-    out: dict[CoordTuple, Poly] = {}
+    out: dict[CoordTuple, dict] = {}
     for ia, pa in a.terms.items():
         for ib, pb in b.terms.items():
             merged = merge_indices(ia, ib)
             if merged is None:
                 continue
             sign, idx = merged
-            prod = pa * pb
-            accumulate(out, idx, prod if sign > 0 else -prod)
-    return a._like(out)
+            addmul(out.setdefault(idx, {}), pa.terms, pb.terms, sign)
+    return a._like(polys(a.n, out))
 
 
 def _xi_partial(idx: CoordTuple, i: int) -> tuple[int, CoordTuple] | None:
@@ -107,7 +106,7 @@ def schouten(a: PolyVector, b: PolyVector) -> PolyVector:
     with right derivatives on the first argument and left on the second.
     """
     n = a.n
-    acc: dict[CoordTuple, Poly] = {}
+    acc: dict[CoordTuple, dict] = {}
     for ia, pa in a.terms.items():
         for ib, pb in b.terms.items():
             for i in range(n):
@@ -119,7 +118,7 @@ def schouten(a: PolyVector, b: PolyVector) -> PolyVector:
                         merged = merge_indices(ia_red, ib)
                         if merged is not None:
                             s2, idx = merged
-                            accumulate(acc, idx, (pa * dpb).scale(s1 * s2))
+                            addmul(acc.setdefault(idx, {}), pa.terms, dpb.terms, s1 * s2)
                 left = _xi_partial(ib, i)
                 if left is not None:
                     s1, ib_red = left
@@ -128,8 +127,8 @@ def schouten(a: PolyVector, b: PolyVector) -> PolyVector:
                         merged = merge_indices(ia, ib_red)
                         if merged is not None:
                             s2, idx = merged
-                            accumulate(acc, idx, (dpa * pb).scale(-s1 * s2))
-    return PolyVector(n, acc)
+                            addmul(acc.setdefault(idx, {}), dpa.terms, pb.terms, -s1 * s2)
+    return PolyVector(n, polys(n, acc))
 
 
 # --------------------------------------------------------- differential forms
@@ -160,7 +159,7 @@ def interior_form(theta: DiffForm, v: PolyVector) -> PolyVector:
     Pairing <dx^i, d_j> = delta; composite forms contract the leftmost
     multivector slots first (i_{t1 ^ t2} = i_{t2} o i_{t1}).
     """
-    out: dict[CoordTuple, Poly] = {}
+    out: dict[CoordTuple, dict] = {}
     for tform, h in theta.terms.items():
         for idx, p in v.terms.items():
             sign = 1
@@ -174,8 +173,8 @@ def interior_form(theta: DiffForm, v: PolyVector) -> PolyVector:
                 sign *= s
             if cur is None:
                 continue
-            accumulate(out, cur, (h * p).scale(sign))
-    return v._like(out)
+            addmul(out.setdefault(cur, {}), h.terms, p.terms, sign)
+    return v._like(polys(v.n, out))
 
 
 # ----------------------------------------------------- Lambda g-dual extension

@@ -75,25 +75,25 @@ def tpoly_axiom_checks(s: Scenario, cases: int = 200, seed: int = 0) -> dict:
         a, b, c = (smp.cochain_pv(p, q) for p, q in degs)
         g1, g2 = p1 + q1, p2 + q2
         t1, t2 = p1 + q1 + 1, p2 + q2 + 1
+        ab, ac = ext_schouten(a, b), ext_schouten(a, c)
+        wab, da, db = ext_pv_wedge(a, b), d(a), d(b)
 
         residuals = {
-            "graded_commutativity": ext_pv_wedge(a, b)
-                - ext_pv_wedge(b, a).scale(sign(t1 * t2)),
-            "bracket_antisymmetry": ext_schouten(a, b)
-                + ext_schouten(b, a).scale(sign(g1 * g2)),
+            "graded_commutativity": wab - ext_pv_wedge(b, a).scale(sign(t1 * t2)),
+            "bracket_antisymmetry": ab + ext_schouten(b, a).scale(sign(g1 * g2)),
             "graded_jacobi": ext_schouten(a, ext_schouten(b, c))
-                - ext_schouten(ext_schouten(a, b), c)
-                - ext_schouten(b, ext_schouten(a, c)).scale(sign(g1 * g2)),
+                - ext_schouten(ab, c)
+                - ext_schouten(b, ac).scale(sign(g1 * g2)),
             "graded_leibniz": ext_schouten(a, ext_pv_wedge(b, c))
-                - ext_pv_wedge(ext_schouten(a, b), c)
-                - ext_pv_wedge(b, ext_schouten(a, c)).scale(sign(g1 * t2)),
-            "d_squared": d(d(a)),
-            "d_derivation_product": d(ext_pv_wedge(a, b))
-                - ext_pv_wedge(d(a), b)
-                - ext_pv_wedge(a, d(b)).scale(sign(t1)),
-            "d_derivation_bracket": d(ext_schouten(a, b))
-                - ext_schouten(d(a), b)
-                - ext_schouten(a, d(b)).scale(sign(g1)),
+                - ext_pv_wedge(ab, c)
+                - ext_pv_wedge(b, ac).scale(sign(g1 * t2)),
+            "d_squared": d(da),
+            "d_derivation_product": d(wab)
+                - ext_pv_wedge(da, b)
+                - ext_pv_wedge(a, db).scale(sign(t1)),
+            "d_derivation_bracket": d(ab)
+                - ext_schouten(da, b)
+                - ext_schouten(a, db).scale(sign(g1)),
         }
         for name, res in residuals.items():
             if not res.is_zero():
@@ -120,16 +120,16 @@ def dpoly_axiom_checks(s: Scenario, cases: int = 200, seed: int = 0) -> dict:
         (p1, q1), (p2, q2), _ = degs
         a, b, c = (smp.cochain_dp(p, q) for p, q in degs)
         g1, g2 = p1 + q1, p2 + q2
+        ab, da = ext_gerstenhaber(a, b), d(a)
 
         residuals = {
-            "bracket_antisymmetry": ext_gerstenhaber(a, b)
-                + ext_gerstenhaber(b, a).scale(sign(g1 * g2)),
+            "bracket_antisymmetry": ab + ext_gerstenhaber(b, a).scale(sign(g1 * g2)),
             "graded_jacobi": ext_gerstenhaber(a, ext_gerstenhaber(b, c))
-                - ext_gerstenhaber(ext_gerstenhaber(a, b), c)
+                - ext_gerstenhaber(ab, c)
                 - ext_gerstenhaber(b, ext_gerstenhaber(a, c)).scale(sign(g1 * g2)),
-            "D_squared": d(d(a)),
-            "D_derivation_bracket": d(ext_gerstenhaber(a, b))
-                - ext_gerstenhaber(d(a), b)
+            "D_squared": d(da),
+            "D_derivation_bracket": d(ab)
+                - ext_gerstenhaber(da, b)
                 - ext_gerstenhaber(a, d(b)).scale(sign(g1)),
         }
         for name, res in residuals.items():

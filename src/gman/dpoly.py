@@ -18,13 +18,21 @@ from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
 from math import comb, factorial, prod
+from operator import add
 
 from .calculus import PolyVector, ext_bilinear
 from .liealg import Cochain, sort_indices
-from .poly import Poly, Sparse, accumulate
+from .poly import Poly, Sparse, accumulate, addmul, derive, polys
 
 MultiIndex = tuple[int, ...]
 OpKey = tuple[MultiIndex, ...]
+
+
+@cache
+def _hkr_layout(idx: tuple[int, ...], n: int) -> tuple[tuple[OpKey, int], ...]:
+    """(unit slots, permutation sign) for every permutation of idx."""
+    return tuple((tuple(tuple(int(i == j) for i in range(n)) for j in perm),
+                  sort_indices(perm)[0]) for perm in permutations(idx))
 
 
 @cache
@@ -90,27 +98,26 @@ class PolyDiffOp(Sparse):
 def _insert(acc: dict, key1: OpKey, p1: Poly, slot: int, key2: OpKey, p2: Poly,
             sign: int) -> None:
     """acc += sign * (the term p2 D^key2 substituted into the given slot of
-    the term p1 D^key1).
+    the term p1 D^key1), where acc maps keys to raw term maps.
 
     The derivative on the consumed slot distributes over p2 and the
     slots of key2 by the multivariate Leibniz rule with multinomial
     coefficients.
     """
     for split, coeff in _split_multiindex(key1[slot], len(key2) + 1):
-        dp2 = p2.partial_multi(split[0])
-        if dp2.is_zero():
+        dp2 = derive(p2.terms, split[0])
+        if not dp2:
             continue
-        new_slots = tuple(tuple(b + d for b, d in zip(beta, delta))
-                          for beta, delta in zip(key2, split[1:]))
-        accumulate(acc, key1[:slot] + new_slots + key1[slot + 1:],
-                   (p1 * dp2).scale(sign * coeff))
+        new_slots = tuple(tuple(map(add, beta, delta)) for beta, delta in zip(key2, split[1:]))
+        key = key1[:slot] + new_slots + key1[slot + 1:]
+        addmul(acc.setdefault(key, {}), p1.terms, dp2, sign * coeff)
 
 
 def gerstenhaber(d1: PolyDiffOp, d2: PolyDiffOp) -> PolyDiffOp:
     """[d1, d2] = d1 o d2 - (-1)^{kl} d2 o d1 in shifted degrees, where
     d1 o d2 = sum_i (-1)^{il} (d2 inserted into slot i of d1), summed
     term pair by term pair."""
-    acc: dict[OpKey, Poly] = {}
+    acc: dict[OpKey, dict] = {}
     for key1, p1 in d1.terms.items():
         k = len(key1) - 1
         for key2, p2 in d2.terms.items():
@@ -119,7 +126,7 @@ def gerstenhaber(d1: PolyDiffOp, d2: PolyDiffOp) -> PolyDiffOp:
                 _insert(acc, key1, p1, i, key2, p2, -1 if i * l % 2 else 1)
             for j in range(l + 1):
                 _insert(acc, key2, p2, j, key1, p1, 1 if (k * l + j * k) % 2 else -1)
-    return PolyDiffOp(d1.n, acc)
+    return PolyDiffOp(d1.n, polys(d1.n, acc))
 
 
 def hochschild(d: PolyDiffOp) -> PolyDiffOp:
@@ -129,12 +136,11 @@ def hochschild(d: PolyDiffOp) -> PolyDiffOp:
 
 def cup(d1: PolyDiffOp, d2: PolyDiffOp) -> PolyDiffOp:
     """Concatenation product: arities add, coefficients multiply."""
-    n = d1.n
-    acc: dict[OpKey, Poly] = {}
+    acc: dict[OpKey, dict] = {}
     for k1, p1 in d1.terms.items():
         for k2, p2 in d2.terms.items():
-            accumulate(acc, k1 + k2, p1 * p2)
-    return PolyDiffOp(n, acc)
+            addmul(acc.setdefault(k1 + k2, {}), p1.terms, p2.terms, 1)
+    return PolyDiffOp(d1.n, polys(d1.n, acc))
 
 
 def hkr(pv: PolyVector) -> PolyDiffOp:
@@ -147,9 +153,7 @@ def hkr(pv: PolyVector) -> PolyDiffOp:
     acc: dict[OpKey, Poly] = {}
     for idx, p in pv.terms.items():
         factor = Fraction(1, factorial(len(idx)))
-        for perm in permutations(idx):
-            sign, _ = sort_indices(perm)
-            slots = tuple(tuple(int(i == j) for i in range(n)) for j in perm)
+        for slots, sign in _hkr_layout(idx, n):
             accumulate(acc, slots, p.scale(factor * sign))
     return PolyDiffOp(n, acc)
 

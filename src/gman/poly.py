@@ -12,6 +12,12 @@ Monomials are ordered graded-lexicographically (total degree first,
 then exponent tuple).  Serialization and basis enumeration elsewhere
 rely on this order being fixed.
 
+Every product is one multiply-accumulate kernel, ``addmul``, on raw
+term maps (exponent -> coefficient): a bilinear operation sums its
+products into one term map per result key and builds each Poly once,
+at the end (``polys``), where zeros are dropped and coefficients
+normalised.  ``derive`` is the one derivative, also on raw term maps.
+
 ``Sparse`` is the one container above Poly: a zero-free map from keys
 to Poly (or Sparse) values, with the linear operations every value
 type shares, and ``accumulate`` is its single in-place adder.
@@ -20,7 +26,9 @@ type shares, and ``accumulate`` is its single in-place adder.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from math import perm
+from operator import add, sub
+from typing import Iterable, Mapping
 
 Exponent = tuple[int, ...]
 Coeff = int | Fraction
@@ -36,6 +44,36 @@ def _norm(c):
         raise TypeError(f"float coefficient {c!r}: coefficients are exact")
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
+
+
+def addmul(tgt: dict, a: Mapping, b: Mapping, f: Coeff) -> dict:
+    """tgt[e1 + e2] += f * c1 * c2 over all terms of the term maps a and b.
+
+    Returns tgt, which may hold zeros until a Poly is built from it."""
+    for e1, c1 in a.items():
+        c1 *= f
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            tgt[e] = tgt.get(e, 0) + c1 * c2
+    return tgt
+
+
+def derive(terms: Mapping, alpha: Exponent) -> Mapping:
+    """The term map of d^alpha applied to a term map, in one pass: each
+    exponent drops by alpha, times the falling factorials perm(k, a).
+    Returns ``terms`` itself when alpha is zero; never mutate the result."""
+    if not any(alpha):
+        return terms
+    out = {}
+    for e, c in terms.items():
+        for k, a in zip(e, alpha):
+            if k < a:
+                break
+            if a:
+                c *= perm(k, a)
+        else:
+            out[tuple(map(sub, e, alpha))] = c
+    return out
 
 
 def grlex_key(exps: Exponent) -> tuple[int, Exponent]:
@@ -130,16 +168,7 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        out: dict[Exponent, Coeff] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = out.get(e, 0) + c1 * c2
-                if c:
-                    out[e] = c
-                else:
-                    out.pop(e, None)
-        return Poly(self.n, out)
+        return Poly(self.n, addmul({}, self.terms, other.terms, 1))
 
     def scale(self, factor) -> "Poly":
         f = factor if type(factor) is int else _norm(factor)
@@ -151,25 +180,11 @@ class Poly:
         """Formal partial derivative with respect to coordinate i."""
         if not 0 <= i < self.n:
             raise IndexError(f"coordinate index {i} out of range for n={self.n}")
-        out: dict[Exponent, Coeff] = {}
-        for exps, coeff in self.terms.items():
-            k = exps[i]
-            if k == 0:
-                continue
-            e = list(exps)
-            e[i] = k - 1
-            out[tuple(e)] = coeff * k
-        return Poly(self.n, out)
+        return self.partial_multi(tuple(int(j == i) for j in range(self.n)))
 
     def partial_multi(self, alpha: Exponent) -> "Poly":
         """Apply the iterated derivative prescribed by a multi-index."""
-        p = self
-        for i, k in enumerate(alpha):
-            for _ in range(k):
-                if p.is_zero():
-                    return p
-                p = p.partial(i)
-        return p
+        return Poly(self.n, derive(self.terms, alpha))
 
     # --------------------------------------------------------------- utilities
 
@@ -189,6 +204,11 @@ class Poly:
             else:
                 parts.append(str(coeff))
         return " + ".join(parts)
+
+
+def polys(n: int, acc: dict) -> dict:
+    """{key: Poly} from a map of raw term maps, zero values dropped."""
+    return {k: p for k, t in acc.items() if (p := Poly(n, t))}
 
 
 def accumulate(acc: dict, key, value) -> None:

@@ -6,10 +6,11 @@ from importlib import resources
 import pytest
 
 from gman.atiyah import EndTensor
-from gman.calculus import PolyVector
+from gman.calculus import PolyVector, _xi_partial, _xi_partial_right
 from gman.cohomology import coords_cochain
-from gman.liealg import Cochain
-from gman.poly import Poly, accumulate, monomials_of_weight
+from gman.dpoly import PolyDiffOp
+from gman.liealg import Cochain, merge_indices
+from gman.poly import Poly, Sparse, accumulate, monomials_of_weight
 from gman.scenario import Scenario, load_scenario, vf_bracket
 
 
@@ -114,3 +115,89 @@ def atiyah_reference(s: Scenario) -> Cochain:
         if not tensor.is_zero():
             terms[(a,)] = tensor
     return Cochain(s.dim_g, terms)
+
+
+# The products and derivatives as written before they shared the
+# multiply-accumulate kernel ``poly.addmul``: each product a Poly of its
+# own, scaled and added into the sum.  References for the kernel tests.
+
+def mul_reference(a: Poly, b: Poly) -> Poly:
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            c = out.get(e, 0) + c1 * c2
+            if c:
+                out[e] = c
+            else:
+                out.pop(e, None)
+    return Poly(a.n, out)
+
+
+def partial_reference(p: Poly, i: int) -> Poly:
+    out = {}
+    for exps, coeff in p.terms.items():
+        k = exps[i]
+        if k == 0:
+            continue
+        e = list(exps)
+        e[i] = k - 1
+        out[tuple(e)] = coeff * k
+    return Poly(p.n, out)
+
+
+def partial_multi_reference(p: Poly, alpha) -> Poly:
+    for i, k in enumerate(alpha):
+        for _ in range(k):
+            if p.is_zero():
+                return p
+            p = partial_reference(p, i)
+    return p
+
+
+def cup_reference(d1: PolyDiffOp, d2: PolyDiffOp) -> PolyDiffOp:
+    acc = {}
+    for k1, p1 in d1.terms.items():
+        for k2, p2 in d2.terms.items():
+            accumulate(acc, k1 + k2, mul_reference(p1, p2))
+    return PolyDiffOp(d1.n, acc)
+
+
+def pv_wedge_reference(a: Sparse, b: Sparse) -> Sparse:
+    out = {}
+    for ia, pa in a.terms.items():
+        for ib, pb in b.terms.items():
+            merged = merge_indices(ia, ib)
+            if merged is None:
+                continue
+            sign, idx = merged
+            prod = mul_reference(pa, pb)
+            accumulate(out, idx, prod if sign > 0 else -prod)
+    return a._like(out)
+
+
+def schouten_reference(a: PolyVector, b: PolyVector) -> PolyVector:
+    n = a.n
+    acc = {}
+    for ia, pa in a.terms.items():
+        for ib, pb in b.terms.items():
+            for i in range(n):
+                right = _xi_partial_right(ia, i)
+                if right is not None:
+                    s1, ia_red = right
+                    dpb = partial_reference(pb, i)
+                    if not dpb.is_zero():
+                        merged = merge_indices(ia_red, ib)
+                        if merged is not None:
+                            s2, idx = merged
+                            accumulate(acc, idx, mul_reference(pa, dpb).scale(s1 * s2))
+                left = _xi_partial(ib, i)
+                if left is not None:
+                    s1, ib_red = left
+                    dpa = partial_reference(pa, i)
+                    if not dpa.is_zero():
+                        merged = merge_indices(ia, ib_red)
+                        if merged is not None:
+                            s2, idx = merged
+                            accumulate(acc, idx, mul_reference(dpa, pb).scale(-s1 * s2))
+    return PolyVector(n, acc)

@@ -9,10 +9,10 @@ from gman.calculus import PolyVector, schouten
 from gman.checks import Sampler, dpoly_axiom_checks
 from gman.dpoly import (PolyDiffOp, _insert, _split_multiindex, cup, gerstenhaber,
                         hkr, hochschild)
-from gman.poly import Poly, accumulate
+from gman.poly import Poly, accumulate, polys
 from gman.scenario import load_scenario, vf_bracket
 
-from conftest import bundled_doc
+from conftest import bundled_doc, mul_reference, partial_multi_reference
 
 rng = random.Random(9)
 SL2 = load_scenario(bundled_doc("sl2_linear"))
@@ -26,7 +26,7 @@ def insert(d1: PolyDiffOp, slot: int, d2: PolyDiffOp) -> PolyDiffOp:
     for key1, p1 in d1.terms.items():
         for key2, p2 in d2.terms.items():
             _insert(acc, key1, p1, slot, key2, p2, 1)
-    return PolyDiffOp(d1.n, acc)
+    return PolyDiffOp(d1.n, polys(d1.n, acc))
 
 
 def test_insert_examples():
@@ -114,7 +114,7 @@ def _old_insert(d1, slot, d2):
                 new_slots = tuple(tuple(b + d for b, d in zip(key2[t], split[t + 1]))
                                   for t in range(len(key2)))
                 accumulate(acc, key1[:slot] + new_slots + key1[slot + 1:],
-                           (p1 * p2.partial_multi(split[0])).scale(coeff))
+                           mul_reference(p1, partial_multi_reference(p2, split[0])).scale(coeff))
     return PolyDiffOp(d1.n, acc)
 
 

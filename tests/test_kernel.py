@@ -1,0 +1,159 @@
+"""The multiply-accumulate kernel against the products it replaced.
+
+Operands have half-integer coefficients over few exponents, so sums of
+products cancel to integers and to zero; every result must equal the
+reference of conftest.py and keep the int-first invariant: no zero
+coefficient, no Fraction with denominator 1, no zero value stored.
+"""
+
+import random
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+from gman.calculus import DiffForm, PolyVector, pv_wedge, schouten
+from gman.dpoly import PolyDiffOp, cup
+from gman.poly import Poly, Sparse, addmul, derive
+
+from conftest import (cup_reference, mul_reference, partial_multi_reference,
+                      partial_reference, pv_wedge_reference, schouten_reference)
+
+
+def assert_int_first(x) -> None:
+    if isinstance(x, Poly):
+        for e, c in x.terms.items():
+            assert len(e) == x.n
+            assert c, f"zero coefficient at {e}"
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1), \
+                f"coefficient {c!r} at {e} is not int-first"
+        return
+    assert isinstance(x, Sparse)
+    for key, v in x.terms.items():
+        assert not v.is_zero(), f"zero value stored at {key}"
+        assert_int_first(v)
+
+
+def assert_same(got, ref) -> None:
+    assert_int_first(got)
+    assert got == ref, (got, ref)
+
+
+def flip_one(x):
+    """x with the sign of its first coefficient flipped."""
+    if isinstance(x, Poly):
+        e, c = next(iter(x.terms.items()))
+        return Poly(x.n, {**x.terms, e: -c})
+    key, v = next(iter(x.terms.items()))
+    return x._like({**x.terms, key: flip_one(v)})
+
+
+def half_poly(r: random.Random, n: int, maxdeg: int = 2) -> Poly:
+    return Poly(n, {tuple(r.randint(0, maxdeg) for _ in range(n)): Fraction(r.randint(-3, 3), 2)
+                    for _ in range(r.randint(1, 4))})
+
+
+def polyvector(r: random.Random, n: int, cls=PolyVector):
+    keys = [k for t in range(n + 1) for k in combinations(range(n), t)]
+    return cls(n, {r.choice(keys): half_poly(r, n) for _ in range(r.randint(1, 3))})
+
+
+def diffop(r: random.Random, n: int) -> PolyDiffOp:
+    return PolyDiffOp(n, {tuple(tuple(r.randint(0, 1) for _ in range(n))
+                                for _ in range(r.randint(0, 2))): half_poly(r, n)
+                          for _ in range(r.randint(1, 3))})
+
+
+def test_mul_matches_reference_and_cancels():
+    r = random.Random(41)
+    cancelled = integral = 0
+    for _ in range(400):
+        n = r.randint(1, 3)
+        p, q = half_poly(r, n), half_poly(r, n)
+        # (p + q)(p - q) = p^2 - q^2: the cross terms cancel
+        for a, b in ((p, q), (p + q, p - q)):
+            got = a * b
+            assert_same(got, mul_reference(a, b))
+            sums = {tuple(x + y for x, y in zip(e1, e2)) for e1 in a.terms for e2 in b.terms}
+            cancelled += len(sums) > len(got.terms)
+            integral += any(type(c) is int for c in got.terms.values())
+    x, y = Poly.var(2, 0).scale(Fraction(1, 2)), Poly.var(2, 1).scale(Fraction(1, 2))
+    assert (x + y) * (x - y) == Poly(2, {(2, 0): Fraction(1, 4), (0, 2): Fraction(-1, 4)})
+    assert cancelled > 100 and integral > 100
+
+
+def test_addmul_accumulates_with_factor():
+    a = {(1, 0): Fraction(1, 2), (0, 1): 1}
+    b = {(1, 0): 2, (0, 1): Fraction(-1, 2)}
+    tgt = {(1, 1): Fraction(1, 2)}
+    assert addmul(tgt, a, b, 3) is tgt
+    # xy/2 + 3 (x/2 + y)(2x - y/2) = 3x^2 + (1/2 + 21/4) xy - 3/2 y^2
+    assert Poly(2, tgt) == Poly(2, {(2, 0): 3, (1, 1): Fraction(23, 4), (0, 2): Fraction(-3, 2)})
+    assert Poly(2, addmul({}, a, {(0, 0): 2}, -1)) == Poly(2, {(1, 0): -1, (0, 1): -2})
+
+
+def test_derive_matches_iterated_partials():
+    r = random.Random(43)
+    for _ in range(300):
+        n = r.randint(1, 3)
+        p = half_poly(r, n, maxdeg=4)
+        alpha = tuple(r.randint(0, 3) for _ in range(n))
+        got = p.partial_multi(alpha)
+        assert_same(got, partial_multi_reference(p, alpha))
+        assert Poly(n, derive(p.terms, alpha)) == got
+        i = r.randrange(n)
+        assert_same(p.partial(i), partial_reference(p, i))
+    with pytest.raises(IndexError):
+        Poly(2, {(3, 1): 5}).partial(2)
+
+
+def test_bilinear_operations_match_references():
+    r = random.Random(47)
+    nonzero = 0
+    for _ in range(250):
+        n = r.randint(1, 3)
+        d1, d2 = diffop(r, n), diffop(r, n)
+        assert_same(cup(d1, d2), cup_reference(d1, d2))
+        a, b = polyvector(r, n), polyvector(r, n)
+        assert_same(pv_wedge(a, b), pv_wedge_reference(a, b))
+        assert_same(schouten(a, b), schouten_reference(a, b))
+        f, g = polyvector(r, n, DiffForm), polyvector(r, n, DiffForm)
+        wedge = pv_wedge(f, g)
+        assert type(wedge) is DiffForm
+        assert_same(wedge, pv_wedge_reference(f, g))
+        # a vector field wedged or bracketed with itself cancels to zero
+        v = PolyVector(n, {(j,): half_poly(r, n) for j in range(n)})
+        assert pv_wedge(v, v).is_zero() and schouten(v, v).is_zero()
+        nonzero += not schouten(a, b).is_zero()
+    assert nonzero > 100
+
+
+@pytest.mark.parametrize("op, ref, make", [
+    (lambda a, b: a * b, mul_reference, half_poly),
+    (cup, cup_reference, diffop),
+    (pv_wedge, pv_wedge_reference, polyvector),
+    (schouten, schouten_reference, polyvector),
+])
+def test_flipped_reference_fails_the_comparison(op, ref, make):
+    """Negative control: one flipped sign in the reference must trip
+    assert_same, and a smuggled non-normal coefficient assert_int_first."""
+    r = random.Random(53)
+    for _ in range(50):
+        a, b = make(r, 2), make(r, 2)
+        want = ref(a, b)
+        if not want.is_zero():
+            break
+    assert_same(op(a, b), want)
+    with pytest.raises(AssertionError):
+        assert_same(op(a, b), flip_one(want))
+    bad = object.__new__(Poly)
+    bad.n, bad.terms = 1, {(0,): Fraction(4, 2)}
+    with pytest.raises(AssertionError):
+        assert_int_first(bad)
+    bad.terms = {(0,): 0}
+    with pytest.raises(AssertionError):
+        assert_int_first(bad)
+    empty = PolyVector(1)
+    empty.terms = {(): Poly(1)}
+    with pytest.raises(AssertionError):
+        assert_int_first(empty)
