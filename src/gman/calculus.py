@@ -9,6 +9,10 @@ polynomial in commuting coordinates and anticommuting symbols, one per
 coordinate direction, and the bracket is the canonical odd Poisson
 bracket on such polynomials.  On generators this reduces to X(f) and
 the vector field commutator, which is what the tests pin down.
+
+Wedge, bracket and interior product are term-pair kernels, run by
+``poly.termwise`` on values and by ``ext_bilinear`` on cochains, which
+folds the Lambda g-dual signs into the kernel's factor.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .liealg import Cochain, IndexTuple, merge_indices
-from .poly import Poly, Sparse, accumulate, addmul, polys
+from .poly import Poly, Sparse, addmul, derive, polys, termwise, unit
 
 CoordTuple = tuple[int, ...]
 
@@ -51,13 +55,14 @@ class PolyVector(Sparse):
         return [self.terms.get((j,), Poly.zero(self.n)) for j in range(self.n)]
 
     def apply_to(self, f: Poly) -> Poly:
-        """Directional derivative by a vector field."""
-        out = Poly.zero(self.n)
+        """Directional derivative sum_i p_i d_i f by a vector field, summed
+        on term maps into one Poly."""
+        acc: dict = {}
         for idx, p in self.terms.items():
             if len(idx) != 1:
                 raise ValueError("apply_to requires a vector field")
-            out = out + p * f.partial(idx[0])
-        return out
+            addmul(acc, p.terms, derive(f.terms, unit(self.n, idx[0])), 1)
+        return Poly(self.n, acc)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -67,17 +72,16 @@ class PolyVector(Sparse):
 
 # ------------------------------------------------------------- wedge, bracket
 
+def _pv_wedge(acc: dict, ia: CoordTuple, pa: Poly, ib: CoordTuple, pb: Poly, f) -> None:
+    """acc += f (pa d_ia) ^ (pb d_ib), on raw term maps."""
+    merged = merge_indices(ia, ib)
+    if merged is not None:
+        addmul(acc.setdefault(merged[1], {}), pa.terms, pb.terms, f * merged[0])
+
+
 def pv_wedge(a: PolyVector, b: PolyVector) -> PolyVector:
     """Exterior product; serves forms too, whose keys are also coordinate tuples."""
-    out: dict[CoordTuple, dict] = {}
-    for ia, pa in a.terms.items():
-        for ib, pb in b.terms.items():
-            merged = merge_indices(ia, ib)
-            if merged is None:
-                continue
-            sign, idx = merged
-            addmul(out.setdefault(idx, {}), pa.terms, pb.terms, sign)
-    return a._like(polys(a.n, out))
+    return termwise(a, b, _pv_wedge)
 
 
 def _xi_partial(idx: CoordTuple, i: int) -> tuple[int, CoordTuple] | None:
@@ -98,37 +102,26 @@ def _xi_partial_right(idx: CoordTuple, i: int) -> tuple[int, CoordTuple] | None:
     return sign, idx[:t] + idx[t + 1:]
 
 
-def schouten(a: PolyVector, b: PolyVector) -> PolyVector:
-    """Schouten bracket; biderivation extension of X(f) and [X,Y].
-
-    Realized as the canonical odd Poisson bracket
+def _schouten(acc: dict, ia: CoordTuple, pa: Poly, ib: CoordTuple, pb: Poly, f) -> None:
+    """acc += f [pa d_ia, pb d_ib], the canonical odd Poisson bracket
     sum_i (dr a / d xi_i)(dl b / d x_i) - (dr a / d x_i)(dl b / d xi_i)
-    with right derivatives on the first argument and left on the second.
-    """
-    n = a.n
-    acc: dict[CoordTuple, dict] = {}
-    for ia, pa in a.terms.items():
-        for ib, pb in b.terms.items():
-            for i in range(n):
-                right = _xi_partial_right(ia, i)
-                if right is not None:
-                    s1, ia_red = right
-                    dpb = pb.partial(i)
-                    if not dpb.is_zero():
-                        merged = merge_indices(ia_red, ib)
-                        if merged is not None:
-                            s2, idx = merged
-                            addmul(acc.setdefault(idx, {}), pa.terms, dpb.terms, s1 * s2)
-                left = _xi_partial(ib, i)
-                if left is not None:
-                    s1, ib_red = left
-                    dpa = pa.partial(i)
-                    if not dpa.is_zero():
-                        merged = merge_indices(ia, ib_red)
-                        if merged is not None:
-                            s2, idx = merged
-                            addmul(acc.setdefault(idx, {}), dpa.terms, pb.terms, -s1 * s2)
-    return PolyVector(n, polys(n, acc))
+    with right derivatives on the first argument and left on the second."""
+    for i in range(pa.n):
+        right = _xi_partial_right(ia, i)
+        if right is not None and (merged := merge_indices(right[1], ib)) is not None:
+            dpb = derive(pb.terms, unit(pa.n, i))
+            if dpb:
+                addmul(acc.setdefault(merged[1], {}), pa.terms, dpb, f * right[0] * merged[0])
+        left = _xi_partial(ib, i)
+        if left is not None and (merged := merge_indices(ia, left[1])) is not None:
+            dpa = derive(pa.terms, unit(pa.n, i))
+            if dpa:
+                addmul(acc.setdefault(merged[1], {}), dpa, pb.terms, -f * left[0] * merged[0])
+
+
+def schouten(a: PolyVector, b: PolyVector) -> PolyVector:
+    """Schouten bracket; biderivation extension of X(f) and [X,Y]."""
+    return termwise(a, b, _schouten)
 
 
 # --------------------------------------------------------- differential forms
@@ -153,71 +146,65 @@ class DiffForm(Sparse):
         return " + ".join(f"({p!r})*dx{list(i)}" for i, p in sorted(self.terms.items()))
 
 
+def _interior(acc: dict, tform: CoordTuple, h: Poly, idx: CoordTuple, p: Poly, f) -> None:
+    """acc += f i_{h dx^tform} (p d_idx), on raw term maps."""
+    for i in tform:
+        step = _xi_partial(idx, i)
+        if step is None:
+            return
+        s, idx = step
+        f *= s
+    addmul(acc.setdefault(idx, {}), h.terms, p.terms, f)
+
+
 def interior_form(theta: DiffForm, v: PolyVector) -> PolyVector:
     """Interior product of a k-form into a multivector.
 
     Pairing <dx^i, d_j> = delta; composite forms contract the leftmost
     multivector slots first (i_{t1 ^ t2} = i_{t2} o i_{t1}).
     """
-    out: dict[CoordTuple, dict] = {}
-    for tform, h in theta.terms.items():
-        for idx, p in v.terms.items():
-            sign = 1
-            cur: CoordTuple | None = idx
-            for i in tform:
-                step = _xi_partial(cur, i)
-                if step is None:
-                    cur = None
-                    break
-                s, cur = step
-                sign *= s
-            if cur is None:
-                continue
-            addmul(out.setdefault(cur, {}), h.terms, p.terms, sign)
-    return v._like(polys(v.n, out))
+    return termwise(theta, v, _interior)
 
 
 # ----------------------------------------------------- Lambda g-dual extension
 
-def ext_bilinear(a: Cochain, b: Cochain, op: Callable,
+def ext_bilinear(a: Cochain, b: Cochain, kernel: Callable,
                  exponent: Callable[[int, int], int]) -> Cochain:
-    """Bilinear extension of a value-level operation to cochains.
-
-    On decomposables (alpha (x) v1) op (beta (x) v2) the result is
-    (-1)**exponent(q1, p2) (alpha ^ beta) (x) op(v1, v2), where q1 runs
-    over the homogeneous degrees of v1 and p2 is the exterior degree of
-    beta.
-    """
-    acc: dict[IndexTuple, object] = {}
+    """Bilinear extension of a term-pair kernel to cochains: on
+    decomposables (alpha (x) v1) op (beta (x) v2) is (-1)**exponent(q1, p2)
+    (alpha ^ beta) (x) op(v1, v2), q1 the degree of a term of v1 and p2 the
+    exterior degree of beta.  Each Poly, value (of b's type) and the
+    Cochain are built once, at the end."""
+    acc: dict[IndexTuple, dict] = {}
     for i1, v1 in a.terms.items():
-        for q1, v1c in v1.components_by_degree():
-            for i2, v2 in b.terms.items():
-                merged = merge_indices(i1, i2)
-                if merged is None:
-                    continue
-                sign, idx = merged
-                if exponent(q1, len(i2)) % 2:
-                    sign = -sign
-                w = op(v1c, v2)
-                if w.is_zero():
-                    continue
-                accumulate(acc, idx, w.scale(sign))
-    return a._like(acc)
+        for i2, v2 in b.terms.items():
+            merged = merge_indices(i1, i2)
+            if merged is None:
+                continue
+            sign, idx = merged
+            out = acc.setdefault(idx, {})
+            for k1, p1 in v1.terms.items():
+                f = -sign if exponent(len(k1) + v1.SHIFT, len(i2)) % 2 else sign
+                for k2, p2 in v2.terms.items():
+                    kernel(out, k1, p1, k2, p2, f)
+    like = next(iter(b.terms.values()), None)
+    return a._like({idx: v for idx, out in acc.items()
+                    if (v := like._like(polys(like.n, out))).terms})
 
 
 def ext_schouten(a: Cochain, b: Cochain) -> Cochain:
     """Bracket extension: sign exponent q1*p2 with shifted degrees."""
-    return ext_bilinear(a, b, schouten, lambda q1, p2: q1 * p2)
+    return ext_bilinear(a, b, _schouten, lambda q1, p2: q1 * p2)
 
 
 def ext_pv_wedge(a: Cochain, b: Cochain) -> Cochain:
     """Product extension: Koszul sign from the tensor degree q1+1."""
-    return ext_bilinear(a, b, pv_wedge, lambda q1, p2: (q1 + 1) * p2)
+    return ext_bilinear(a, b, _pv_wedge, lambda q1, p2: (q1 + 1) * p2)
 
 
 def mixed_mul(a: Cochain, b: Cochain) -> Cochain:
     """Product of mixed forms (Cochains with DiffForm values)."""
-    return ext_bilinear(a, b, pv_wedge, lambda k1, p2: k1 * p2)
+    return ext_bilinear(a, b, _pv_wedge, lambda k1, p2: k1 * p2)
 
 
 def mixed_unit(dim: int, n: int) -> Cochain:
@@ -231,15 +218,4 @@ def contract(eta: Cochain, a: Cochain) -> Cochain:
     (omega ^ alpha) (x) i_theta X; the extension sign is +1 (the acting
     element is balanced, hence even).  contract(unit, a) == a.
     """
-    acc: dict[IndexTuple, PolyVector] = {}
-    for iw, theta in eta.terms.items():
-        for ia, x in a.terms.items():
-            merged = merge_indices(iw, ia)
-            if merged is None:
-                continue
-            sign, idx = merged
-            v = interior_form(theta, x)
-            if v.is_zero():
-                continue
-            accumulate(acc, idx, v.scale(sign))
-    return a._like(acc)
+    return ext_bilinear(eta, a, _interior, lambda k1, p2: 0)

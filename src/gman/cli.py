@@ -8,7 +8,10 @@ invocations are byte-identical.
 Exit codes: 0 all checks pass, 1 a mathematical check was falsified
 (the witness is in the report), 2 malformed input or usage error, or a
 result that only a truncation cap decides (the caps and the slices or
-pairs are named on stderr), 3 an internal error (traceback on stderr).
+pairs are named on stderr), 3 an internal error (traceback on stderr),
+141 the reader closed standard output early (``gman ... | head``) on a
+run that would have exited 0; a run that would have exited 1 or 2 keeps
+that status.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import replace
 from importlib import resources
@@ -30,6 +34,7 @@ from .scenario import Caps, Scenario, ScenarioError, load_scenario
 from .series import log_todd_generator_series
 
 VERSION = "0.1.0"
+BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for `yes | head`
 BUNDLED = ("paper_sec4", "sl2_linear", "abelian_trivial")
 
 
@@ -282,7 +287,15 @@ def main(argv=None) -> int:
         print("internal error:", file=sys.stderr)
         traceback.print_exc()
         return 3
-    _emit(args, _frame(s, digest, args, results), lines)
+    try:
+        _emit(args, _frame(s, digest, args, results), lines)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the rest goes to devnull, so the flush at exit raises nothing either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return status or BROKEN_PIPE
     return status
 
 

@@ -9,7 +9,8 @@ of operators equality of term maps.
 
 The Gerstenhaber bracket is built from slot insertion; the Hochschild
 differential is [m, -] with m the two-slot multiplication, so there is
-exactly one source of signs.
+exactly one source of signs.  Bracket and cup are term-pair kernels
+(``poly.termwise`` on values, ``calculus.ext_bilinear`` on cochains).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from operator import add
 
 from .calculus import PolyVector, ext_bilinear
 from .liealg import Cochain, sort_indices
-from .poly import Poly, Sparse, accumulate, addmul, derive, polys
+from .poly import Poly, Sparse, addmul, derive, polys, termwise, unit
 
 MultiIndex = tuple[int, ...]
 OpKey = tuple[MultiIndex, ...]
@@ -31,7 +32,7 @@ OpKey = tuple[MultiIndex, ...]
 @cache
 def _hkr_layout(idx: tuple[int, ...], n: int) -> tuple[tuple[OpKey, int], ...]:
     """(unit slots, permutation sign) for every permutation of idx."""
-    return tuple((tuple(tuple(int(i == j) for i in range(n)) for j in perm),
+    return tuple((tuple(unit(n, j) for j in perm),
                   sort_indices(perm)[0]) for perm in permutations(idx))
 
 
@@ -76,15 +77,7 @@ class PolyDiffOp(Sparse):
 
     @staticmethod
     def from_vector_field(x: PolyVector) -> "PolyDiffOp":
-        n = x.n
-        terms: dict[OpKey, Poly] = {}
-        for j, p in enumerate(x.vf_components()):
-            if p.is_zero():
-                continue
-            e = [0] * n
-            e[j] = 1
-            terms[(tuple(e),)] = p
-        return PolyDiffOp(n, terms)
+        return PolyDiffOp(x.n, {(unit(x.n, j),): p for j, p in enumerate(x.vf_components())})
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -113,20 +106,20 @@ def _insert(acc: dict, key1: OpKey, p1: Poly, slot: int, key2: OpKey, p2: Poly,
         addmul(acc.setdefault(key, {}), p1.terms, dp2, sign * coeff)
 
 
+def _gerstenhaber(acc: dict, key1: OpKey, p1: Poly, key2: OpKey, p2: Poly, f) -> None:
+    """acc += f [p1 D^key1, p2 D^key2] = f (d1 o d2 - (-1)^{kl} d2 o d1) in
+    shifted degrees k, l, where d1 o d2 = sum_i (-1)^{il} (d2 inserted
+    into slot i of d1)."""
+    k, l = len(key1) - 1, len(key2) - 1
+    for i in range(k + 1):
+        _insert(acc, key1, p1, i, key2, p2, -f if i * l % 2 else f)
+    for j in range(l + 1):
+        _insert(acc, key2, p2, j, key1, p1, f if (k * l + j * k) % 2 else -f)
+
+
 def gerstenhaber(d1: PolyDiffOp, d2: PolyDiffOp) -> PolyDiffOp:
-    """[d1, d2] = d1 o d2 - (-1)^{kl} d2 o d1 in shifted degrees, where
-    d1 o d2 = sum_i (-1)^{il} (d2 inserted into slot i of d1), summed
-    term pair by term pair."""
-    acc: dict[OpKey, dict] = {}
-    for key1, p1 in d1.terms.items():
-        k = len(key1) - 1
-        for key2, p2 in d2.terms.items():
-            l = len(key2) - 1
-            for i in range(k + 1):
-                _insert(acc, key1, p1, i, key2, p2, -1 if i * l % 2 else 1)
-            for j in range(l + 1):
-                _insert(acc, key2, p2, j, key1, p1, 1 if (k * l + j * k) % 2 else -1)
-    return PolyDiffOp(d1.n, polys(d1.n, acc))
+    """Gerstenhaber bracket, summed term pair by term pair."""
+    return termwise(d1, d2, _gerstenhaber)
 
 
 def hochschild(d: PolyDiffOp) -> PolyDiffOp:
@@ -134,41 +127,43 @@ def hochschild(d: PolyDiffOp) -> PolyDiffOp:
     return gerstenhaber(PolyDiffOp.multiplication(d.n), d)
 
 
+def _cup(acc: dict, k1: OpKey, p1: Poly, k2: OpKey, p2: Poly, f) -> None:
+    """acc += f (p1 D^k1) cup (p2 D^k2): slots concatenate."""
+    addmul(acc.setdefault(k1 + k2, {}), p1.terms, p2.terms, f)
+
+
 def cup(d1: PolyDiffOp, d2: PolyDiffOp) -> PolyDiffOp:
     """Concatenation product: arities add, coefficients multiply."""
-    acc: dict[OpKey, dict] = {}
-    for k1, p1 in d1.terms.items():
-        for k2, p2 in d2.terms.items():
-            addmul(acc.setdefault(k1 + k2, {}), p1.terms, p2.terms, 1)
-    return PolyDiffOp(d1.n, polys(d1.n, acc))
+    return termwise(d1, d2, _cup)
 
 
 def hkr(pv: PolyVector) -> PolyDiffOp:
     """Antisymmetrized embedding of multivectors into operators.
 
     X_1 ^ .. ^ X_k |-> (1/k!) sum over permutations with sign; the
-    identity on functions.
+    identity on functions.  Each (idx, permutation) has slots of its own.
     """
     n = pv.n
-    acc: dict[OpKey, Poly] = {}
+    acc: dict[OpKey, dict] = {}
     for idx, p in pv.terms.items():
-        factor = Fraction(1, factorial(len(idx)))
+        k = factorial(len(idx))
         for slots, sign in _hkr_layout(idx, n):
-            accumulate(acc, slots, p.scale(factor * sign))
-    return PolyDiffOp(n, acc)
+            f = sign if k == 1 else Fraction(sign, k)
+            acc[slots] = {e: c * f for e, c in p.terms.items()}
+    return PolyDiffOp(n, polys(n, acc))
 
 
 # ----------------------------------------------------- Lambda g-dual extension
 
 def ext_gerstenhaber(a: Cochain, b: Cochain) -> Cochain:
     """Bracket extension with sign exponent q1*p2 (shifted degrees)."""
-    return ext_bilinear(a, b, gerstenhaber, lambda q1, p2: q1 * p2)
+    return ext_bilinear(a, b, _gerstenhaber, lambda q1, p2: q1 * p2)
 
 
 def ext_cup(a: Cochain, b: Cochain) -> Cochain:
     """Cup extension; Koszul sign from the arity q1+1, matching the
     wedge extension on the polyvector side through hkr."""
-    return ext_bilinear(a, b, cup, lambda q1, p2: (q1 + 1) * p2)
+    return ext_bilinear(a, b, _cup, lambda q1, p2: (q1 + 1) * p2)
 
 
 def ext_hkr(a: Cochain) -> Cochain:

@@ -143,7 +143,7 @@ class Cochain(Sparse):
         v = self.terms.get(idx)
         if v is None:
             return None
-        return v if sign == 1 else v.scale(-1)
+        return v.scale(sign)
 
     def __repr__(self) -> str:
         return "Cochain(" + ", ".join(f"e{list(i)}: {v!r}" for i, v in sorted(self.terms.items())) + ")"
@@ -172,8 +172,7 @@ def ce_differential(g: LieAlgebra, c: Cochain,
                 av = action(tup[i], v)
                 if av.is_zero():
                     continue
-                if i % 2:
-                    av = av.scale(-1)
+                av = av.scale(-1 if i % 2 else 1)
                 total = av if total is None else total + av
             # bracket terms
             for i in range(p + 1):
@@ -198,9 +197,7 @@ def vertical_differential(c: Cochain, d_v: Callable[[object], object]) -> Cochai
         dv = d_v(v)
         if dv.is_zero():
             continue
-        if len(idx) % 2:
-            dv = dv.scale(-1)
-        out[idx] = dv
+        out[idx] = dv.scale(-1 if len(idx) % 2 else 1)
     return Cochain(c.dim, out)
 
 

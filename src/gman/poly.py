@@ -13,22 +13,24 @@ then exponent tuple).  Serialization and basis enumeration elsewhere
 rely on this order being fixed.
 
 Every product is one multiply-accumulate kernel, ``addmul``, on raw
-term maps (exponent -> coefficient): a bilinear operation sums its
-products into one term map per result key and builds each Poly once,
-at the end (``polys``), where zeros are dropped and coefficients
-normalised.  ``derive`` is the one derivative, also on raw term maps.
+term maps (exponent -> coefficient).  A bilinear value operation is a
+term-pair kernel ``kernel(acc, k1, p1, k2, p2, f)`` adding f times the
+product of two terms into ``acc[key]``; ``termwise`` runs it over every
+term pair and builds each Poly once, at the end (``polys``), dropping
+zeros and normalising coefficients.  ``derive`` is the one derivative.
 
 ``Sparse`` is the one container above Poly: a zero-free map from keys
 to Poly (or Sparse) values, with the linear operations every value
-type shares, and ``accumulate`` is its single in-place adder.
+type shares; ``accumulate`` is its single in-place adder and subtracter.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import perm
 from operator import add, sub
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 Exponent = tuple[int, ...]
 Coeff = int | Fraction
@@ -74,6 +76,12 @@ def derive(terms: Mapping, alpha: Exponent) -> Mapping:
         else:
             out[tuple(map(sub, e, alpha))] = c
     return out
+
+
+@cache
+def unit(n: int, i: int) -> Exponent:
+    """The exponent of x_i among n coordinates."""
+    return tuple(int(j == i) for j in range(n))
 
 
 def grlex_key(exps: Exponent) -> tuple[int, Exponent]:
@@ -149,38 +157,43 @@ class Poly:
         if self.n != other.n:
             raise DimensionMismatch(f"polynomials over {self.n} and {other.n} coordinates")
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def _combine(self, other: "Poly", op) -> "Poly":
+        """op(self, other) for op add or sub, on a copy of self's terms."""
         self._check(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            c = out.get(exps, 0) + coeff
+            c = op(out.get(exps, 0), coeff)
             if c:
                 out[exps] = c
             else:
                 out.pop(exps, None)
         return Poly(self.n, out)
 
+    def __add__(self, other: "Poly") -> "Poly":
+        return self._combine(other, add)
+
     def __neg__(self) -> "Poly":
         return Poly(self.n, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return self._combine(other, sub)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
         return Poly(self.n, addmul({}, self.terms, other.terms, 1))
 
     def scale(self, factor) -> "Poly":
+        """factor * self; self itself for factor 1, as values are immutable."""
         f = factor if type(factor) is int else _norm(factor)
-        if not f:
-            return Poly.zero(self.n)
-        return Poly(self.n, {e: c * f for e, c in self.terms.items()})
+        if f == 1:
+            return self
+        return Poly(self.n, {e: c * f for e, c in self.terms.items()} if f else None)
 
     def partial(self, i: int) -> "Poly":
         """Formal partial derivative with respect to coordinate i."""
         if not 0 <= i < self.n:
             raise IndexError(f"coordinate index {i} out of range for n={self.n}")
-        return self.partial_multi(tuple(int(j == i) for j in range(self.n)))
+        return self.partial_multi(unit(self.n, i))
 
     def partial_multi(self, alpha: Exponent) -> "Poly":
         """Apply the iterated derivative prescribed by a multi-index."""
@@ -211,15 +224,24 @@ def polys(n: int, acc: dict) -> dict:
     return {k: p for k, t in acc.items() if (p := Poly(n, t))}
 
 
-def accumulate(acc: dict, key, value) -> None:
-    """acc[key] += value for Poly or Sparse values, keeping acc zero-free."""
+def termwise(a, b, kernel: Callable) -> "Sparse":
+    """The value operation of a term-pair kernel, of b's type."""
+    acc: dict = {}
+    for k1, p1 in a.terms.items():
+        for k2, p2 in b.terms.items():
+            kernel(acc, k1, p1, k2, p2, 1)
+    return b._like(polys(b.n, acc))
+
+
+def accumulate(acc: dict, key, value, op=add) -> None:
+    """acc[key] = op(acc[key], value), op add or sub, keeping acc zero-free."""
     if value.is_zero():
         return
     old = acc.get(key)
     if old is None:
-        acc[key] = value
+        acc[key] = value if op is add else -value
         return
-    total = old + value
+    total = op(old, value)
     if total.is_zero():
         del acc[key]
     else:
@@ -265,21 +287,26 @@ class Sparse:
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self.n == other.n and self.terms == other.terms
 
-    def __add__(self, other):
+    def _combine(self, other, op):
         out = dict(self.terms)
         for key, value in other.terms.items():
-            accumulate(out, key, value)
+            accumulate(out, key, value, op)
         return self._like(out)
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     def __neg__(self):
         return self.scale(-1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, sub)
 
     def scale(self, factor):
+        """factor * self; self itself for factor 1, as values are immutable."""
         f = factor if type(factor) is int else _norm(factor)
-        return self._like({k: v.scale(f) for k, v in self.terms.items()} if f else {})
+        return self if f == 1 else self._like(
+            {k: v.scale(f) for k, v in self.terms.items()} if f else {})
 
     def degrees(self) -> set[int]:
         return {len(k) + self.SHIFT for k in self.terms}
@@ -287,9 +314,6 @@ class Sparse:
     def component(self, degree: int):
         return self._like({k: v for k, v in self.terms.items()
                            if len(k) + self.SHIFT == degree})
-
-    def components_by_degree(self) -> list:
-        return [(d, self.component(d)) for d in sorted(self.degrees())]
 
 
 def monomials_of_weight(n: int, weights: tuple[int, ...], target: int) -> list[Exponent]:

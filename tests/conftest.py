@@ -6,7 +6,7 @@ from importlib import resources
 import pytest
 
 from gman.atiyah import EndTensor
-from gman.calculus import PolyVector, _xi_partial, _xi_partial_right
+from gman.calculus import PolyVector, _xi_partial, _xi_partial_right, interior_form
 from gman.cohomology import coords_cochain
 from gman.dpoly import PolyDiffOp
 from gman.liealg import Cochain, merge_indices
@@ -201,3 +201,47 @@ def schouten_reference(a: PolyVector, b: PolyVector) -> PolyVector:
                             s2, idx = merged
                             accumulate(acc, idx, mul_reference(dpa, pb).scale(-s1 * s2))
     return PolyVector(n, acc)
+
+
+# The Lambda g-dual extension and the contraction as written before they
+# shared the term-pair kernels: each value split into its degree
+# components, the value operation applied to whole values, the result
+# copied by scale(sign) and added into the sum.  References for the
+# extension tests.
+
+def components_by_degree(v: Sparse) -> list:
+    """(degree, homogeneous component) pairs of a value, degrees ascending."""
+    return [(d, v.component(d)) for d in sorted(v.degrees())]
+
+
+def ext_bilinear_reference(a: Cochain, b: Cochain, op, exponent) -> Cochain:
+    acc = {}
+    for i1, v1 in a.terms.items():
+        for q1, v1c in components_by_degree(v1):
+            for i2, v2 in b.terms.items():
+                merged = merge_indices(i1, i2)
+                if merged is None:
+                    continue
+                sign, idx = merged
+                if exponent(q1, len(i2)) % 2:
+                    sign = -sign
+                w = op(v1c, v2)
+                if w.is_zero():
+                    continue
+                accumulate(acc, idx, w.scale(sign))
+    return a._like(acc)
+
+
+def contract_reference(eta: Cochain, a: Cochain) -> Cochain:
+    acc = {}
+    for iw, theta in eta.terms.items():
+        for ia, x in a.terms.items():
+            merged = merge_indices(iw, ia)
+            if merged is None:
+                continue
+            sign, idx = merged
+            v = interior_form(theta, x)
+            if v.is_zero():
+                continue
+            accumulate(acc, idx, v.scale(sign))
+    return a._like(acc)

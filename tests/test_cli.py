@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -311,6 +314,8 @@ def test_duflo_report_shape(capsys):
     (["cohomology", "paper_sec4"], "paper_sec4_cohomology.json", 0),
     (["duflo-check", "paper_sec4"], "paper_sec4_duflo.json", 0),
     (["duflo-check", "sl2_linear", "--caps", "2,2,3"], "sl2_linear_caps_2_2_3_duflo.json", 2),
+    (["duflo-check", "abelian_trivial", "--caps", "24,4,4", "--sample-cap", "4000",
+      "--seed", "3"], "abelian_trivial_caps_24_4_4_duflo.json", 0),
 ])
 def test_report_matches_golden_fixture(capsys, argv, fixture, code):
     """The cohomology and Duflo reports, with their exit codes, are
@@ -325,3 +330,68 @@ def test_version_flag(capsys):
     assert main(["--version"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("gman ")
+
+
+class ClosedPipe:
+    """A standard output whose reader has gone away."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_closed_stdout_exits_quietly(capsys, monkeypatch, tmp_path, json_flag):
+    """A reader that closes the pipe early (gman ... | head) gets the fixed
+    status and no traceback; the rest of the output goes to devnull."""
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+        status = main(["axioms", "sl2_linear", "--cases", "2", *json_flag])
+    finally:
+        os.close(fd)
+    assert status == cli.BROKEN_PIPE == 141
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("stable, code", [(False, 2), (True, 1)])
+def test_closed_stdout_keeps_a_failing_status(capsys, monkeypatch, tmp_path, stable, code):
+    """A cap-decided (2) or falsified (1) run keeps its status when the
+    reader closes the pipe; only a run that passed reports 141."""
+    report = cli.cohomology_report
+
+    def audited(ws):
+        rep = report(ws)
+        for e in rep["slices"]:
+            e["stable"] = e["stable"] or stable
+        return rep
+    monkeypatch.setattr(cli, "cohomology_report", audited)
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+        status = main(["cohomology", "sl2_linear", "--caps", "1,1,3", "--json"])
+    finally:
+        os.close(fd)
+    assert status == code
+    assert ("max_order=1" in capsys.readouterr().err) == (code == 2)
+
+
+def test_closed_pipe_in_a_subprocess_prints_nothing():
+    """The same at interpreter exit: the read end is closed before gman
+    writes, and neither the report nor the final flush leaves a trace."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "gman.cli", "axioms", "sl2_linear",
+                             "--cases", "2", "--json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 141
+    assert err == b""

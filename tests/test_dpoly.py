@@ -7,12 +7,14 @@ import pytest
 
 from gman.calculus import PolyVector, schouten
 from gman.checks import Sampler, dpoly_axiom_checks
-from gman.dpoly import (PolyDiffOp, _insert, _split_multiindex, cup, gerstenhaber,
-                        hkr, hochschild)
+from gman.dpoly import (PolyDiffOp, _insert, _split_multiindex, cup, ext_gerstenhaber,
+                        gerstenhaber, hkr, hochschild)
+from gman.liealg import Cochain
 from gman.poly import Poly, accumulate, polys
 from gman.scenario import load_scenario, vf_bracket
 
-from conftest import bundled_doc, mul_reference, partial_multi_reference
+from conftest import (bundled_doc, components_by_degree, mul_reference,
+                      partial_multi_reference)
 
 rng = random.Random(9)
 SL2 = load_scenario(bundled_doc("sl2_linear"))
@@ -120,8 +122,8 @@ def _old_insert(d1, slot, d2):
 
 def _old_circ(d1, d2):
     out = PolyDiffOp(d1.n)
-    for k1, c1 in d1.components_by_degree():
-        for l2, c2 in d2.components_by_degree():
+    for k1, c1 in components_by_degree(d1):
+        for l2, c2 in components_by_degree(d2):
             for i in range(k1 + 1):
                 out = out + _old_insert(c1, i, c2).scale(-1 if (i * l2) % 2 else 1)
     return out
@@ -129,8 +131,8 @@ def _old_circ(d1, d2):
 
 def _old_gerstenhaber(d1, d2):
     out = PolyDiffOp(d1.n)
-    for k, c1 in d1.components_by_degree():
-        for l, c2 in d2.components_by_degree():
+    for k, c1 in components_by_degree(d1):
+        for l, c2 in components_by_degree(d2):
             out = out + _old_circ(c1, c2) - _old_circ(c2, c1).scale(-1 if (k * l) % 2 else 1)
     return out
 
@@ -159,16 +161,36 @@ def test_gerstenhaber_matches_component_composition():
     assert nonzero > 250
 
 
+def _count_builds(monkeypatch, cls) -> list:
+    """Record every construction of a cls instance, through __init__ or _like."""
+    built = []
+    init, like = cls.__init__, cls._like
+    monkeypatch.setattr(cls, "__init__",
+                        lambda self, *args: built.append(1) or init(self, *args))
+    monkeypatch.setattr(cls, "_like", lambda self, terms: built.append(1) or like(self, terms))
+    return built
+
+
 def test_gerstenhaber_builds_one_operator(monkeypatch):
     r = random.Random(5)
     a, b = _random_sum(r, 2), _random_sum(r, 2)
     assert len({len(k) for k in a.terms}) > 1
-    built = []
-    init = PolyDiffOp.__init__
-    monkeypatch.setattr(PolyDiffOp, "__init__",
-                        lambda self, *args: built.append(1) or init(self, *args))
+    built = _count_builds(monkeypatch, PolyDiffOp)
     assert not gerstenhaber(a, b).is_zero()
     assert len(built) == 1
+
+
+def test_ext_gerstenhaber_builds_one_cochain(monkeypatch):
+    r = random.Random(7)
+    a = Cochain(2, {(): _random_sum(r, 2), (0,): _random_sum(r, 2), (1,): _random_sum(r, 2)})
+    b = Cochain(2, {(): _random_sum(r, 2), (1,): _random_sum(r, 2)})
+    assert len({len(k) for v in a.terms.values() for k in v.terms}) > 1
+    built = _count_builds(monkeypatch, Cochain)
+    values = _count_builds(monkeypatch, PolyDiffOp)
+    got = ext_gerstenhaber(a, b)
+    assert len(got.terms) > 1
+    assert len(built) == 1
+    assert len(values) <= 4  # one per index: (), (0,), (1,), (0, 1)
 
 
 def test_hochschild_examples():

@@ -1,4 +1,5 @@
-"""The multiply-accumulate kernel against the products it replaced.
+"""The multiply-accumulate kernel, the term-pair kernels and their
+Lambda g-dual extension against the code they replaced.
 
 Operands have half-integer coefficients over few exponents, so sums of
 products cancel to integers and to zero; every result must equal the
@@ -12,12 +13,15 @@ from itertools import combinations
 
 import pytest
 
-from gman.calculus import DiffForm, PolyVector, pv_wedge, schouten
-from gman.dpoly import PolyDiffOp, cup
+from gman.calculus import (DiffForm, PolyVector, contract, ext_pv_wedge, ext_schouten,
+                           interior_form, mixed_mul, pv_wedge, schouten)
+from gman.dpoly import PolyDiffOp, cup, ext_cup, ext_gerstenhaber, gerstenhaber
+from gman.liealg import Cochain
 from gman.poly import Poly, Sparse, addmul, derive
 
-from conftest import (cup_reference, mul_reference, partial_multi_reference,
-                      partial_reference, pv_wedge_reference, schouten_reference)
+from conftest import (contract_reference, cup_reference, ext_bilinear_reference,
+                      mul_reference, partial_multi_reference, partial_reference,
+                      pv_wedge_reference, schouten_reference)
 
 
 def assert_int_first(x) -> None:
@@ -157,3 +161,118 @@ def test_flipped_reference_fails_the_comparison(op, ref, make):
     empty.terms = {(): Poly(1)}
     with pytest.raises(AssertionError):
         assert_int_first(empty)
+
+
+def form(r: random.Random, n: int) -> DiffForm:
+    return polyvector(r, n, DiffForm)
+
+
+def cochain(r: random.Random, m: int, n: int, value) -> Cochain:
+    """One to three terms of mixed exterior degree over dim_g = m, each
+    value a mixed-degree sum from value(r, n)."""
+    keys = [k for p in range(m + 1) for k in combinations(range(m), p)]
+    return Cochain(m, {r.choice(keys): value(r, n) for _ in range(r.randint(1, 3))})
+
+
+def _reference(op, exponent):
+    return lambda a, b: ext_bilinear_reference(a, b, op, exponent)
+
+
+# name: (operation, reference, value maker of the first operand, of the second)
+EXTENSIONS = {
+    "ext_pv_wedge": (ext_pv_wedge, _reference(pv_wedge, lambda q1, p2: (q1 + 1) * p2),
+                     polyvector, polyvector),
+    "ext_schouten": (ext_schouten, _reference(schouten, lambda q1, p2: q1 * p2),
+                     polyvector, polyvector),
+    "mixed_mul": (mixed_mul, _reference(pv_wedge, lambda k1, p2: k1 * p2), form, form),
+    "ext_cup": (ext_cup, _reference(cup, lambda q1, p2: (q1 + 1) * p2), diffop, diffop),
+    "ext_gerstenhaber": (ext_gerstenhaber, _reference(gerstenhaber, lambda q1, p2: q1 * p2),
+                         diffop, diffop),
+    "contract": (contract, contract_reference, form, polyvector),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXTENSIONS))
+def test_extension_matches_reference(name):
+    op, ref, make_a, make_b = EXTENSIONS[name]
+    r = random.Random(59)
+    nonzero = integral = 0
+    for _ in range(120):
+        m, n = r.randint(2, 3), r.randint(1, 2)
+        a, b, c = cochain(r, m, n, make_a), cochain(r, m, n, make_b), cochain(r, m, n, make_b)
+        got = op(a, b)
+        assert_same(got, ref(a, b))
+        # linearity in the second slot, through sums that cancel
+        b2 = b.scale(Fraction(-1, 2)) + c
+        assert_same(op(a, b + b2), got + op(a, b2))
+        nonzero += not got.is_zero()
+        integral += any(type(x) is int for v in got.terms.values()
+                        for p in v.terms.values() for x in p.terms.values())
+    assert nonzero > 40 and integral > 20
+
+
+def test_extensions_cancel_to_zero():
+    n = 2
+    x, y = Poly.var(n, 0).scale(Fraction(1, 2)), Poly.var(n, 1).scale(Fraction(3, 2))
+    v = Cochain(2, {(): PolyVector.vector_field([x, y])})
+    assert ext_pv_wedge(v, v).is_zero() and ext_schouten(v, v).is_zero()
+    dv = v.map_values(PolyDiffOp.from_vector_field)
+    assert ext_gerstenhaber(dv, dv).is_zero()
+    theta = Cochain(2, {(): DiffForm(n, {(0,): x, (1,): y})})
+    assert mixed_mul(theta, theta).is_zero()
+    assert contract(theta, Cochain(2, {(1,): PolyVector.function(x)})).is_zero()
+    # quarters that cancel to an int: -(x/2 (7/2)y - (3/2)y x/2) = -xy, Koszul sign -1
+    w = Cochain(2, {(0,): PolyVector.vector_field([x, Poly.var(n, 1).scale(Fraction(7, 2))])})
+    got = ext_pv_wedge(v, w)
+    assert_int_first(got)
+    assert got.terms[(0,)].terms[(0, 1)].terms == {(1, 1): -1}
+
+
+@pytest.mark.parametrize("name", sorted(EXTENSIONS))
+def test_flipped_operand_changes_the_extension(name):
+    """Negative control: a sign flipped in one operand must change the
+    result and trip the comparison."""
+    op, ref, make_a, make_b = EXTENSIONS[name]
+    r = random.Random(61)
+    for _ in range(200):
+        a, b = cochain(r, 2, 2, make_a), cochain(r, 2, 2, make_b)
+        if ref(flip_one(a), b) != ref(a, b):
+            break
+    else:
+        pytest.fail("no operand pair where a flipped sign shows")
+    assert op(flip_one(a), b) != op(a, b)
+    with pytest.raises(AssertionError):
+        assert_same(op(flip_one(a), b), ref(a, b))
+
+
+def test_subtraction_is_addition_of_the_negative():
+    r = random.Random(67)
+    for _ in range(200):
+        n = r.randint(1, 3)
+        p, q = half_poly(r, n), half_poly(r, n)
+        for a, b in ((p, q), (p, p.scale(Fraction(1, 2)) + q), (p, p)):
+            assert_same(a - b, a + (-b))
+        a, b = cochain(r, 2, n, polyvector), cochain(r, 2, n, polyvector)
+        for x, y in ((a, b), (a, a.scale(Fraction(-1, 2)) + b), (a, a)):
+            assert_same(x - y, x + (-y))
+    assert (p - p).is_zero() and (a - a).is_zero()
+
+
+def test_identity_scale_returns_the_value():
+    r = random.Random(71)
+    for x in (half_poly(r, 2), polyvector(r, 2), cochain(r, 2, 2, diffop)):
+        assert x.scale(1) is x and x.scale(Fraction(2, 2)) is x
+        assert x.scale(-1).scale(-1) == x and x.scale(-1) is not x
+
+
+def test_interior_kernel_signs():
+    """contract_reference shares the interior kernel, so its signs are
+    pinned by hand: dx^i hops over the slots before d_i."""
+    one = Poly.const(3, 1)
+    dxyz = PolyVector(3, {(0, 1, 2): one})
+    assert interior_form(DiffForm(3, {(1,): one}), dxyz) == PolyVector(3, {(0, 2): -one})
+    assert interior_form(DiffForm(3, {(2,): one}), dxyz) == PolyVector(3, {(0, 1): one})
+    assert interior_form(DiffForm(3, {(0, 2): one}), dxyz) == PolyVector(3, {(1,): -one})
+    # the shuffle of e_1 past e_0 and the hop of dy past d_x: +d_x
+    got = contract(Cochain(2, {(1,): DiffForm(3, {(1,): one})}), Cochain(2, {(0,): dxyz}))
+    assert got == Cochain(2, {(0, 1): PolyVector(3, {(0, 2): one})})
