@@ -23,6 +23,10 @@ fields phi_a, and L_X(fV) = X(f)V + f L_X V for both brackets, so
 d(x^e e_I (x) V) = x^e d(e_I (x) V) + sum_{a not in I} +-phi_a(x^e) e_{I+a} (x) V
 with the sign of merge_indices((a,), I): the symbolic differential, the
 one source of signs, runs once per generator (I, V).
+
+A Duflo residual is built as basis-key coordinates, never as a Cochain:
+hkr of the twisted polyvector product is subtracted into the operator
+product's term maps (``dpoly.hkr_terms``); a unit td^{1/2} contracts nothing.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from itertools import combinations
 
 from .actions import on_dpoly, on_polyvectors
 from .atiyah import todd_sqrt
-from .calculus import PolyVector, contract, ext_pv_wedge, ext_schouten
-from .dpoly import PolyDiffOp, ext_cup, ext_gerstenhaber, ext_hkr, hochschild
+from .calculus import PolyVector, contract, ext_pv_wedge, ext_schouten, mixed_unit
+from .dpoly import PolyDiffOp, ext_cup, ext_gerstenhaber, ext_hkr, hkr_terms, hochschild
 from .liealg import Cochain, ce_differential, merge_indices, total_differential
 from .linalg import ColumnReducer
 from .poly import Coeff, Poly, accumulate, grlex_key, monomial_weight, monomials_of_weight
@@ -99,8 +103,7 @@ def enumerate_slice(s: Scenario, side: str, weight: int, p: int, q: int,
 
 
 def coords_cochain(s: Scenario, side: str, coords: dict[tuple, object]) -> Cochain:
-    """The cochain with the given basis-key coordinates; inverse of
-    cochain_coords."""
+    """The cochain with the given basis-key coordinates; cochain_coords inverted."""
     value_type = PolyVector if side == "tpoly" else PolyDiffOp
     terms: dict[tuple, object] = {}
     for (idx, mid, exps), coeff in coords.items():
@@ -110,21 +113,26 @@ def coords_cochain(s: Scenario, side: str, coords: dict[tuple, object]) -> Cocha
 
 def cochain_coords(c: Cochain) -> dict[tuple, Coeff]:
     """Flatten a tpoly/dpoly-valued cochain to basis-key coordinates."""
-    out: dict[tuple, Coeff] = {}
-    for idx, v in c.terms.items():
-        for mid, p in v.terms.items():
-            for exps, coeff in p.terms.items():
-                out[(idx, mid, exps)] = coeff
-    return out
+    return {(idx, mid, exps): coeff for idx, v in c.terms.items()
+            for mid, p in v.terms.items() for exps, coeff in p.terms.items()}
 
 
-def serialize_cochain(c: Cochain) -> list:
-    rows = []
-    for key, coeff in sorted(cochain_coords(c).items()):
-        idx, mid, exps = key
-        rows.append([list(idx), [list(b) for b in mid] if mid and isinstance(mid[0], tuple)
-                     else list(mid), list(exps), f"{coeff.numerator}/{coeff.denominator}"])
-    return rows
+def serialize_coords(coords: dict[tuple, Coeff]) -> list:
+    """Rows [I, mid, exps, "num/den"] of basis-key coordinates, in key order."""
+    return [[list(idx), [list(b) for b in mid] if mid and isinstance(mid[0], tuple) else list(mid),
+             list(exps), f"{c.numerator}/{c.denominator}"]
+            for (idx, mid, exps), c in sorted(coords.items())]
+
+
+def residual_coords(product: Cochain, pv: Cochain) -> dict[tuple, Coeff]:
+    """Basis-key coordinates of product - ext_hkr(pv): hkr of pv is
+    subtracted by ``hkr_terms`` into copies of the product's term maps."""
+    acc = {idx: {slots: dict(p.terms) for slots, p in v.terms.items()}
+           for idx, v in product.terms.items()}
+    for idx, v in pv.terms.items():
+        hkr_terms(acc.setdefault(idx, {}), v, -1)
+    return {(idx, slots, e): c for idx, m in acc.items() for slots, t in m.items()
+            for e, c in t.items()}
 
 
 def weight_window(s: Scenario) -> list[int]:
@@ -250,13 +258,11 @@ class Workspace:
             red.insert(self._column(w, self.image_coords(elt)))
         return len(self.basis(w, k)) + len(extra), red.rank
 
-    def in_image(self, w: int, k: int, c: Cochain) -> bool:
-        """Is the cochain, of slice (w, k), a coboundary?"""
-        coords = cochain_coords(c)
+    def in_image(self, w: int, k: int, coords: dict[tuple, Coeff]) -> bool:
+        """Are these basis-key coordinates (a Duflo residual) of slice (w, k) a coboundary?"""
         if not coords:
             return True
-        image = self._echelon(w, k - 1)
-        return image.contains(self._column(w, coords))
+        return self._echelon(w, k - 1).contains(self._column(w, coords))
 
     def independent_mod_image(self, w: int, k: int, coords: list[dict]) -> list[bool]:
         """For each coordinate map of slice (w, k), in order: is it
@@ -339,6 +345,16 @@ def hkr_check(tp: Workspace, dp: Workspace) -> dict:
 
 # ----------------------------------------------------------------- Duflo check
 
+def twisting(s: Scenario, twist: str):
+    """The polyvector-side map of a twist: contract(td^{1/2}, -) for
+    "td_sqrt", else, or where td^{1/2} is the unit, the identity."""
+    if twist not in ("td_sqrt", "hkr_only"):
+        raise ValueError(f"unknown twist {twist!r}: td_sqrt or hkr_only")
+    unit = mixed_unit(s.dim_g, s.n)
+    td_half = todd_sqrt(s) if twist == "td_sqrt" else unit
+    return (lambda a: a) if td_half == unit else (lambda a: contract(td_half, a))
+
+
 def duflo_check(tp: Workspace, dp: Workspace, twist: str, *, seed: int = 0,
                 sample_cap: int = 1000) -> dict:
     """Windowed Gerstenhaber-morphism check for hkr twisted by td^{1/2}
@@ -348,16 +364,11 @@ def duflo_check(tp: Workspace, dp: Workspace, twist: str, *, seed: int = 0,
     and bracket compatibility defects of the map are reduced modulo the
     image of the total differential in their slice; a non-reducible
     residual is reported as a falsification witness.  Each class is
-    mapped once, not once per pair.
+    mapped once, not once per pair.  Residuals are basis-key coordinates
+    (``residual_coords``), reduced by ``in_image``, serialised on failure.
     """
     s = tp.s
-    if twist == "td_sqrt":
-        td_half = todd_sqrt(s)
-        phi = lambda a: ext_hkr(contract(td_half, a))
-    elif twist == "hkr_only":
-        phi = ext_hkr
-    else:
-        raise ValueError(f"unknown twist {twist!r}: td_sqrt or hkr_only")
+    twisted = twisting(s, twist)
     if sample_cap < 1:
         raise ValueError(f"sample_cap must be at least 1, got {sample_cap}")
     ktop = min(stable_degree_max(s, "tpoly"), stable_degree_max(s, "dpoly"))
@@ -366,7 +377,7 @@ def duflo_check(tp: Workspace, dp: Workspace, twist: str, *, seed: int = 0,
         for k in range(-1, ktop + 1):
             for i, rep in enumerate(tp.representatives(w, k)):
                 classes.append({"weight": w, "degree": k, "index": i, "rep": rep})
-    images = [phi(c["rep"]) for c in classes]
+    images = [ext_hkr(twisted(c["rep"])) for c in classes]
 
     count = len(classes)
     pairs = [(i, j) for i in range(count) for j in range(i, count)]  # row by row
@@ -381,10 +392,11 @@ def duflo_check(tp: Workspace, dp: Workspace, twist: str, *, seed: int = 0,
         fa, fb = images[i], images[j]
         wsum = a["weight"] + b["weight"]
 
-        prod_res = ext_cup(fa, fb) - phi(ext_pv_wedge(a["rep"], b["rep"]))
+        prod_res = residual_coords(ext_cup(fa, fb), twisted(ext_pv_wedge(a["rep"], b["rep"])))
         prod_ok = dp.in_image(wsum, a["degree"] + b["degree"] + 1, prod_res)
 
-        br_res = ext_gerstenhaber(fa, fb) - phi(ext_schouten(a["rep"], b["rep"]))
+        br_res = residual_coords(ext_gerstenhaber(fa, fb),
+                                 twisted(ext_schouten(a["rep"], b["rep"])))
         br_ok = dp.in_image(wsum, a["degree"] + b["degree"], br_res)
 
         if not (prod_ok and br_ok):
@@ -392,8 +404,8 @@ def duflo_check(tp: Workspace, dp: Workspace, twist: str, *, seed: int = 0,
                 "pair": [{k2: v for k2, v in c.items() if k2 != "rep"} for c in (a, b)],
                 "product_reduces": prod_ok,
                 "bracket_reduces": br_ok,
-                "product_residual": serialize_cochain(prod_res) if not prod_ok else [],
-                "bracket_residual": serialize_cochain(br_res) if not br_ok else [],
+                "product_residual": serialize_coords(prod_res) if not prod_ok else [],
+                "bracket_residual": serialize_coords(br_res) if not br_ok else [],
             })
     return {
         "window": _window(s, ktop),

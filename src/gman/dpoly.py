@@ -23,17 +23,18 @@ from operator import add
 
 from .calculus import PolyVector, ext_bilinear
 from .liealg import Cochain, sort_indices
-from .poly import Poly, Sparse, addmul, derive, polys, termwise, unit
+from .poly import Coeff, Poly, Sparse, _norm, addmul, derive, polys, termwise, unit
 
 MultiIndex = tuple[int, ...]
 OpKey = tuple[MultiIndex, ...]
 
 
 @cache
-def _hkr_layout(idx: tuple[int, ...], n: int) -> tuple[tuple[OpKey, int], ...]:
-    """(unit slots, permutation sign) for every permutation of idx."""
-    return tuple((tuple(unit(n, j) for j in perm),
-                  sort_indices(perm)[0]) for perm in permutations(idx))
+def _hkr_layout(idx: tuple[int, ...], n: int) -> tuple[tuple[OpKey, Coeff], ...]:
+    """(unit slots, int-first sign/k!) for every permutation of idx, k = len(idx)."""
+    k = factorial(len(idx))
+    return tuple((tuple(unit(n, j) for j in perm), _norm(Fraction(sort_indices(perm)[0], k)))
+                 for perm in permutations(idx))
 
 
 @cache
@@ -137,20 +138,25 @@ def cup(d1: PolyDiffOp, d2: PolyDiffOp) -> PolyDiffOp:
     return termwise(d1, d2, _cup)
 
 
-def hkr(pv: PolyVector) -> PolyDiffOp:
-    """Antisymmetrized embedding of multivectors into operators.
-
-    X_1 ^ .. ^ X_k |-> (1/k!) sum over permutations with sign; the
-    identity on functions.  Each (idx, permutation) has slots of its own.
-    """
-    n = pv.n
-    acc: dict[OpKey, dict] = {}
+def hkr_terms(acc: dict, pv: PolyVector, f) -> dict:
+    """acc[slots][e] += f * sign/k! * c over every term c x^e d_idx of pv
+    and every signed permutation of idx, k = len(idx): the raw kernel of
+    hkr.  Sums that cancel are dropped; coefficients stay int-first."""
     for idx, p in pv.terms.items():
-        k = factorial(len(idx))
-        for slots, sign in _hkr_layout(idx, n):
-            f = sign if k == 1 else Fraction(sign, k)
-            acc[slots] = {e: c * f for e, c in p.terms.items()}
-    return PolyDiffOp(n, polys(n, acc))
+        for slots, factor in _hkr_layout(idx, pv.n):
+            g, t = f * factor, acc.setdefault(slots, {})
+            for e, c in p.terms.items():
+                if c := t.get(e, 0) + c * g:
+                    t[e] = c if type(c) is int or c.denominator != 1 else c.numerator
+                else:
+                    del t[e]
+    return acc
+
+
+def hkr(pv: PolyVector) -> PolyDiffOp:
+    """Antisymmetrized embedding of multivectors into operators, X_1 ^ ..
+    ^ X_k |-> (1/k!) sum over signed permutations; identity on functions."""
+    return PolyDiffOp(pv.n, polys(pv.n, hkr_terms({}, pv, 1)))
 
 
 # ----------------------------------------------------- Lambda g-dual extension

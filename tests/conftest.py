@@ -2,15 +2,18 @@ import json
 from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
+from itertools import permutations
+from math import factorial
 
 import pytest
 
 from gman.atiyah import EndTensor
-from gman.calculus import PolyVector, _xi_partial, _xi_partial_right, interior_form
-from gman.cohomology import coords_cochain
-from gman.dpoly import PolyDiffOp
-from gman.liealg import Cochain, merge_indices
-from gman.poly import Poly, Sparse, accumulate, monomials_of_weight
+from gman.calculus import (PolyVector, _xi_partial, _xi_partial_right, contract,
+                           ext_pv_wedge, ext_schouten, interior_form)
+from gman.cohomology import cochain_coords, coords_cochain
+from gman.dpoly import PolyDiffOp, ext_cup, ext_gerstenhaber
+from gman.liealg import Cochain, merge_indices, sort_indices
+from gman.poly import Poly, Sparse, accumulate, monomials_of_weight, polys, unit
 from gman.scenario import Scenario, load_scenario, vf_bracket
 
 
@@ -245,3 +248,33 @@ def contract_reference(eta: Cochain, a: Cochain) -> Cochain:
                 continue
             accumulate(acc, idx, v.scale(sign))
     return a._like(acc)
+
+
+# HKR and the Duflo residuals as written before the residuals were built
+# in basis coordinates: hkr fills each slot's term map with sign/k! times
+# the coefficients, and a residual is a Cochain subtraction, flattened
+# afterwards.  References for the hkr kernel and residual tests.
+
+def hkr_reference(pv: PolyVector, factor=lambda k: Fraction(1, factorial(k))) -> PolyDiffOp:
+    """hkr, with the factor 1/k! of a tensor-degree-k term replaceable
+    (negative controls pass a wrong one)."""
+    n = pv.n
+    acc = {}
+    for idx, p in pv.terms.items():
+        f = factor(len(idx))
+        for perm in permutations(idx):
+            g = sort_indices(perm)[0] * f
+            acc[tuple(unit(n, j) for j in perm)] = {e: c * g for e, c in p.terms.items()}
+    return PolyDiffOp(n, polys(n, acc))
+
+
+def residuals_reference(a: Cochain, b: Cochain, td: Cochain, hkr=hkr_reference) -> tuple:
+    """Coordinates of the product and bracket residuals of the polyvector
+    cochains a, b under phi = hkr o contract(td, -):
+    cochain_coords(ext_cup(phi a, phi b) - phi(ext_pv_wedge(a, b))) and the
+    same for ext_gerstenhaber and ext_schouten."""
+    def phi(c):
+        return contract(td, c).map_values(hkr)
+    fa, fb = phi(a), phi(b)
+    return (cochain_coords(ext_cup(fa, fb) - phi(ext_pv_wedge(a, b))),
+            cochain_coords(ext_gerstenhaber(fa, fb) - phi(ext_schouten(a, b))))

@@ -1,20 +1,23 @@
 import random
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gman import cohomology
-from gman.calculus import mixed_unit
+from gman.atiyah import todd_sqrt
+from gman.calculus import ext_pv_wedge, ext_schouten, mixed_unit
 from gman.cohomology import (SIDES, Workspace, cochain_coords, cohomology_report,
-                             duflo_check, enumerate_slice, hkr_check, stable_degree_max,
-                             weight_window)
+                             duflo_check, enumerate_slice, hkr_check, residual_coords,
+                             stable_degree_max, twisting, weight_window)
+from gman.dpoly import ext_cup, ext_gerstenhaber, ext_hkr
 from gman.poly import monomials_of_weight
-from gman.scenario import Caps, load_scenario
+from gman.scenario import Caps, ScenarioError, load_scenario
 
-from conftest import basis_cochain
+from conftest import basis_cochain, hkr_reference, residuals_reference
 
 
 def both_sides(s):
@@ -162,8 +165,11 @@ def test_duflo_maps_each_class_once(paper, monkeypatch):
     """Each twist maps every class once, not once per pair: over both
     twists, for C classes and P pairs, P wedges and P Schouten brackets
     per twist (2P each), the td^{1/2} contraction of each class and of
-    each pair's two products (C + 2P), and HKR of the same under each
-    twist (2C + 4P)."""
+    each pair's two products (C + 2P), and ext_hkr of each class under
+    each twist (2C); hkr of the products goes through hkr_terms into the
+    residual coordinates.  td^{1/2} is not the unit on paper_sec4, so
+    the count of contractions also shows that the unit skip is not
+    taken there."""
     calls = Counter()
     for name in ("ext_schouten", "ext_pv_wedge", "contract", "ext_hkr"):
         fn = getattr(cohomology, name)
@@ -175,7 +181,74 @@ def test_duflo_maps_each_class_once(paper, monkeypatch):
     c, p = dc["classes"], dc["pairs_checked"]
     assert (c, p) == (6, 21)
     assert calls == {"ext_schouten": 2 * p, "ext_pv_wedge": 2 * p,
-                     "contract": c + 2 * p, "ext_hkr": 2 * c + 4 * p}
+                     "contract": c + 2 * p, "ext_hkr": 2 * c}
+
+
+def test_unit_twist_contracts_nothing(abelian, monkeypatch):
+    """On abelian_trivial td^{1/2} is the unit mixed form: the td_sqrt
+    pass never calls contract, and its report equals the hkr_only one
+    but for the twist's name."""
+    assert todd_sqrt(abelian) == mixed_unit(abelian.dim_g, abelian.n)
+    calls = []
+    contract = cohomology.contract
+    monkeypatch.setattr(cohomology, "contract", lambda *a: calls.append(a) or contract(*a))
+    tp, dp = both_sides(abelian)
+    twisted = duflo_check(tp, dp, "td_sqrt", sample_cap=120)
+    plain = duflo_check(tp, dp, "hkr_only", sample_cap=120)
+    assert calls == []
+    assert twisted.pop("twist") == "td_sqrt" and plain.pop("twist") == "hkr_only"
+    assert twisted == plain and twisted["pairs_checked"] == 120
+
+
+def duflo_classes(tp):
+    """Representatives of every class duflo_check pairs, in its order."""
+    s = tp.s
+    ktop = min(stable_degree_max(s, "tpoly"), stable_degree_max(s, "dpoly"))
+    return [rep for w in weight_window(s) for k in range(-1, ktop + 1)
+            for rep in tp.representatives(w, k)]
+
+
+def assert_int_first_coords(coords: dict) -> None:
+    for key, c in coords.items():
+        assert c, f"zero coordinate at {key}"
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (key, c)
+
+
+@pytest.mark.parametrize("twist", ["td_sqrt", "hkr_only", "wrong"])
+@pytest.mark.parametrize("name, caps, sample", [
+    ("paper", None, None), ("paper", (2, 1, 2), None), ("sl2", (2, 2, 3), None),
+    ("abelian", (24, 4, 4), 200)])
+def test_residuals_match_cochain_subtraction(request, monkeypatch, name, caps, sample, twist):
+    """The residual coordinates duflo_check reduces equal those of the
+    Cochain subtraction ext_cup(phi a, phi b) - phi(ext_pv_wedge(a, b))
+    (and the same for the brackets), phi = hkr o contract(td, -) always
+    contracting, under td^{1/2}, under hkr alone and under the wrong
+    twist 2 * unit; every coordinate is int-first.  Negative control: the
+    reference with the sign of the hkr factor flipped disagrees."""
+    s = request.getfixturevalue(name)
+    s = s if caps is None else with_caps(s, *caps)
+    if twist == "wrong":
+        monkeypatch.setattr(cohomology, "todd_sqrt", lambda s: mixed_unit(s.dim_g, s.n).scale(2))
+    td = mixed_unit(s.dim_g, s.n) if twist == "hkr_only" else cohomology.todd_sqrt(s)
+    twisted = twisting(s, "hkr_only" if twist == "hkr_only" else "td_sqrt")
+    reps = duflo_classes(Workspace(s, "tpoly"))
+    images = [ext_hkr(twisted(r)) for r in reps]
+    pairs = [(i, j) for i in range(len(reps)) for j in range(i, len(reps))]
+    if sample:
+        pairs = random.Random(7).sample(pairs, sample)
+    flipped = lambda pv: hkr_reference(pv).scale(-1)
+    nonzero = differs = 0
+    for i, j in pairs:
+        a, b = reps[i], reps[j]
+        got = (residual_coords(ext_cup(images[i], images[j]), twisted(ext_pv_wedge(a, b))),
+               residual_coords(ext_gerstenhaber(images[i], images[j]),
+                               twisted(ext_schouten(a, b))))
+        for coords in got:
+            assert_int_first_coords(coords)
+        assert got == residuals_reference(a, b, td), (i, j)
+        nonzero += any(got)
+        differs += residuals_reference(a, b, td, hkr=flipped) != got
+    assert nonzero and differs
 
 
 def test_wrong_twist_fails_only_its_own_map(paper, monkeypatch):
@@ -308,20 +381,62 @@ def one_generator_scenarios(draw):
                           "structure_constants": [], "action": [field], "caps": caps})
 
 
+def two_generator_doc(n: int, weights, a: str, b: str, c: str, caps: dict) -> dict:
+    """The 2-dim algebra [e0, e1] = c e1 acting by e0 -> a E, e1 -> b F,
+    with E = x d_x, F = x^2 d_x on the line or E = x d_x + y d_y,
+    F = x^2 d_x + xy d_y on R^2.  [E, F] = F, so this is a Lie morphism
+    exactly when c = a."""
+    if n == 1:
+        action = [[[[1, a]]], [[[2, b]]]]
+    else:
+        action = [[[[1, 0, a]], [[0, 1, a]]], [[[2, 0, b]], [[1, 1, b]]]]
+    return {"dim_g": 2, "dim_m": n, "coordinate_weights": list(weights),
+            "structure_constants": [[0, 1, [[1, c]]]], "action": action, "caps": caps}
+
+
+COEFFS = ["-2", "-1", "1/2", "1", "3"]
+
+
+@st.composite
+def two_generator_scenarios(draw):
+    """The non-abelian family of two_generator_doc with random nonzero a
+    and b, coordinate weights 1-2 (E and F are homogeneous for any), at
+    small caps: Lambda^2 g-dual terms and a nonzero structure constant."""
+    n = draw(st.integers(1, 2))
+    weights = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    a, b = draw(st.sampled_from(COEFFS)), draw(st.sampled_from(COEFFS))
+    caps = {"max_weight": draw(st.integers(0, 2)), "max_order": draw(st.integers(1, 2)),
+            "max_arity": draw(st.integers(1, 3))}
+    return load_scenario(two_generator_doc(n, weights, a, b, a, caps))
+
+
+def test_two_generator_family_needs_its_structure_constant():
+    """Negative control for the family: [e0, e1] = 2a e1 is not the
+    bracket the action realises, and load_scenario refuses it."""
+    caps = {"max_weight": 1, "max_order": 1, "max_arity": 2}
+    for n in (1, 2):
+        assert load_scenario(two_generator_doc(n, [1] * n, "3", "-1", "3", caps)).dim_g == 2
+        with pytest.raises(ScenarioError, match="not a Lie algebra morphism"):
+            load_scenario(two_generator_doc(n, [1] * n, "3", "-1", "6", caps))
+
+
 @settings(deadline=None, derandomize=True, max_examples=25)
-@given(s=one_generator_scenarios(), side=st.sampled_from(SIDES))
-def test_compiled_columns_on_random_scenarios(s, side):
-    """On random one-generator scenarios, every compiled column, the
-    audit's order-(N+1) extras included, equals the symbolic
-    differential, and the compiled map squares to zero."""
-    ws = Workspace(s, side)
-    for w in weight_window(s):
-        for k in range(-1, stable_degree_max(s, side) + 1):
-            for elt in ws._enumerate(w, k, s.caps.max_order + 1):
-                image = ws.image_coords(elt)
-                assert image == cochain_coords(ws._diff(basis_cochain(s, side, elt))), elt
-                twice: dict = {}
-                for key, c in image.items():
-                    for key2, c2 in ws.image_coords(key).items():
-                        twice[key2] = twice.get(key2, 0) + c * c2
-                assert not any(twice.values()), elt
+@given(one=one_generator_scenarios(), two=two_generator_scenarios(),
+       side=st.sampled_from(SIDES))
+def test_compiled_columns_on_random_scenarios(one, two, side):
+    """On a random one-generator and a random two-generator scenario,
+    every compiled column, the audit's order-(N+1) extras included,
+    equals the symbolic differential, and the compiled map squares to
+    zero."""
+    for s in (one, two):
+        ws = Workspace(s, side)
+        for w in weight_window(s):
+            for k in range(-1, stable_degree_max(s, side) + 1):
+                for elt in ws._enumerate(w, k, s.caps.max_order + 1):
+                    image = ws.image_coords(elt)
+                    assert image == cochain_coords(ws._diff(basis_cochain(s, side, elt))), elt
+                    twice: dict = {}
+                    for key, c in image.items():
+                        for key2, c2 in ws.image_coords(key).items():
+                            twice[key2] = twice.get(key2, 0) + c * c2
+                    assert not any(twice.values()), elt

@@ -15,13 +15,14 @@ import pytest
 
 from gman.calculus import (DiffForm, PolyVector, contract, ext_pv_wedge, ext_schouten,
                            interior_form, mixed_mul, pv_wedge, schouten)
-from gman.dpoly import PolyDiffOp, cup, ext_cup, ext_gerstenhaber, gerstenhaber
+from gman.dpoly import (PolyDiffOp, cup, ext_cup, ext_gerstenhaber, gerstenhaber, hkr,
+                        hkr_terms)
 from gman.liealg import Cochain
-from gman.poly import Poly, Sparse, addmul, derive
+from gman.poly import Poly, Sparse, addmul, derive, polys
 
 from conftest import (contract_reference, cup_reference, ext_bilinear_reference,
-                      mul_reference, partial_multi_reference, partial_reference,
-                      pv_wedge_reference, schouten_reference)
+                      hkr_reference, mul_reference, partial_multi_reference,
+                      partial_reference, pv_wedge_reference, schouten_reference)
 
 
 def assert_int_first(x) -> None:
@@ -276,3 +277,63 @@ def test_interior_kernel_signs():
     # the shuffle of e_1 past e_0 and the hop of dy past d_x: +d_x
     got = contract(Cochain(2, {(1,): DiffForm(3, {(1,): one})}), Cochain(2, {(0,): dxyz}))
     assert got == Cochain(2, {(0, 1): PolyVector(3, {(0, 2): one})})
+
+
+def raw_diffop(n: int, acc: dict) -> PolyDiffOp:
+    """The operator of raw term maps, after checking that they hold no
+    zero and no integral Fraction."""
+    for slots, t in acc.items():
+        for e, c in t.items():
+            assert c and (type(c) is int or (type(c) is Fraction and c.denominator != 1)), \
+                (slots, e, c)
+    return PolyDiffOp(n, polys(n, acc))
+
+
+@pytest.mark.parametrize("f", [1, -1, Fraction(1, 2), 3])
+def test_hkr_kernel_matches_reference(f):
+    """hkr_terms(acc, pv, f) adds f * hkr(pv) into raw term maps, on top
+    of what acc holds, on polyvectors of tensor degree 0-3 in 1-3
+    coordinates; adding the same with -f cancels to nothing."""
+    r = random.Random(73)
+    degrees = set()
+    for _ in range(150):
+        n = r.randint(1, 3)
+        pv, pv2 = polyvector(r, n), polyvector(r, n)
+        degrees |= {len(idx) for idx in pv.terms}
+        assert_same(hkr(pv), hkr_reference(pv))
+        acc = hkr_terms({}, pv, f)
+        assert_same(raw_diffop(n, acc), hkr_reference(pv).scale(f))
+        assert hkr_terms(acc, pv2, f) is acc
+        assert_same(raw_diffop(n, acc), (hkr_reference(pv) + hkr_reference(pv2)).scale(f))
+        hkr_terms(acc, pv, -f)
+        hkr_terms(acc, pv2, -f)
+        assert not any(acc.values())
+    assert degrees == {0, 1, 2, 3}
+
+
+def test_hkr_kernel_sums_to_int():
+    """Two halves of x d_x ^ d_y sum to integers, stored as int; adding
+    the negative drops every coefficient."""
+    x = Poly.var(2, 0)
+    pv = PolyVector(2, {(0, 1): x.scale(2)})
+    acc = hkr_terms(hkr_terms({}, pv, Fraction(1, 2)), pv, Fraction(1, 2))
+    assert acc == {((1, 0), (0, 1)): {(1, 0): 1}, ((0, 1), (1, 0)): {(1, 0): -1}}
+    assert all(type(c) is int for t in acc.values() for c in t.values())
+    hkr_terms(acc, pv, -1)
+    assert acc == {((1, 0), (0, 1)): {}, ((0, 1), (1, 0)): {}}
+
+
+def test_hkr_kernel_dropped_factorial_fails():
+    """Negative control: a reference without the factor 1/k! disagrees
+    with the kernel on every term of tensor degree 2 or more."""
+    r = random.Random(79)
+    checked = 0
+    for _ in range(100):
+        n = r.randint(2, 3)
+        pv = polyvector(r, n)
+        if max(map(len, pv.terms), default=0) < 2:
+            continue
+        with pytest.raises(AssertionError):
+            assert_same(raw_diffop(n, hkr_terms({}, pv, 1)), hkr_reference(pv, factor=lambda k: 1))
+        checked += 1
+    assert checked > 30
