@@ -7,24 +7,26 @@ connection plus the tensor Gamma, nabla has L_{phi_a} nabla = the
 Hessian of phi_a plus L_{phi_a} Gamma, and the second term is the
 Chevalley-Eilenberg differential of the 0-cochain Gamma.  So
 R = Hess(phi) + d_CE Gamma, and a change of connection changes R by a
-coboundary.  Assembled as a matrix of balanced mixed forms
-(dual-generator times one-form entries) R feeds a determinant computed
-as exp of trace of log, which is exact because the entries are
-nilpotent and commute.
+coboundary.  d_CE on End-valued cochains is ``calculus.differential``
+with the action cochain and the term-pair kernel ``_lie_end``, the Lie
+derivative of one End-valued term along one vector-field term.
+Assembled as a matrix of balanced mixed forms (dual-generator times
+one-form entries) R feeds a determinant computed as exp of trace of
+log, which is exact because the entries are nilpotent and commute.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
-from functools import partial
 from math import factorial
 
-from .calculus import DiffForm, mixed_mul, mixed_unit
-from .liealg import Cochain, ce_differential
+from .calculus import DiffForm, differential, mixed_mul, mixed_unit
+from .liealg import Cochain
 from .linalg import ColumnReducer
-from .poly import Poly, Sparse, accumulate, monomial_weight, monomials_of_weight
-from .scenario import Scenario
+from .poly import (Poly, Sparse, accumulate, addmul, derive, monomial_weight,
+                   monomials_of_weight, unit)
+from .scenario import Scenario, action_cochain
 from .series import log_todd_generator_series
 
 
@@ -38,23 +40,22 @@ class EndTensor(Sparse):
         return "EndTensor(" + ", ".join(f"{k}: {p!r}" for k, p in sorted(self.terms.items())) + ")"
 
 
-def lie_derivative(s: Scenario, a: int, t: EndTensor) -> EndTensor:
-    """L_{phi_a} t: the action of e_a on End-valued tensors."""
-    n = s.n
-    phi = s.action[a].vf_components()
-    out: dict[tuple[int, int, int], Poly] = {}
-    for (i, j, k), p in t.terms.items():
-        # term 1: [phi, A(d_i)d_j] = phi(A_ijk) d_k - A_ijc d_c(phi^k) d_k
-        accumulate(out, (i, j, k), s.action[a].apply_to(p))
-        for c in range(n):
-            accumulate(out, (i, j, c), (p * phi[c].partial(k)).scale(-1))
-        # term 2: - A([phi, d_c]) d_j = +d_c(phi^i) A(d_i) d_j summed into slot c
-        for c in range(n):
-            accumulate(out, (c, j, k), phi[i].partial(c) * p)
-        # term 3: - A(d_i) [phi, d_c] = +d_c(phi^j) A(d_i) d_j summed into slot c
-        for c in range(n):
-            accumulate(out, (i, c, k), phi[j].partial(c) * p)
-    return EndTensor(n, out)
+def _lie_end(acc: dict, kx: tuple, px: Poly, kt: tuple, pt: Poly, f) -> None:
+    """acc += f L_X (pt e_kt) for the vector-field term X = px d_c, kx = (c,),
+    and the End-valued term at kt = (i, j, k), on raw term maps:
+    X(pt) at (i, j, k), -pt d_k(px) at (i, j, c), and d_l(px) pt at
+    (l, j, k) when i = c and at (i, l, k) when j = c."""
+    (c,), (i, j, k) = kx, kt
+    n = px.n
+    addmul(acc.setdefault(kt, {}), px.terms, derive(pt.terms, unit(n, c)), f)
+    addmul(acc.setdefault((i, j, c), {}), pt.terms, derive(px.terms, unit(n, k)), -f)
+    if c in (i, j):
+        for l in range(n):
+            dpx = derive(px.terms, unit(n, l))
+            if i == c:
+                addmul(acc.setdefault((l, j, k), {}), dpx, pt.terms, f)
+            if j == c:
+                addmul(acc.setdefault((i, l, k), {}), dpx, pt.terms, f)
 
 
 def connection_tensor(s: Scenario) -> EndTensor:
@@ -77,11 +78,11 @@ def atiyah_cocycle(s: Scenario) -> Cochain:
         if entries:
             hessian[(a,)] = EndTensor(n, entries)
     gamma = Cochain(s.dim_g, {(): connection_tensor(s)})
-    return Cochain(s.dim_g, hessian) + ce_differential(s.lie, gamma, partial(lie_derivative, s))
+    return Cochain(s.dim_g, hessian) + differential(s.lie, action_cochain(s), gamma, _lie_end)
 
 
 def is_ce_closed(s: Scenario, cochain: Cochain) -> bool:
-    return ce_differential(s.lie, cochain, partial(lie_derivative, s)).is_zero()
+    return differential(s.lie, action_cochain(s), cochain, _lie_end).is_zero()
 
 
 # --------------------------------------------------------------- obstruction
@@ -97,7 +98,7 @@ def invariant_connection_obstruction(s: Scenario, max_poly_weight: int | None = 
     n, w = s.n, s.weights
     window = s.caps.max_weight if max_poly_weight is None else max_poly_weight
     r = atiyah_cocycle(s)
-    act = partial(lie_derivative, s)
+    q = action_cochain(s)
 
     # unknown basis grouped by tensor weight
     unknowns: dict[int, list] = {}
@@ -124,8 +125,8 @@ def invariant_connection_obstruction(s: Scenario, max_poly_weight: int | None = 
         basis = unknowns.get(tau, [])
         reducer = ColumnReducer(track=True)
         for u, (i, j, k, exps) in enumerate(basis):
-            unit = Cochain(s.dim_g, {(): EndTensor(n, {(i, j, k): Poly.monomial(exps, 1)})})
-            image = ce_differential(s.lie, unit, act)
+            one = Cochain(s.dim_g, {(): EndTensor(n, {(i, j, k): Poly.monomial(exps, 1)})})
+            image = differential(s.lie, q, one, _lie_end)
             reducer.insert({rows.setdefault((a, key, e), len(rows)): c
                             for (a,), t in image.terms.items()
                             for key, p in t.terms.items()
@@ -146,7 +147,7 @@ def invariant_connection_obstruction(s: Scenario, max_poly_weight: int | None = 
         return {"solvable": False, "certificates": certificates, "window": window}
 
     # verify d(A) = R and the invariance identity for nabla - A
-    coboundary = ce_differential(s.lie, Cochain(s.dim_g, {(): solution}), act)
+    coboundary = differential(s.lie, q, Cochain(s.dim_g, {(): solution}), _lie_end)
     assert (coboundary - r).is_zero(), "internal error: solver produced a non-solution"
     inv_gamma = {(k, i, j): p for (i, j, k), p in (connection_tensor(s) - solution).terms.items()}
     s_inv = replace(s, christoffel=inv_gamma)
@@ -212,12 +213,17 @@ def todd_log(s: Scenario, r: Cochain) -> Cochain:
     return acc
 
 
+def _todd_power(s: Scenario, power: int | Fraction) -> Cochain:
+    """exp(power * tr log(R / (1 - exp(-R))))."""
+    return _mixed_exp(todd_log(s, atiyah_cocycle(s)).scale(power), min(s.dim_g, s.n),
+                      s.dim_g, s.n)
+
+
 def todd_cocycle(s: Scenario) -> Cochain:
     """det(R / (1 - exp(-R))) as a balanced mixed form with unit term."""
-    return _mixed_exp(todd_log(s, atiyah_cocycle(s)), min(s.dim_g, s.n), s.dim_g, s.n)
+    return _todd_power(s, 1)
 
 
 def todd_sqrt(s: Scenario) -> Cochain:
     """The square root with constant term 1."""
-    return _mixed_exp(todd_log(s, atiyah_cocycle(s)).scale(Fraction(1, 2)),
-                      min(s.dim_g, s.n), s.dim_g, s.n)
+    return _todd_power(s, Fraction(1, 2))

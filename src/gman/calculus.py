@@ -12,15 +12,18 @@ the vector field commutator, which is what the tests pin down.
 
 Wedge, bracket and interior product are term-pair kernels, run by
 ``poly.termwise`` on values and by ``ext_bilinear`` on cochains, which
-folds the Lambda g-dual signs into the kernel's factor.
+folds the Lambda g-dual signs into the kernel's factor.  Every
+differential is one such extension: ``differential`` brackets with an
+action cochain q through a kernel and adds the Chevalley-Eilenberg
+differential of Lambda g-dual on the indices.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .liealg import Cochain, IndexTuple, merge_indices
-from .poly import Poly, Sparse, addmul, derive, polys, termwise, unit
+from .liealg import Cochain, IndexTuple, LieAlgebra, merge_indices
+from .poly import Poly, Sparse, accumulate, addmul, derive, polys, termwise, unit
 
 CoordTuple = tuple[int, ...]
 
@@ -190,6 +193,20 @@ def ext_bilinear(a: Cochain, b: Cochain, kernel: Callable,
     like = next(iter(b.terms.values()), None)
     return a._like({idx: v for idx, out in acc.items()
                     if (v := like._like(polys(like.n, out))).terms})
+
+
+def differential(g: LieAlgebra, q: Cochain, c: Cochain, kernel: Callable) -> Cochain:
+    """d c = [q, c] + (d_Lambda (x) id) c: the bracket with the action
+    cochain q, a term-pair kernel extended with sign exponent q1*p2, plus
+    ``LieAlgebra.d_lambda`` on the indices of c.  With q = sum_a e^a (x) phi_a
+    the bracket is the action term of the Chevalley-Eilenberg differential;
+    a term of q at the empty index adds (-1)^p id (x) [q_0, -]."""
+    out = ext_bilinear(q, c, kernel, lambda q1, p2: q1 * p2)
+    d_idx: dict[IndexTuple, object] = {}
+    for idx, v in c.terms.items():
+        for j, f in g.d_lambda(idx):
+            accumulate(d_idx, j, v.scale(f))
+    return out + c._like(d_idx)
 
 
 def ext_schouten(a: Cochain, b: Cochain) -> Cochain:

@@ -11,10 +11,10 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from . import actions
 from .calculus import PolyVector, ext_pv_wedge, ext_schouten
-from .dpoly import PolyDiffOp, ext_gerstenhaber, hochschild
-from .liealg import Cochain, ce_differential, total_differential
+from .cohomology import side_differential
+from .dpoly import PolyDiffOp, ext_gerstenhaber
+from .liealg import Cochain
 from .poly import Poly
 from .scenario import Scenario
 
@@ -62,10 +62,7 @@ def tpoly_axiom_checks(s: Scenario, cases: int = 200, seed: int = 0) -> dict:
     """Lemma-level identities on tot(Lambda g-dual (x) T_poly)."""
     rng = random.Random(seed)
     smp = Sampler(s, rng)
-    act = actions.on_polyvectors(s)
-
-    def d(c: Cochain) -> Cochain:
-        return ce_differential(s.lie, c, act)
+    d = side_differential(s, "tpoly")
 
     failures = []
     for case in range(cases):
@@ -107,10 +104,7 @@ def dpoly_axiom_checks(s: Scenario, cases: int = 200, seed: int = 0) -> dict:
     """dgla identities on tot(Lambda g-dual (x) D_poly)."""
     rng = random.Random(seed)
     smp = Sampler(s, rng)
-    act = actions.on_dpoly(s)
-
-    def d(c: Cochain) -> Cochain:
-        return total_differential(s.lie, c, act, hochschild)
+    d = side_differential(s, "dpoly")
 
     qtop = min(2, s.caps.max_arity - 1)
     failures = []

@@ -54,7 +54,7 @@ def _load(args) -> tuple[Scenario, str]:
     digest = hashlib.sha256(
         json.dumps(json.loads(text), sort_keys=True).encode()).hexdigest()
     s = load_scenario(text)
-    if args.caps:
+    if args.caps is not None:
         parts = [int(v) for v in args.caps.split(",")]
         if len(parts) != 3:
             raise ScenarioError("--caps expects max_weight,max_order,max_arity")

@@ -21,8 +21,10 @@ Columns are built from unit generators.  The total differential is
 linear over polynomial coefficients but for the g-action by vector
 fields phi_a, and L_X(fV) = X(f)V + f L_X V for both brackets, so
 d(x^e e_I (x) V) = x^e d(e_I (x) V) + sum_{a not in I} +-phi_a(x^e) e_{I+a} (x) V
-with the sign of merge_indices((a,), I): the symbolic differential, the
-one source of signs, runs once per generator (I, V).
+with the sign of merge_indices((a,), I): the symbolic differential
+(``side_differential``, [q, -] + d_Lambda through
+``calculus.differential``), the one source of signs, runs once per
+generator (I, V).
 
 A Duflo residual is built as basis-key coordinates, never as a Cochain:
 hkr of the twisted polyvector product is subtracted into the operator
@@ -33,15 +35,16 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from typing import Callable
 
-from .actions import on_dpoly, on_polyvectors
 from .atiyah import todd_sqrt
-from .calculus import PolyVector, contract, ext_pv_wedge, ext_schouten, mixed_unit
-from .dpoly import PolyDiffOp, ext_cup, ext_gerstenhaber, ext_hkr, hkr_terms, hochschild
-from .liealg import Cochain, ce_differential, merge_indices, total_differential
+from .calculus import (PolyVector, _schouten, contract, differential, ext_pv_wedge,
+                       ext_schouten, mixed_unit)
+from .dpoly import PolyDiffOp, _gerstenhaber, ext_cup, ext_gerstenhaber, ext_hkr, hkr_terms
+from .liealg import Cochain, merge_indices
 from .linalg import ColumnReducer
 from .poly import Coeff, Poly, accumulate, grlex_key, monomial_weight, monomials_of_weight
-from .scenario import Scenario
+from .scenario import Scenario, action_cochain
 
 SIDES = ("tpoly", "dpoly")
 
@@ -135,6 +138,22 @@ def residual_coords(product: Cochain, pv: Cochain) -> dict[tuple, Coeff]:
             for e, c in t.items()}
 
 
+def side_differential(s: Scenario, side: str) -> Callable[[Cochain], Cochain]:
+    """The total differential [q, -] + d_Lambda of a side: q is the action
+    cochain with the Schouten kernel on tpoly, and the action by
+    first-order operators plus the multiplication m with the
+    Gerstenhaber kernel on dpoly, where [m, -] is the Hochschild
+    differential."""
+    q = action_cochain(s)
+    if side == "tpoly":
+        kernel = _schouten
+    else:
+        q = q.map_values(PolyDiffOp.from_vector_field) + Cochain(
+            s.dim_g, {(): PolyDiffOp.multiplication(s.n)})
+        kernel = _gerstenhaber
+    return lambda c: differential(s.lie, q, c, kernel)
+
+
 def weight_window(s: Scenario) -> list[int]:
     """Cochain weights reported: every weight that can carry a nonzero
     slice on either side, up to the cap."""
@@ -171,12 +190,7 @@ class Workspace:
         self.max_order = s.caps.max_order
         self.pmax = min(s.dim_g, s.caps.max_ce_degree)
         self.qmax = s.n - 1 if side == "tpoly" else s.caps.max_arity - 1
-        if side == "tpoly":
-            act = on_polyvectors(s)
-            self._diff = lambda c: ce_differential(s.lie, c, act)
-        else:
-            act = on_dpoly(s)
-            self._diff = lambda c: total_differential(s.lie, c, act, hochschild)
+        self._diff = side_differential(s, side)
         self._units: dict[tuple, list] = {}  # (I, V) -> coordinates of d(e_I (x) V)
         self._bases: dict[tuple[int, int], list] = {}
         self._rows: dict[int, dict[tuple, int]] = {}

@@ -1,16 +1,17 @@
-"""Finite-dimensional Lie algebras, cochains on the exterior algebra
-of the dual, and a generic Chevalley-Eilenberg differential.
+"""Finite-dimensional Lie algebras and cochains on the exterior algebra
+of the dual.
 
 The Lie algebra is given by structure constants; antisymmetry and the
-Jacobi identity are checked exactly at construction.  Cochains with
-values in an arbitrary coefficient module are represented as finite
-maps from strictly increasing basis-index tuples to module values; the
-module only needs to support ``+``, ``scale`` and ``is_zero``.
+Jacobi identity are checked exactly at construction.  Its
+Chevalley-Eilenberg differential on Lambda g-dual, ``d_lambda``, is
+the one part of every differential that acts on the indices; the rest
+is a bracket with an action cochain (``calculus.differential``).
+Cochains with values in a coefficient module are finite maps from
+strictly increasing basis-index tuples to module values.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Callable, Mapping
 
 from .poly import Coeff, Sparse, _norm, accumulate
@@ -79,6 +80,7 @@ class LieAlgebra:
             if v:
                 self.c[(i, j, k)] = v
         self._validate()
+        self._d_lambda: dict[IndexTuple, list[tuple[IndexTuple, Coeff]]] = {}
 
     def _validate(self) -> None:
         m = self.dim
@@ -113,6 +115,20 @@ class LieAlgebra:
                 out[k] = v
         return out
 
+    def d_lambda(self, idx: IndexTuple) -> list[tuple[IndexTuple, Coeff]]:
+        """The (J, coefficient) pairs of d e^idx in Lambda g-dual, cached
+        per index tuple: the Cartan convention
+        d e^k = -sum_{i<j} c^k_ij e^i ^ e^j, extended as an odd derivation."""
+        pairs = self._d_lambda.get(idx)
+        if pairs is None:
+            acc: dict[IndexTuple, Coeff] = {}
+            for t, k in enumerate(idx):
+                for (i, j, kk), c in self.c.items():
+                    if kk == k and i < j and (s := sort_indices(idx[:t] + (i, j) + idx[t + 1:])):
+                        acc[s[1]] = acc.get(s[1], 0) + (c if t % 2 else -c) * s[0]
+            pairs = self._d_lambda[idx] = [(j, c) for j, c in acc.items() if c]
+        return pairs
+
 
 class Cochain(Sparse):
     """Element of Lambda^p g-dual tensor V, for a coefficient module V.
@@ -124,85 +140,8 @@ class Cochain(Sparse):
 
     __slots__ = ()
 
-    @property
-    def dim(self) -> int:
-        return self.n
-
     def map_values(self, fn: Callable[[object], object]) -> "Cochain":
         return Cochain(self.n, {i: fn(v) for i, v in self.terms.items()})
 
-    def evaluate(self, seq: IndexTuple):
-        """Value on an arbitrary basis-index sequence, via antisymmetry.
-
-        Returns None for the zero value (callers add nothing).
-        """
-        sorted_ = sort_indices(seq)
-        if sorted_ is None:
-            return None
-        sign, idx = sorted_
-        v = self.terms.get(idx)
-        if v is None:
-            return None
-        return v.scale(sign)
-
     def __repr__(self) -> str:
         return "Cochain(" + ", ".join(f"e{list(i)}: {v!r}" for i, v in sorted(self.terms.items())) + ")"
-
-
-def ce_differential(g: LieAlgebra, c: Cochain,
-                    action: Callable[[int, object], object]) -> Cochain:
-    """Chevalley-Eilenberg differential with the Cartan sign convention.
-
-    (dc)(a_0..a_p) = sum_i (-1)^i a_i . c(..a_i-hat..)
-                   + sum_{i<j} (-1)^{i+j} c([a_i,a_j], ..hats..)
-    computed on every strictly increasing (p+1)-tuple of basis indices.
-    """
-    m = g.dim
-    out: dict[IndexTuple, object] = {}
-    for p in sorted(c.degrees()):
-        comp = c.component(p)
-        for tup in combinations(range(m), p + 1):
-            total = None
-            # action terms
-            for i in range(p + 1):
-                rest = tup[:i] + tup[i + 1:]
-                v = comp.terms.get(rest)
-                if v is None:
-                    continue
-                av = action(tup[i], v)
-                if av.is_zero():
-                    continue
-                av = av.scale(-1 if i % 2 else 1)
-                total = av if total is None else total + av
-            # bracket terms
-            for i in range(p + 1):
-                for j in range(i + 1, p + 1):
-                    rest = tup[:i] + tup[i + 1:j] + tup[j + 1:]
-                    br = g.bracket_basis(tup[i], tup[j])
-                    for k, coeff in br.items():
-                        v = comp.evaluate((k,) + rest)
-                        if v is None:
-                            continue
-                        sgn = coeff if (i + j) % 2 == 0 else -coeff
-                        total = v.scale(sgn) if total is None else total + v.scale(sgn)
-            if total is not None:
-                accumulate(out, tup, total)
-    return Cochain(c.dim, out)
-
-
-def vertical_differential(c: Cochain, d_v: Callable[[object], object]) -> Cochain:
-    """(-1)^p id (x) d_V, the vertical map of the double complex."""
-    out: dict[IndexTuple, object] = {}
-    for idx, v in c.terms.items():
-        dv = d_v(v)
-        if dv.is_zero():
-            continue
-        out[idx] = dv.scale(-1 if len(idx) % 2 else 1)
-    return Cochain(c.dim, out)
-
-
-def total_differential(g: LieAlgebra, c: Cochain,
-                       action: Callable[[int, object], object],
-                       d_v: Callable[[object], object]) -> Cochain:
-    """d_CE + (-1)^p id (x) d_V."""
-    return ce_differential(g, c, action) + vertical_differential(c, d_v)

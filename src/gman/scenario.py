@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .calculus import PolyVector
-from .liealg import LieAlgebra, StructureError
+from .liealg import Cochain, LieAlgebra, StructureError
 from .poly import Poly, monomial_weight
 
 
@@ -64,6 +64,12 @@ class Scenario:
         return self.lie.dim
 
 
+def action_cochain(s: Scenario) -> Cochain:
+    """The action as one cochain, sum_a e^a (x) phi_a: the q of the
+    differentials [q, -] + d_Lambda (``calculus.differential``)."""
+    return Cochain(s.dim_g, {(a,): phi for a, phi in enumerate(s.action)})
+
+
 def vf_bracket(x: PolyVector, y: PolyVector) -> PolyVector:
     """Commutator of vector fields: [X,Y]^j = X(Y^j) - Y(X^j)."""
     n = x.n
@@ -99,7 +105,7 @@ def _parse_poly(n: int, data, where: str) -> Poly:
             terms[exps] = terms.get(exps, Fraction(0)) + coeff
     except ScenarioError:
         raise
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
         raise ScenarioError(f"{where}: malformed polynomial encoding: {exc}") from exc
     return Poly(n, terms)
 
@@ -152,17 +158,23 @@ def load_scenario(document: str | dict, name: str = "") -> Scenario:
         raise ScenarioError("coordinate weights must be positive integers")
 
     structure: dict[tuple[int, int, int], Fraction] = {}
-    for entry in doc.get("structure_constants", []):
+    raw_structure = doc.get("structure_constants", [])
+    if not isinstance(raw_structure, list):
+        raise ScenarioError(f"structure_constants must be a list of [i, j, [[k, c], ..]] "
+                            f"entries, got {raw_structure!r}")
+    for entry in raw_structure:
         try:
             i, j, klist = entry
             for k, coeff in klist:
                 if any(type(v) is not int or not 0 <= v < m for v in (i, j, k)):
                     raise ScenarioError(f"index outside 0..{m - 1}")
+                if i == j:
+                    raise ScenarioError(f"i = j = {i}, but [e_i, e_i] = 0")
                 key = (i, j, k)
                 structure[key] = structure.get(key, Fraction(0)) + Fraction(str(coeff))
                 key_op = (j, i, k)
                 structure[key_op] = structure.get(key_op, Fraction(0)) - Fraction(str(coeff))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ScenarioError(f"malformed structure constant entry {entry}: {exc}") from exc
     try:
         lie = LieAlgebra(m, structure)

@@ -2,17 +2,17 @@ import json
 from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
 
 from gman.atiyah import EndTensor
 from gman.calculus import (PolyVector, _xi_partial, _xi_partial_right, contract,
-                           ext_pv_wedge, ext_schouten, interior_form)
+                           ext_pv_wedge, ext_schouten, interior_form, schouten)
 from gman.cohomology import cochain_coords, coords_cochain
-from gman.dpoly import PolyDiffOp, ext_cup, ext_gerstenhaber
-from gman.liealg import Cochain, merge_indices, sort_indices
+from gman.dpoly import PolyDiffOp, ext_cup, ext_gerstenhaber, gerstenhaber, hochschild
+from gman.liealg import Cochain, LieAlgebra, merge_indices, sort_indices
 from gman.poly import Poly, Sparse, accumulate, monomials_of_weight, polys, unit
 from gman.scenario import Scenario, load_scenario, vf_bracket
 
@@ -47,6 +47,19 @@ def with_connection(doc: dict, christoffel, shift: int) -> Scenario:
     doc["christoffel"] = christoffel
     doc["christoffel_shift"] = shift
     return load_scenario(doc)
+
+
+def two_generator_doc(n: int, weights, a: str, b: str, c: str, caps: dict) -> dict:
+    """The 2-dim algebra [e0, e1] = c e1 acting by e0 -> a E, e1 -> b F,
+    with E = x d_x, F = x^2 d_x on the line or E = x d_x + y d_y,
+    F = x^2 d_x + xy d_y on R^2.  [E, F] = F, so this is a Lie morphism
+    exactly when c = a."""
+    if n == 1:
+        action = [[[[1, a]]], [[[2, b]]]]
+    else:
+        action = [[[[1, 0, a]], [[0, 1, a]]], [[[2, 0, b]], [[1, 1, b]]]]
+    return {"dim_g": 2, "dim_m": n, "coordinate_weights": list(weights),
+            "structure_constants": [[0, 1, [[1, c]]]], "action": action, "caps": caps}
 
 
 def basis_cochain(s: Scenario, side: str, elt: tuple) -> Cochain:
@@ -278,3 +291,95 @@ def residuals_reference(a: Cochain, b: Cochain, td: Cochain, hkr=hkr_reference) 
     fa, fb = phi(a), phi(b)
     return (cochain_coords(ext_cup(fa, fb) - phi(ext_pv_wedge(a, b))),
             cochain_coords(ext_gerstenhaber(fa, fb) - phi(ext_schouten(a, b))))
+
+
+# The differentials as written before every one became the bracket with
+# an action cochain plus d_Lambda (``calculus.differential``): the
+# Chevalley-Eilenberg differential walks every (p+1)-tuple of basis
+# indices, calls an action closure for each value and reads values back
+# through antisymmetry; the operator side adds (-1)^p id (x) d_H on top.
+# References for the differential tests.
+
+def evaluate_reference(c: Cochain, seq: tuple):
+    """Value of c on an arbitrary basis-index sequence, via antisymmetry;
+    None for the zero value."""
+    sorted_ = sort_indices(seq)
+    if sorted_ is None:
+        return None
+    sign, idx = sorted_
+    v = c.terms.get(idx)
+    return None if v is None else v.scale(sign)
+
+
+def ce_differential_reference(g: LieAlgebra, c: Cochain, action) -> Cochain:
+    """(dc)(a_0..a_p) = sum_i (-1)^i a_i . c(..a_i-hat..)
+                      + sum_{i<j} (-1)^{i+j} c([a_i,a_j], ..hats..)."""
+    out = {}
+    for p in sorted(c.degrees()):
+        comp = c.component(p)
+        for tup in combinations(range(g.dim), p + 1):
+            total = None
+            for i in range(p + 1):
+                v = comp.terms.get(tup[:i] + tup[i + 1:])
+                if v is None:
+                    continue
+                av = action(tup[i], v)
+                if av.is_zero():
+                    continue
+                av = av.scale(-1 if i % 2 else 1)
+                total = av if total is None else total + av
+            for i in range(p + 1):
+                for j in range(i + 1, p + 1):
+                    rest = tup[:i] + tup[i + 1:j] + tup[j + 1:]
+                    for k, coeff in g.bracket_basis(tup[i], tup[j]).items():
+                        v = evaluate_reference(comp, (k,) + rest)
+                        if v is None:
+                            continue
+                        sgn = coeff if (i + j) % 2 == 0 else -coeff
+                        total = v.scale(sgn) if total is None else total + v.scale(sgn)
+            if total is not None:
+                accumulate(out, tup, total)
+    return Cochain(c.n, out)
+
+
+def total_differential_reference(g: LieAlgebra, c: Cochain, action, d_v) -> Cochain:
+    """d_CE + (-1)^p id (x) d_V."""
+    vertical = {}
+    for idx, v in c.terms.items():
+        dv = d_v(v)
+        if not dv.is_zero():
+            vertical[idx] = dv.scale(-1 if len(idx) % 2 else 1)
+    return ce_differential_reference(g, c, action) + Cochain(c.n, vertical)
+
+
+def on_polyvectors_reference(s: Scenario):
+    return lambda a, v: schouten(s.action[a], v)
+
+
+def on_dpoly_reference(s: Scenario):
+    ops = [PolyDiffOp.from_vector_field(vf) for vf in s.action]
+    return lambda a, mu: gerstenhaber(ops[a], mu)
+
+
+def lie_derivative_reference(s: Scenario, a: int, t: EndTensor) -> EndTensor:
+    """L_{phi_a} t: the action of e_a on End-valued tensors."""
+    n = s.n
+    phi = s.action[a].vf_components()
+    out = {}
+    for (i, j, k), p in t.terms.items():
+        # term 1: [phi, A(d_i)d_j] = phi(A_ijk) d_k - A_ijc d_c(phi^k) d_k
+        accumulate(out, (i, j, k), s.action[a].apply_to(p))
+        for c in range(n):
+            accumulate(out, (i, j, c), (p * phi[c].partial(k)).scale(-1))
+        # term 2: - A([phi, d_c]) d_j = +d_c(phi^i) A(d_i) d_j summed into slot c
+        for c in range(n):
+            accumulate(out, (c, j, k), phi[i].partial(c) * p)
+        # term 3: - A(d_i) [phi, d_c] = +d_c(phi^j) A(d_i) d_j summed into slot c
+        for c in range(n):
+            accumulate(out, (i, c, k), phi[j].partial(c) * p)
+    return EndTensor(n, out)
+
+
+def end_differential_reference(s: Scenario, c: Cochain) -> Cochain:
+    """d_CE on End-valued cochains, through lie_derivative_reference."""
+    return ce_differential_reference(s.lie, c, lambda a, t: lie_derivative_reference(s, a, t))

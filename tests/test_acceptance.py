@@ -11,19 +11,19 @@ import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import partial
 
 import sympy
 
-from gman.atiyah import (atiyah_cocycle, connection_tensor,
-                         invariant_connection_obstruction, is_ce_closed, lie_derivative,
-                         todd_cocycle, todd_sqrt)
-from gman.calculus import mixed_mul, mixed_unit
+from gman.atiyah import (_lie_end, atiyah_cocycle, connection_tensor,
+                         invariant_connection_obstruction, is_ce_closed, todd_cocycle,
+                         todd_sqrt)
+from gman.calculus import differential, mixed_mul, mixed_unit
 from gman.checks import dpoly_axiom_checks, tpoly_axiom_checks
 from gman.cli import main
 from gman.cohomology import Workspace, cohomology_report, duflo_check, hkr_check
-from gman.liealg import Cochain, ce_differential
+from gman.liealg import Cochain
 from gman.poly import Poly
+from gman.scenario import action_cochain
 from gman.series import log_todd_generator_series
 
 from conftest import atiyah_reference, random_connection
@@ -120,7 +120,7 @@ def test_criterion_6_connection_independence(capsys, paper, sl2):
                 # R by its three-term definition on both sides, so that the
                 # identity does not hold merely by the linearity of d_CE
                 diff = Cochain(s.dim_g, {(): connection_tensor(s) - connection_tensor(alt)})
-                coboundary = ce_differential(s.lie, diff, partial(lie_derivative, s))
+                coboundary = differential(s.lie, action_cochain(s), diff, _lie_end)
                 residual = atiyah_reference(s) - atiyah_reference(alt) - coboundary
                 assert residual.is_zero(), residual
 

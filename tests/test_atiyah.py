@@ -1,14 +1,14 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
-from functools import partial
 
-from gman.atiyah import (EndTensor, atiyah_cocycle, connection_tensor,
-                         invariant_connection_obstruction, is_ce_closed, lie_derivative,
-                         todd_cocycle, todd_sqrt)
-from gman.calculus import DiffForm, mixed_mul, mixed_unit
-from gman.liealg import Cochain, ce_differential
+from gman.atiyah import (EndTensor, _lie_end, atiyah_cocycle, connection_tensor,
+                         invariant_connection_obstruction, is_ce_closed, todd_cocycle,
+                         todd_sqrt)
+from gman.calculus import DiffForm, differential, mixed_mul, mixed_unit
+from gman.liealg import Cochain
 from gman.poly import Poly
+from gman.scenario import action_cochain
 
 from conftest import atiyah_reference, bundled_doc, random_connection, with_connection
 
@@ -49,7 +49,7 @@ def test_connection_independence_randomized(paper, sl2):
         for _ in range(12):
             alt = random_connection(s, rng.choice(shifts), rng)
             diff = Cochain(s.dim_g, {(): connection_tensor(alt) - connection_tensor(s)})
-            coboundary = ce_differential(s.lie, diff, partial(lie_derivative, s))
+            coboundary = differential(s.lie, action_cochain(s), diff, _lie_end)
             assert atiyah_cocycle(alt) - atiyah_cocycle(s) == coboundary
 
 

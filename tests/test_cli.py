@@ -104,8 +104,9 @@ def test_caps_override(capsys):
 
 
 def test_bad_caps_exits_2(capsys):
-    status, _, err = run(capsys, "validate", "paper_sec4", "--caps", "4,2")
-    assert status == 2
+    for caps in ("4,2", ""):
+        status, _, err = run(capsys, "validate", "paper_sec4", "--caps", caps)
+        assert status == 2, caps
 
 
 @pytest.mark.parametrize("caps, cap", [
@@ -288,6 +289,12 @@ def test_internal_error_while_loading_exits_3(capsys, monkeypatch):
     ({"dim_m": 0, "coordinate_weights": [], "action": [[]]}, "dim_m >= 1"),
     ({"coordinate_weights": [1.5]}, "coordinate_weights must be an integer, got 1.5"),
     ({"caps": {"max_weight": 4.7}}, "cap max_weight must be an integer, got 4.7"),
+    ({"structure_constants": 5}, "structure_constants must be a list"),
+    ({"action": [[[[1, "1/0"]]]]}, "action[0][0]: malformed polynomial encoding"),
+    ({"christoffel": [[[[[0, "1/0"]]]]]}, "christoffel[0][0][0]: malformed polynomial encoding"),
+    ({"dim_g": 2, "action": [[[]], [[]]], "structure_constants": [[0, 1, [[0, "1/0"]]]]},
+     "malformed structure constant entry"),
+    ({"structure_constants": [[0, 0, [[0, "1"]]]]}, "[e_i, e_i] = 0"),
 ])
 def test_malformed_shape_exits_2(capsys, tmp_path, change, message):
     doc = {"dim_g": 1, "dim_m": 1, "coordinate_weights": [1],

@@ -17,7 +17,7 @@ from gman.dpoly import ext_cup, ext_gerstenhaber, ext_hkr
 from gman.poly import monomials_of_weight
 from gman.scenario import Caps, ScenarioError, load_scenario
 
-from conftest import basis_cochain, hkr_reference, residuals_reference
+from conftest import basis_cochain, hkr_reference, residuals_reference, two_generator_doc
 
 
 def both_sides(s):
@@ -379,19 +379,6 @@ def one_generator_scenarios(draw):
             "max_arity": draw(st.integers(1, 3))}
     return load_scenario({"dim_g": 1, "dim_m": n, "coordinate_weights": list(weights),
                           "structure_constants": [], "action": [field], "caps": caps})
-
-
-def two_generator_doc(n: int, weights, a: str, b: str, c: str, caps: dict) -> dict:
-    """The 2-dim algebra [e0, e1] = c e1 acting by e0 -> a E, e1 -> b F,
-    with E = x d_x, F = x^2 d_x on the line or E = x d_x + y d_y,
-    F = x^2 d_x + xy d_y on R^2.  [E, F] = F, so this is a Lie morphism
-    exactly when c = a."""
-    if n == 1:
-        action = [[[[1, a]]], [[[2, b]]]]
-    else:
-        action = [[[[1, 0, a]], [[0, 1, a]]], [[[2, 0, b]], [[1, 1, b]]]]
-    return {"dim_g": 2, "dim_m": n, "coordinate_weights": list(weights),
-            "structure_constants": [[0, 1, [[1, c]]]], "action": action, "caps": caps}
 
 
 COEFFS = ["-2", "-1", "1/2", "1", "3"]

@@ -1,5 +1,6 @@
-"""The multiply-accumulate kernel, the term-pair kernels and their
-Lambda g-dual extension against the code they replaced.
+"""The multiply-accumulate kernel, the term-pair kernels, their
+Lambda g-dual extension and the differentials built on it against the
+code they replaced.
 
 Operands have half-integer coefficients over few exponents, so sums of
 products cancel to integers and to zero; every result must equal the
@@ -13,16 +14,22 @@ from itertools import combinations
 
 import pytest
 
-from gman.calculus import (DiffForm, PolyVector, contract, ext_pv_wedge, ext_schouten,
-                           interior_form, mixed_mul, pv_wedge, schouten)
-from gman.dpoly import (PolyDiffOp, cup, ext_cup, ext_gerstenhaber, gerstenhaber, hkr,
-                        hkr_terms)
+from gman.atiyah import EndTensor, _lie_end
+from gman.calculus import (DiffForm, PolyVector, contract, differential,
+                           ext_pv_wedge, ext_schouten, interior_form, mixed_mul, pv_wedge,
+                           schouten)
+from gman.cohomology import side_differential
+from gman.dpoly import (PolyDiffOp, _gerstenhaber, cup, ext_cup, ext_gerstenhaber,
+                        gerstenhaber, hkr, hkr_terms, hochschild)
 from gman.liealg import Cochain
 from gman.poly import Poly, Sparse, addmul, derive, polys
+from gman.scenario import action_cochain, load_scenario
 
-from conftest import (contract_reference, cup_reference, ext_bilinear_reference,
-                      hkr_reference, mul_reference, partial_multi_reference,
-                      partial_reference, pv_wedge_reference, schouten_reference)
+from conftest import (bundled, ce_differential_reference, contract_reference, cup_reference,
+                      end_differential_reference, ext_bilinear_reference, hkr_reference,
+                      mul_reference, on_dpoly_reference, on_polyvectors_reference,
+                      partial_multi_reference, partial_reference, pv_wedge_reference,
+                      schouten_reference, total_differential_reference, two_generator_doc)
 
 
 def assert_int_first(x) -> None:
@@ -337,3 +344,82 @@ def test_hkr_kernel_dropped_factorial_fails():
             assert_same(raw_diffop(n, hkr_terms({}, pv, 1)), hkr_reference(pv, factor=lambda k: 1))
         checked += 1
     assert checked > 30
+
+
+def end_tensor(r: random.Random, n: int) -> EndTensor:
+    return EndTensor(n, {tuple(r.randrange(n) for _ in range(3)): half_poly(r, n)
+                         for _ in range(r.randint(1, 3))})
+
+
+# [e0, e1] = e1, [e0, e2] = e2 acting on R^2 by E, xE and yE, E the Euler
+# field: not unimodular, so d_Lambda is nonzero on Lambda^2 g-dual, where
+# the bundled algebras and the two-generator family have none.
+BOOK = {"dim_g": 3, "dim_m": 2, "coordinate_weights": [1, 1],
+        "structure_constants": [[0, 1, [[1, "1"]]], [0, 2, [[2, "1"]]]],
+        "action": [[[[1, 0, "1"]], [[0, 1, "1"]]], [[[2, 0, "1"]], [[1, 1, "1"]]],
+                   [[[1, 1, "1"]], [[0, 2, "1"]]]],
+        "caps": {"max_weight": 2, "max_order": 2, "max_arity": 3}}
+
+
+def scenario(name: str):
+    if name == "two_generator":
+        return load_scenario(two_generator_doc(2, [1, 2], "1/2", "-1", "1/2",
+                                               {"max_weight": 2, "max_order": 2, "max_arity": 3}))
+    if name == "book":
+        return load_scenario(BOOK)
+    return bundled(name)
+
+
+def differentials(s) -> dict:
+    """side: (differential, reference, value maker, cochains drawn)."""
+    return {
+        "tpoly": (side_differential(s, "tpoly"),
+                  lambda c: ce_differential_reference(s.lie, c, on_polyvectors_reference(s)),
+                  polyvector, 100),
+        "dpoly": (side_differential(s, "dpoly"),
+                  lambda c: total_differential_reference(s.lie, c, on_dpoly_reference(s),
+                                                         hochschild),
+                  diffop, 100),
+        "end": (lambda c: differential(s.lie, action_cochain(s), c, _lie_end),
+                lambda c: end_differential_reference(s, c), end_tensor, 40),
+    }
+
+
+@pytest.mark.parametrize("name", ["paper_sec4", "sl2_linear", "abelian_trivial",
+                                  "two_generator", "book"])
+def test_differential_matches_reference(name):
+    """[q, -] + d_Lambda equals the Chevalley-Eilenberg differential walked
+    tuple by tuple (plus (-1)^p id (x) d_H on the operator side) on seeded
+    random cochains of mixed degree, for polyvector, operator and
+    End-valued values; only a zero action may give zero throughout."""
+    s = scenario(name)
+    r = random.Random(83)
+    for side, (d, ref, make, count) in differentials(s).items():
+        nonzero = 0
+        for _ in range(count):
+            c = cochain(r, s.dim_g, s.n, make)
+            got = d(c)
+            assert_same(got, ref(c))
+            nonzero += not got.is_zero()
+        assert nonzero or (side != "dpoly" and action_cochain(s).is_zero()), side
+
+
+def test_differential_controls_fail(sl2):
+    """Negative controls on sl2_linear: the operator q without m, and the
+    bracket with q without d_Lambda, disagree with the reference."""
+    q = action_cochain(sl2)
+    q_ops = q.map_values(PolyDiffOp.from_vector_field)
+    m = Cochain(sl2.dim_g, {(): PolyDiffOp.multiplication(sl2.n)})
+    refs = differentials(sl2)
+    controls = [
+        ("dpoly", lambda c: differential(sl2.lie, q_ops, c, _gerstenhaber)),
+        ("tpoly", lambda c: ext_schouten(q, c)),
+        ("dpoly", lambda c: ext_gerstenhaber(q_ops + m, c)),
+    ]
+    for side, bad in controls:
+        _, ref, make, count = refs[side]
+        r = random.Random(89)
+        with pytest.raises(AssertionError):
+            for _ in range(count):
+                c = cochain(r, sl2.dim_g, sl2.n, make)
+                assert_same(bad(c), ref(c))

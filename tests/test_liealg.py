@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from gman.calculus import DiffForm, mixed_mul, mixed_unit
-from gman.liealg import (Cochain, LieAlgebra, StructureError,
-                         ce_differential, merge_indices, sort_indices)
+from itertools import combinations
+
+from gman.calculus import DiffForm, _schouten, differential, mixed_mul, mixed_unit
+from gman.liealg import Cochain, LieAlgebra, StructureError, merge_indices, sort_indices
 from gman.poly import Poly
+
+from conftest import ce_differential_reference
 
 rng = random.Random(5)
 
@@ -80,21 +83,61 @@ def test_ext_form_wedge_randomized_associativity():
         assert mixed_mul(a, mixed_mul(b, c)) == mixed_mul(mixed_mul(a, b), c)
 
 
-def test_cochain_evaluate_antisymmetry():
-    c = Cochain(3, {(0, 2): Poly.const(1, 5)})
-    assert c.evaluate((2, 0)) == Poly.const(1, -5)
-    assert c.evaluate((0, 2)) == Poly.const(1, 5)
-    assert c.evaluate((0, 0)) is None
-    assert c.evaluate((0, 1)) is None
+def test_d_lambda_cartan_convention_squares_to_zero():
+    """d e^k = -sum_{i<j} c^k_ij e^i ^ e^j on the generators of sl2, and
+    d o d = 0 on every basis element of Lambda sl2-dual."""
+    g = sl2()
+    assert g.d_lambda((0,)) == [((1, 2), -1)]
+    assert g.d_lambda((1,)) == [((0, 1), -2)]
+    assert g.d_lambda((2,)) == [((0, 2), 2)]
+    assert g.d_lambda(()) == [] and g.d_lambda((0, 1, 2)) == []
+    nonzero = 0
+    for p in range(4):
+        for idx in combinations(range(3), p):
+            twice: dict = {}
+            for j, c in g.d_lambda(idx):
+                nonzero += 1
+                for k, c2 in g.d_lambda(j):
+                    twice[k] = twice.get(k, 0) + c * c2
+            assert not any(twice.values()), idx
+    assert nonzero >= 3
+
+
+def book() -> LieAlgebra:
+    """[e0, e1] = e1, [e0, e2] = e2: not unimodular, so d_lambda is
+    nonzero on Lambda^2, where sl2 has none."""
+    return LieAlgebra(3, {(0, 1, 1): 1, (1, 0, 1): -1, (0, 2, 2): 1, (2, 0, 2): -1})
+
+
+def test_d_lambda_odd_derivation_sign():
+    """d(e^1 ^ e^2) = d e^1 ^ e^2 - e^1 ^ d e^2 = -2 e^0 ^ e^1 ^ e^2; the
+    sign-blind extension would give 0."""
+    g = book()
+    assert g.d_lambda((1,)) == [((0, 1), -1)]
+    assert g.d_lambda((1, 2)) == [((0, 1, 2), -2)]
+
+
+@pytest.mark.parametrize("make", [sl2, book])
+def test_trivial_module_differential_matches_reference(make):
+    """With the zero action, differential is d_lambda on the indices, and
+    equals the Chevalley-Eilenberg differential walked tuple by tuple."""
+    g = make()
+    r = random.Random(7)
+    for _ in range(40):
+        c = Cochain(3, {tuple(sorted(r.sample(range(3), r.randint(0, 3)))):
+                        Poly.const(1, r.randint(1, 3)) for _ in range(r.randint(1, 3))})
+        want = ce_differential_reference(g, c, lambda a, v: Poly.zero(1))
+        assert differential(g, Cochain(3), c, _schouten) == want
 
 
 def test_ce_differential_trivial_module_matches_lie_cohomology():
     """With the zero action, d is the Lie algebra differential; for sl2
     d^2 = 0 and H^0 is one-dimensional (the invariants)."""
     g = sl2()
+    zero = Cochain(3)
 
-    def action(a, v):
-        return Poly.zero(1)
+    def d(c):
+        return differential(g, zero, c, _schouten)
 
     for _ in range(50):
         terms = {}
@@ -103,10 +146,10 @@ def test_ce_differential_trivial_module_matches_lie_cohomology():
             idx = tuple(sorted(rng.sample(range(3), k)))
             terms[idx] = Poly.const(1, rng.randint(-3, 3))
         c = Cochain(3, {k: v for k, v in terms.items() if not v.is_zero()})
-        assert ce_differential(g, ce_differential(g, c, action), action).is_zero()
+        assert d(d(c)).is_zero()
 
     # constants are invariant; the dual generators are not all closed
     const = Cochain(3, {(): Poly.const(1, 1)})
-    assert ce_differential(g, const, action).is_zero()
+    assert d(const).is_zero()
     e1 = Cochain(3, {(1,): Poly.const(1, 1)})
-    assert not ce_differential(g, e1, action).is_zero()
+    assert d(e1) == Cochain(3, {(0, 1): Poly.const(1, -2)})
