@@ -10,9 +10,12 @@ R = Hess(phi) + d_CE Gamma, and a change of connection changes R by a
 coboundary.  d_CE on End-valued cochains is ``calculus.differential``
 with the action cochain and the term-pair kernel ``_lie_end``, the Lie
 derivative of one End-valued term along one vector-field term.
-Assembled as a matrix of balanced mixed forms (dual-generator times
-one-form entries) R feeds a determinant computed as exp of trace of
-log, which is exact because the entries are nilpotent and commute.
+R is a cochain of End-valued one-forms (``EndTensor``).  Its powers R^t
+are the Lambda g-dual extension of a second kernel, ``_compose``, which
+wedges the form parts and composes the endomorphisms, and the Todd
+cocycle is the determinant of R / (1 - exp(-R)) computed as exp of
+trace of log, which is exact because the entries of R, balanced mixed
+forms, are nilpotent and commute.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
-from .calculus import DiffForm, differential, mixed_mul, mixed_unit
-from .liealg import Cochain
+from .calculus import DiffForm, differential, ext_bilinear, mixed_mul, mixed_unit
+from .liealg import Cochain, merge_indices
 from .linalg import ColumnReducer
 from .poly import (Poly, Sparse, accumulate, addmul, derive, monomial_weight,
                    monomials_of_weight, unit)
@@ -31,10 +34,13 @@ from .series import log_todd_generator_series
 
 
 class EndTensor(Sparse):
-    """Element of Gamma(T-dual (x) End T): entries [i][j][k] with
-    A(d_i) d_j = sum_k A[i,j,k] d_k."""
+    """End(T)-valued differential form: the key (i_1, .., i_p, j, k) is
+    the term dx^i_1 ^ .. ^ dx^i_p (x) (d_j -> d_k), of form degree p.
+    An element of Gamma(T-dual (x) End T), A(d_i) d_j = sum_k A[i,j,k] d_k,
+    is the case p = 1."""
 
     __slots__ = ()
+    SHIFT = -2
 
     def __repr__(self) -> str:
         return "EndTensor(" + ", ".join(f"{k}: {p!r}" for k, p in sorted(self.terms.items())) + ")"
@@ -56,6 +62,15 @@ def _lie_end(acc: dict, kx: tuple, px: Poly, kt: tuple, pt: Poly, f) -> None:
                 addmul(acc.setdefault((l, j, k), {}), dpx, pt.terms, f)
             if j == c:
                 addmul(acc.setdefault((i, l, k), {}), dpx, pt.terms, f)
+
+
+def _compose(acc: dict, ka: tuple, pa: Poly, kb: tuple, pb: Poly, f) -> None:
+    """acc += f (pa e_ka) o (pb e_kb) for End-valued form terms, on raw term
+    maps: the form parts wedged with the merge sign, and b's d_j -> d_l
+    followed by a's d_l -> d_k."""
+    if ka[-2] == kb[-1] and (merged := merge_indices(ka[:-2], kb[:-2])):
+        addmul(acc.setdefault(merged[1] + (kb[-2], ka[-1]), {}), pa.terms, pb.terms,
+               f * merged[0])
 
 
 def connection_tensor(s: Scenario) -> EndTensor:
@@ -158,31 +173,6 @@ def invariant_connection_obstruction(s: Scenario, max_poly_weight: int | None = 
 
 # ---------------------------------------------------------------------- Todd
 
-def atiyah_matrix(s: Scenario, r: Cochain) -> list[list[Cochain]]:
-    """The cocycle as an n x n matrix of balanced (1,1) mixed forms;
-    rows index the output frame, columns the input frame."""
-    n, m = s.n, s.dim_g
-    mat = [[Cochain(m) for _ in range(n)] for _ in range(n)]
-    for idx, t in r.terms.items():
-        (a,) = idx
-        for (i, j, k), p in t.terms.items():
-            entry = Cochain(m, {(a,): DiffForm(n, {(i,): p})})
-            mat[k][j] = mat[k][j] + entry
-    return mat
-
-
-def _mat_mul(a, b, m):
-    n = len(a)
-    out = [[Cochain(m) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = Cochain(m)
-            for t in range(n):
-                acc = acc + mixed_mul(a[i][t], b[t][j])
-            out[i][j] = acc
-    return out
-
-
 def _mixed_exp(u: Cochain, nil_order: int, m: int, n: int) -> Cochain:
     out = mixed_unit(m, n)
     power = mixed_unit(m, n)
@@ -195,22 +185,22 @@ def _mixed_exp(u: Cochain, nil_order: int, m: int, n: int) -> Cochain:
 
 
 def todd_log(s: Scenario, r: Cochain) -> Cochain:
-    """tr log of the Todd generator applied to the Atiyah matrix."""
-    n, m = s.n, s.dim_g
-    nil = min(m, n)
+    """tr log of the Todd generator applied to R: sum_t c_t tr R^t, the
+    powers through ``_compose`` with the sign of ``mixed_mul``."""
+    nil = min(s.dim_g, s.n)
     coeffs = log_todd_generator_series(nil + 1)
-    mat = atiyah_matrix(s, r)
-    acc = Cochain(m)
-    power = mat
+    acc: dict = {}
+    power = r
     for t in range(1, nil + 1):
         if t > 1:
-            power = _mat_mul(power, mat, m)
-        if coeffs[t]:
-            trace = Cochain(m)
-            for i in range(n):
-                trace = trace + power[i][i]
-            acc = acc + trace.scale(coeffs[t])
-    return acc
+            power = ext_bilinear(power, r, _compose, lambda k1, p2: k1 * p2)
+        if not coeffs[t]:
+            continue
+        for idx, v in power.terms.items():
+            for key, p in v.terms.items():
+                if key[-2] == key[-1]:
+                    accumulate(acc, idx, DiffForm(s.n, {key[:-2]: p.scale(coeffs[t])}))
+    return Cochain(s.dim_g, acc)
 
 
 def _todd_power(s: Scenario, power: int | Fraction) -> Cochain:

@@ -308,13 +308,6 @@ class Sparse:
         return self if f == 1 else self._like(
             {k: v.scale(f) for k, v in self.terms.items()} if f else {})
 
-    def degrees(self) -> set[int]:
-        return {len(k) + self.SHIFT for k in self.terms}
-
-    def component(self, degree: int):
-        return self._like({k: v for k, v in self.terms.items()
-                           if len(k) + self.SHIFT == degree})
-
 
 def monomials_of_weight(n: int, weights: tuple[int, ...], target: int) -> list[Exponent]:
     """All exponent tuples with the given weighted degree, grlex order.

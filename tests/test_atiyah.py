@@ -1,16 +1,21 @@
+import pathlib
 import random
 from dataclasses import replace
 from fractions import Fraction
 
-from gman.atiyah import (EndTensor, _lie_end, atiyah_cocycle, connection_tensor,
-                         invariant_connection_obstruction, is_ce_closed, todd_cocycle,
-                         todd_sqrt)
-from gman.calculus import DiffForm, differential, mixed_mul, mixed_unit
-from gman.liealg import Cochain
-from gman.poly import Poly
-from gman.scenario import action_cochain
+import pytest
 
-from conftest import atiyah_reference, bundled_doc, random_connection, with_connection
+from gman.atiyah import (EndTensor, _compose, _lie_end, atiyah_cocycle, connection_tensor,
+                         invariant_connection_obstruction, is_ce_closed, todd_cocycle,
+                         todd_log, todd_sqrt)
+from gman.calculus import DiffForm, differential, ext_bilinear, mixed_mul, mixed_unit
+from gman.liealg import Cochain, merge_indices
+from gman.poly import Poly, addmul
+from gman.scenario import action_cochain, load_scenario
+from gman.series import log_todd_generator_series
+
+from conftest import (atiyah_matrix_reference, atiyah_reference, bundled_doc, mat_mul_reference,
+                      random_connection, two_generator_doc, with_connection)
 
 rng = random.Random(13)
 F = Fraction
@@ -118,3 +123,97 @@ def test_todd_sqrt_squares_for_nonflat(sl2):
     td = todd_cocycle(alt)
     half = todd_sqrt(alt)
     assert mixed_mul(half, half) == td
+
+
+# ------------------------------------------------------ powers of R, _compose
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+def compose_scenarios():
+    """sl2_linear with the connection of its fixture, and a two-generator
+    scenario on R^2 with a seeded linear connection: both have R^2 != 0."""
+    two = load_scenario(two_generator_doc(2, [1, 1], "1/2", "-1", "1/2",
+                                          {"max_weight": 2, "max_order": 2, "max_arity": 2}))
+    return [load_scenario((FIXTURES / "sl2_linear_connection.json").read_text()),
+            random_connection(two, 1, random.Random(0))]
+
+
+def compose_pairs(s):
+    """(a, b) pairs of End-valued cochains: R.R, and R against its e^1
+    part alone on either side."""
+    r = atiyah_cocycle(s)
+    r1 = Cochain(s.dim_g, {(1,): r.terms[(1,)]})
+    return [(r, r), (r, r1), (r1, r)]
+
+
+def ext_compose(a, b, kernel=_compose):
+    return ext_bilinear(a, b, kernel, lambda k1, p2: k1 * p2)
+
+
+def _compose_unsigned(acc, ka, pa, kb, pb, f):
+    """_compose without the merge sign of the form parts."""
+    if ka[-2] == kb[-1] and (merged := merge_indices(ka[:-2], kb[:-2])):
+        addmul(acc.setdefault(merged[1] + (kb[-2], ka[-1]), {}), pa.terms, pb.terms, f)
+
+
+def _compose_reversed(acc, ka, pa, kb, pb, f):
+    """_compose with the order of the endomorphisms reversed."""
+    if kb[-2] == ka[-1] and (merged := merge_indices(ka[:-2], kb[:-2])):
+        addmul(acc.setdefault(merged[1] + (ka[-2], kb[-1]), {}), pa.terms, pb.terms,
+               f * merged[0])
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["sl2_connection", "two_generator_R2"])
+def test_compose_is_the_matrix_product(which):
+    """ext_bilinear through _compose, read back as a matrix of mixed forms,
+    is the product of the matrices of mixed forms, on R.R and on pairs
+    with a != b; and R^2 is not zero, so the product is seen."""
+    s = compose_scenarios()[which]
+    m = s.dim_g
+    for a, b in compose_pairs(s):
+        want = mat_mul_reference(atiyah_matrix_reference(s, a), atiyah_matrix_reference(s, b), m)
+        assert atiyah_matrix_reference(s, ext_compose(a, b)) == want
+    r = atiyah_cocycle(s)
+    assert not ext_compose(r, r).is_zero()
+
+
+def todd_log_reference(s, r):
+    """tr log of the Todd generator, on the matrix of mixed forms."""
+    nil = min(s.dim_g, s.n)
+    coeffs = log_todd_generator_series(nil + 1)
+    mat = power = atiyah_matrix_reference(s, r)
+    acc = Cochain(s.dim_g)
+    for t in range(1, nil + 1):
+        if t > 1:
+            power = mat_mul_reference(power, mat, s.dim_g)
+        for i in range(s.n):
+            acc = acc + power[i][i].scale(coeffs[t])
+    return acc
+
+
+def test_todd_log_matches_the_matrix_formula(sl2):
+    scenarios = compose_scenarios()
+    scenarios += [random_connection(sl2, shift, random.Random(seed))
+                  for shift in (1, 2) for seed in range(6)]
+    for s in scenarios:
+        r = atiyah_cocycle(s)
+        assert todd_log(s, r) == todd_log_reference(s, r)
+
+
+@pytest.mark.parametrize("kernel, want", [
+    (_compose_unsigned, [True, True, True]),
+    (_compose_reversed, [False, True, True]),
+], ids=["no_merge_sign", "reversed_order"])
+def test_compose_controls_trip(kernel, want):
+    """Negative controls: a kernel without the merge sign, or with the
+    endomorphisms composed in the other order, disagrees with the matrix
+    product.  A power of one matrix does not see the order, so the
+    reversed kernel trips only on the pairs with a != b."""
+    for s in compose_scenarios():
+        trips = []
+        for a, b in compose_pairs(s):
+            product = mat_mul_reference(atiyah_matrix_reference(s, a),
+                                        atiyah_matrix_reference(s, b), s.dim_g)
+            trips.append(atiyah_matrix_reference(s, ext_compose(a, b, kernel)) != product)
+        assert trips == want

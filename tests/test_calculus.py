@@ -6,9 +6,9 @@ from gman.calculus import (DiffForm, PolyVector, contract, interior_form,
 from gman.checks import Sampler, tpoly_axiom_checks
 from gman.liealg import Cochain
 from gman.poly import Poly
-from gman.scenario import load_scenario, vf_bracket
+from gman.scenario import load_scenario
 
-from conftest import bundled_doc
+from conftest import bundled_doc, vf_bracket
 
 rng = random.Random(3)
 SL2 = load_scenario(bundled_doc("sl2_linear"))

@@ -62,9 +62,22 @@ def test_inconsistent_structure_exits_2(capsys, tmp_path):
     doc["structure_constants"][2] = [1, 2, [[1, "1"]]]  # breaks Jacobi
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))
-    status, _, err = run(capsys, "validate", str(p))
-    assert status == 2
-    assert "Jacobi" in err
+    status, out, err = run(capsys, "validate", str(p))
+    assert (status, out) == (2, "")
+    assert err == "error: Jacobi fails on basis triple (0,1,2), component 1: residual -2\n"
+
+
+def test_non_morphism_action_exits_2(capsys, tmp_path):
+    """phi(f) doubled: [phi(e), phi(f)] = 2 phi(h), but [e, f] = h."""
+    from conftest import bundled_doc
+    doc = bundled_doc("sl2_linear")
+    doc["action"][2] = [[[0, 1, "2"]], []]
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    status, out, err = run(capsys, "validate", str(p))
+    assert (status, out) == (2, "")
+    assert err == ("error: action is not a Lie algebra morphism: phi([e_1,e_2]) != "
+                   "[phi(e_1),phi(e_2)], residual (x0)*d[0] + (-1*x1)*d[1]\n")
 
 
 def test_atiyah_report_contains_paper_value(capsys):
@@ -295,6 +308,14 @@ def test_internal_error_while_loading_exits_3(capsys, monkeypatch):
     ({"dim_g": 2, "action": [[[]], [[]]], "structure_constants": [[0, 1, [[0, "1/0"]]]]},
      "malformed structure constant entry"),
     ({"structure_constants": [[0, 0, [[0, "1"]]]]}, "[e_i, e_i] = 0"),
+    # a second entry for a pair: read as a sum, these were the abelian
+    # algebra and a doubled bracket
+    ({"dim_g": 2, "action": [[[]], [[]]],
+      "structure_constants": [[0, 1, [[1, "1"]]], [1, 0, [[1, "1"]]]]},
+     "[e_1, e_0] is given a second time"),
+    ({"dim_g": 2, "action": [[[]], [[]]],
+      "structure_constants": [[0, 1, [[1, "1"]]], [0, 1, [[1, "1"]]]]},
+     "[e_0, e_1] is given a second time"),
 ])
 def test_malformed_shape_exits_2(capsys, tmp_path, change, message):
     doc = {"dim_g": 1, "dim_m": 1, "coordinate_weights": [1],

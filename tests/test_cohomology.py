@@ -14,10 +14,12 @@ from gman.cohomology import (SIDES, Workspace, cochain_coords, cohomology_report
                              duflo_check, enumerate_slice, hkr_check, residual_coords,
                              stable_degree_max, twisting, weight_window)
 from gman.dpoly import ext_cup, ext_gerstenhaber, ext_hkr
+from gman.liealg import LieAlgebra
 from gman.poly import monomials_of_weight
 from gman.scenario import Caps, ScenarioError, load_scenario
 
-from conftest import basis_cochain, hkr_reference, residuals_reference, two_generator_doc
+from conftest import (basis_cochain, hkr_reference, morphism_reference, residuals_reference,
+                      two_generator_doc)
 
 
 def both_sides(s):
@@ -401,10 +403,27 @@ def test_two_generator_family_needs_its_structure_constant():
     """Negative control for the family: [e0, e1] = 2a e1 is not the
     bracket the action realises, and load_scenario refuses it."""
     caps = {"max_weight": 1, "max_order": 1, "max_arity": 2}
-    for n in (1, 2):
+    head = ("action is not a Lie algebra morphism: phi([e_0,e_1]) != [phi(e_0),phi(e_1)], "
+            "residual ")
+    for n, residual in [(1, "(3*x0^2)*d[0]"), (2, "(3*x0^2)*d[0] + (3*x0*x1)*d[1]")]:
         assert load_scenario(two_generator_doc(n, [1] * n, "3", "-1", "3", caps)).dim_g == 2
-        with pytest.raises(ScenarioError, match="not a Lie algebra morphism"):
+        with pytest.raises(ScenarioError) as exc:
             load_scenario(two_generator_doc(n, [1] * n, "3", "-1", "6", caps))
+        assert str(exc.value) == head + residual
+
+
+@settings(deadline=None, derandomize=True, max_examples=30)
+@given(two=two_generator_scenarios(), c=st.sampled_from(COEFFS))
+def test_broken_two_generator_message_matches_pair_loop(two, c):
+    """The family with [e0, e1] = c e1 for c != a: load_scenario refuses
+    it with the message of the pair-by-pair commutator check."""
+    a, b = (next(iter(vf.terms[(0,)].terms.values())) for vf in two.action)
+    assume(Fraction(c) != a)
+    doc = two_generator_doc(two.n, two.weights, str(a), str(b), c, two.caps.to_json())
+    lie = LieAlgebra(2, {(0, 1, 1): Fraction(c), (1, 0, 1): -Fraction(c)})
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(doc)
+    assert str(exc.value) == morphism_reference(lie, two.action)
 
 
 @settings(deadline=None, derandomize=True, max_examples=25)

@@ -11,10 +11,10 @@ from gman.dpoly import (PolyDiffOp, _insert, _split_multiindex, cup, ext_gersten
                         gerstenhaber, hkr, hochschild)
 from gman.liealg import Cochain
 from gman.poly import Poly, accumulate, polys
-from gman.scenario import load_scenario, vf_bracket
+from gman.scenario import load_scenario
 
 from conftest import (bundled_doc, components_by_degree, mul_reference,
-                      partial_multi_reference)
+                      partial_multi_reference, vf_bracket)
 
 rng = random.Random(9)
 SL2 = load_scenario(bundled_doc("sl2_linear"))

@@ -9,7 +9,7 @@ from gman.calculus import DiffForm, _schouten, differential, mixed_mul, mixed_un
 from gman.liealg import Cochain, LieAlgebra, StructureError, merge_indices, sort_indices
 from gman.poly import Poly
 
-from conftest import ce_differential_reference
+from conftest import ce_differential_reference, jacobi_reference
 
 rng = random.Random(5)
 
@@ -47,8 +47,49 @@ def test_structure_validation():
         bad[(j, i, k)] = Fraction(-v)
     with pytest.raises(StructureError):
         LieAlgebra(3, bad)
-    assert sl2().bracket_basis(1, 2) == {0: Fraction(1)}
-    assert LieAlgebra(4, {}).bracket_basis(0, 1) == {}
+
+
+def random_structure(r: random.Random, m: int) -> tuple[int, dict]:
+    """A dimension and antisymmetric structure constants: a few random
+    brackets on m generators, or sl2 plus an abelian summand with one
+    constant perturbed half of the time."""
+    if r.random() < 0.5:
+        c = {(i, j, r.randrange(m)): r.choice([-2, -1, 1, Fraction(1, 2)])
+             for i, j in combinations(range(m), 2) if r.random() < 0.4}
+    else:
+        m = max(m, 3)
+        c = {(0, 1, 1): 2, (0, 2, 2): -2, (1, 2, 0): 1}
+        if r.random() < 0.5:
+            i, j = sorted(r.sample(range(m), 2))
+            key = (i, j, r.randrange(m))
+            c[key] = c.get(key, 0) + r.choice([-1, 1, Fraction(1, 2)])
+    out = {}
+    for (i, j, k), v in c.items():
+        out[(i, j, k)], out[(j, i, k)] = Fraction(v), -Fraction(v)
+    return m, out
+
+
+def test_jacobi_check_matches_quadruple_loop():
+    """On 300 seeded random antisymmetric algebras LieAlgebra raises
+    exactly when the cyclic-sum loop over basis quadruples finds a
+    violation, with its message."""
+    r = random.Random(31)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        m, c = random_structure(r, r.randint(2, 5))
+        try:
+            jacobi_reference(m, c)
+            want = None
+        except StructureError as exc:
+            want = str(exc)
+        seen[want is None] += 1
+        if want is None:
+            assert LieAlgebra(m, c).c == {k: v for k, v in c.items() if v}
+        else:
+            with pytest.raises(StructureError) as exc:
+                LieAlgebra(m, c)
+            assert str(exc.value) == want
+    assert min(seen.values()) >= 60
 
 
 def dual_form(g, terms):

@@ -1,10 +1,13 @@
 import copy
+import random
+from fractions import Fraction
 
 import pytest
 
-from conftest import bundled_doc, covariant_basis, gamma
-from gman.poly import Poly
-from gman.scenario import ScenarioError, load_scenario, vf_bracket
+from conftest import bundled_doc, covariant_basis, gamma, morphism_reference
+from gman.calculus import PolyVector, schouten
+from gman.poly import Poly, unit
+from gman.scenario import ScenarioError, load_scenario
 
 
 def test_bundled_scenarios_load():
@@ -148,12 +151,47 @@ def test_flat_shapes_still_accepted():
     assert load_scenario(_tiny(christoffel=[[[[]]]])).christoffel == {}
 
 
-def test_vf_bracket_against_action():
+def test_schouten_against_action():
     s = load_scenario(bundled_doc("sl2_linear"))
     h, e, f = s.action
-    assert vf_bracket(h, e) == e.scale(2)
-    assert vf_bracket(h, f) == f.scale(-2)
-    assert vf_bracket(e, f) == h
+    assert schouten(h, e) == e.scale(2)
+    assert schouten(h, f) == f.scale(-2)
+    assert schouten(e, f) == h
+
+
+def action_doc(action) -> list:
+    """The scenario-file encoding of a list of vector fields."""
+    return [[[[*e, str(c)] for e, c in sorted(vf.terms[(j,)].terms.items())]
+             if (j,) in vf.terms else [] for j in range(vf.n)] for vf in action]
+
+
+def test_morphism_check_matches_pair_loop():
+    """On seeded random perturbations of the sl2_linear action by linear
+    terms (homogeneous of weight 0, so only the morphism check can fail),
+    load_scenario fails exactly when the pair-by-pair commutator check
+    does, with its message."""
+    rng = random.Random(23)
+    s = load_scenario(bundled_doc("sl2_linear"))
+    broken = 0
+    for _ in range(60):
+        action = list(s.action)
+        for _ in range(rng.randint(1, 3)):
+            a, j, i = rng.randrange(3), rng.randrange(2), rng.randrange(2)
+            coeff = rng.choice([-2, -1, 1, Fraction(1, 2)])
+            action[a] = action[a] + PolyVector(2, {(j,): Poly.monomial(unit(2, i), coeff)})
+        doc = bundled_doc("sl2_linear")
+        doc["action"] = action_doc(action)
+        want = morphism_reference(s.lie, action)
+        if want is None:
+            assert load_scenario(doc).action == tuple(action)
+            continue
+        broken += 1
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(doc)
+        assert str(exc.value) == want
+    assert broken >= 40
+    assert action_doc(s.action) == [[[[1, 0, "1"]], [[0, 1, "-1"]]], [[], [[1, 0, "1"]]],
+                                    [[[0, 1, "1"]], []]]
 
 
 def test_covariant_basis():
