@@ -22,13 +22,14 @@ import json
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 from importlib import resources
 
 from .atiyah import (atiyah_cocycle, invariant_connection_obstruction,
                      is_ce_closed, todd_cocycle, todd_sqrt)
 from .calculus import mixed_mul
 from .checks import run_axiom_checks
-from .cohomology import Workspace, cohomology_report, duflo_check, hkr_check
+from .cohomology import Workspace, cohomology_report, duflo_check, hkr_check, twisting
 from .poly import Poly
 from .scenario import Caps, Scenario, ScenarioError, load_scenario
 from .series import log_todd_generator_series
@@ -195,9 +196,12 @@ def _caps_exceeded(s, failure: dict) -> set[str]:
 
 def cmd_duflo(s, digest, args) -> tuple[int, dict, list[str]]:
     tp, dp = Workspace(s, "tpoly"), Workspace(s, "dpoly")
-    results = {key: duflo_check(tp, dp, twist, seed=args.seed, sample_cap=args.sample_cap)
-               for key, twist in (("twisted", "td_sqrt"), ("hkr_only", "hkr_only"))}
-    twisted, plain = results["twisted"], results["hkr_only"]
+    run = partial(duflo_check, tp, dp, seed=args.seed, sample_cap=args.sample_cap)
+    twisted = run("td_sqrt")
+    # td^{1/2} = 1 makes both twists one map, checked once
+    plain = ({**twisted, "twist": "hkr_only"} if twisting(s, "td_sqrt") is twisting(s, "hkr_only")
+             else run("hkr_only"))
+    results = {"twisted": twisted, "hkr_only": plain}
     lines = [
         f"classes: {twisted['classes']}; pairs checked: {twisted['pairs_checked']}"
         + (" (sampled)" if twisted["sampled"] else " (exhaustive)"),

@@ -34,6 +34,7 @@ product's term maps (``dpoly.hkr_terms``); a unit td^{1/2} contracts nothing.
 from __future__ import annotations
 
 import random
+from functools import cache
 from itertools import combinations
 from typing import Callable
 
@@ -49,10 +50,11 @@ from .scenario import Scenario, action_cochain
 SIDES = ("tpoly", "dpoly")
 
 
-def _beta_tuples(n: int, arity: int, max_order: int) -> list[tuple]:
+@cache
+def _beta_tuples(n: int, arity: int, max_order: int) -> tuple[tuple, ...]:
     """All arity-tuples of multi-indices with total order <= max_order."""
     if arity == 0:
-        return [()]
+        return ((),)
     multis = []
     for d in range(max_order + 1):
         multis.extend(monomials_of_weight(n, (1,) * n, d))
@@ -70,12 +72,11 @@ def _beta_tuples(n: int, arity: int, max_order: int) -> list[tuple]:
 
     rec(0, max_order, ())
     out.sort(key=lambda bs: tuple(grlex_key(b) for b in bs))
-    return out
+    return tuple(out)
 
 
-def enumerate_slice(s: Scenario, side: str, weight: int, p: int, q: int,
-                    max_order: int | None = None) -> list[tuple]:
-    """Ordered basis of the (weight, p, q) slice.
+def enumerate_slice(s: Scenario, side: str, weight: int, p: int, q: int) -> list[tuple]:
+    """Ordered basis of the (weight, p, q) slice at the scenario's caps.
 
     Elements are (I, mid, exps): dual-generator index tuple, middle
     structure (coordinate tuple for tpoly, multi-index tuple for dpoly),
@@ -83,21 +84,23 @@ def enumerate_slice(s: Scenario, side: str, weight: int, p: int, q: int,
     """
     if side not in SIDES:
         raise ValueError(f"unknown side {side!r}")
-    m, n, w = s.dim_g, s.n, s.weights
-    order_cap = s.caps.max_order if max_order is None else max_order
-    if not 0 <= p <= min(m, s.caps.max_ce_degree):
+    if not 0 <= p <= min(s.dim_g, s.caps.max_ce_degree):
         raise ValueError(f"exterior degree {p} outside caps")
     if side == "dpoly" and q + 1 > s.caps.max_arity + 1:
         raise ValueError(f"arity {q + 1} outside caps")
+    return _elements(s, side, weight, p, combinations(range(s.n), q + 1) if side == "tpoly"
+                     else _beta_tuples(s.n, q + 1, s.caps.max_order))
+
+
+def _elements(s: Scenario, side: str, weight: int, p: int, mids) -> list[tuple]:
+    """The basis elements (I, mid, exps) of the weight with |I| = p over
+    the given middle structures, in order."""
+    n, w = s.n, s.weights
+    mids = [(mid, sum(w[j] for j in mid) if side == "tpoly"
+             else sum(monomial_weight(b, w) for b in mid)) for mid in mids]
     out: list[tuple] = []
-    for idx in combinations(range(m), p):
+    for idx in combinations(range(s.dim_g), p):
         gshift = sum(s.action_weights[i] for i in idx)
-        if side == "tpoly":
-            mids = [(tuple(jj), sum(w[j] for j in jj))
-                    for jj in combinations(range(n), q + 1)]
-        else:
-            mids = [(bs, sum(monomial_weight(b, w) for b in bs))
-                    for bs in _beta_tuples(n, q + 1, order_cap)]
         for mid, mshift in mids:
             target = weight + gshift + mshift
             for exps in monomials_of_weight(n, w, target):
@@ -197,18 +200,15 @@ class Workspace:
         self._echelons: dict[tuple[int, int], ColumnReducer] = {}
         self._reps: dict[tuple[int, int], list[Cochain]] = {}
 
-    def _enumerate(self, w: int, k: int, max_order: int) -> list:
-        elems = []
-        for p in range(self.pmax + 1):
-            q = k - p
-            if -1 <= q <= self.qmax:
-                elems.extend(enumerate_slice(self.s, self.side, w, p, q, max_order=max_order))
-        return elems
+    def _degrees(self, k: int) -> list[tuple[int, int]]:
+        """The (exterior, tensor) degrees (p, q) of total degree k."""
+        return [(p, k - p) for p in range(self.pmax + 1) if -1 <= k - p <= self.qmax]
 
     def basis(self, w: int, k: int) -> list:
         key = (w, k)
         if key not in self._bases:
-            self._bases[key] = self._enumerate(w, k, self.max_order)
+            self._bases[key] = [e for p, q in self._degrees(k)
+                                for e in enumerate_slice(self.s, self.side, w, p, q)]
         return self._bases[key]
 
     def _column(self, w: int, coords: dict[tuple, object]) -> dict[int, object]:
@@ -266,7 +266,8 @@ class Workspace:
         max_order + 1.  The polyvector side has no order cap."""
         top = self.max_order + 1
         extra = [] if self.side == "tpoly" else [
-            e for e in self._enumerate(w, k, top) if sum(map(sum, e[1])) == top]
+            e for p, q in self._degrees(k) for e in _elements(self.s, "dpoly", w, p, [
+                bs for bs in _beta_tuples(self.s.n, q + 1, top) if sum(map(sum, bs)) == top])]
         red = self._echelon(w, k).copy()
         for elt in extra:
             red.insert(self._column(w, self.image_coords(elt)))
@@ -359,14 +360,18 @@ def hkr_check(tp: Workspace, dp: Workspace) -> dict:
 
 # ----------------------------------------------------------------- Duflo check
 
+def _identity(a: Cochain) -> Cochain:
+    return a
+
+
 def twisting(s: Scenario, twist: str):
     """The polyvector-side map of a twist: contract(td^{1/2}, -) for
-    "td_sqrt", else, or where td^{1/2} is the unit, the identity."""
+    "td_sqrt", else, or where td^{1/2} is the unit, the one ``_identity``."""
     if twist not in ("td_sqrt", "hkr_only"):
         raise ValueError(f"unknown twist {twist!r}: td_sqrt or hkr_only")
     unit = mixed_unit(s.dim_g, s.n)
     td_half = todd_sqrt(s) if twist == "td_sqrt" else unit
-    return (lambda a: a) if td_half == unit else (lambda a: contract(td_half, a))
+    return _identity if td_half == unit else (lambda a: contract(td_half, a))
 
 
 def duflo_check(tp: Workspace, dp: Workspace, twist: str, *, seed: int = 0,

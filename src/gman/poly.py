@@ -312,10 +312,15 @@ class Sparse:
 def monomials_of_weight(n: int, weights: tuple[int, ...], target: int) -> list[Exponent]:
     """All exponent tuples with the given weighted degree, grlex order.
 
-    Weights are positive, so the answer is finite.
+    Weights are positive, so the answer is finite.  A fresh list, from a cached table.
     """
+    return list(_monomials(n, weights, target))
+
+
+@cache
+def _monomials(n: int, weights: tuple[int, ...], target: int) -> tuple[Exponent, ...]:
     if target < 0:
-        return []
+        return ()
     out: list[Exponent] = []
 
     def rec(i: int, remaining: int, prefix: list[int]):
@@ -329,4 +334,4 @@ def monomials_of_weight(n: int, weights: tuple[int, ...], target: int) -> list[E
 
     rec(0, target, [])
     out.sort(key=grlex_key)
-    return out
+    return tuple(out)

@@ -156,11 +156,13 @@ def load_scenario(document: str | dict, name: str = "") -> Scenario:
     for entry in raw_structure:
         try:
             i, j, klist = entry
+            if not isinstance(klist, list):
+                raise ScenarioError(f"{klist!r} is not a list of [k, c] pairs")
+            if any(type(v) is not int or not 0 <= v < m for v in (i, j, *(k for k, _ in klist))):
+                raise ScenarioError(f"index outside 0..{m - 1}")
+            if i == j:
+                raise ScenarioError(f"i = j = {i}, but [e_i, e_i] = 0")
             for k, coeff in klist:
-                if any(type(v) is not int or not 0 <= v < m for v in (i, j, k)):
-                    raise ScenarioError(f"index outside 0..{m - 1}")
-                if i == j:
-                    raise ScenarioError(f"i = j = {i}, but [e_i, e_i] = 0")
                 key = (i, j, k)
                 structure[key] = structure.get(key, Fraction(0)) + Fraction(str(coeff))
                 key_op = (j, i, k)

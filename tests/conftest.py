@@ -475,3 +475,81 @@ def mat_mul_reference(a, b, m: int) -> list[list[Cochain]]:
             out[i][j] = acc
     return out
 
+
+
+# Slice bases as enumerated before the multi-index and monomial tables
+# were cached: every call rebuilds its tables, and a slice with the order
+# cap raised by one is the whole raised slice.  References for the
+# enumeration oracle and the source of the audit's basis in the column
+# tests.
+
+def monomials_reference(n: int, weights, target: int) -> list:
+    """All exponent tuples of the given weighted degree, grlex order."""
+    if target < 0:
+        return []
+    out = []
+
+    def rec(i: int, remaining: int, prefix: list):
+        if i == n:
+            if remaining == 0:
+                out.append(tuple(prefix))
+            return
+        for k in range(remaining // weights[i] + 1):
+            rec(i + 1, remaining - k * weights[i], prefix + [k])
+
+    rec(0, target, [])
+    out.sort(key=lambda e: (sum(e), e))
+    return out
+
+
+def beta_tuples_reference(n: int, arity: int, max_order: int) -> list[tuple]:
+    """All arity-tuples of multi-indices with total order <= max_order."""
+    if arity == 0:
+        return [()]
+    multis = []
+    for d in range(max_order + 1):
+        multis.extend(monomials_reference(n, (1,) * n, d))
+    out: list[tuple] = []
+
+    def rec(t: int, budget: int, prefix: tuple):
+        if t == arity:
+            out.append(prefix)
+            return
+        for b in multis:
+            if sum(b) <= budget:
+                rec(t + 1, budget - sum(b), prefix + (b,))
+
+    rec(0, max_order, ())
+    out.sort(key=lambda bs: tuple((sum(b), b) for b in bs))
+    return out
+
+
+def enumerate_slice_reference(s: Scenario, side: str, weight: int, p: int, q: int,
+                              max_order: int) -> list[tuple]:
+    """The ordered basis (I, mid, exps) of the (weight, p, q) slice."""
+    n, w = s.n, s.weights
+    out = []
+    for idx in combinations(range(s.dim_g), p):
+        gshift = sum(s.action_weights[i] for i in idx)
+        if side == "tpoly":
+            mids = [(jj, sum(w[j] for j in jj)) for jj in combinations(range(n), q + 1)]
+        else:
+            mids = [(bs, sum(sum(e * c for e, c in zip(b, w)) for b in bs))
+                    for bs in beta_tuples_reference(n, q + 1, max_order)]
+        for mid, mshift in mids:
+            for exps in monomials_reference(n, w, weight + gshift + mshift):
+                out.append((idx, mid, exps))
+    return out
+
+
+def slice_degrees(s: Scenario, side: str, k: int) -> list[tuple[int, int]]:
+    """The (exterior, tensor) degrees (p, q) of the total-degree-k slices."""
+    qmax = s.n - 1 if side == "tpoly" else s.caps.max_arity - 1
+    return [(p, k - p) for p in range(min(s.dim_g, s.caps.max_ce_degree) + 1)
+            if -1 <= k - p <= qmax]
+
+
+def slice_reference(s: Scenario, side: str, w: int, k: int, max_order: int) -> list[tuple]:
+    """The ordered basis of the (w, k) slice of a Workspace at the given order cap."""
+    return [e for p, q in slice_degrees(s, side, k)
+            for e in enumerate_slice_reference(s, side, w, p, q, max_order)]

@@ -270,6 +270,24 @@ def test_duflo_residual_within_caps_exits_1(capsys, monkeypatch):
     assert err == ""
 
 
+@pytest.mark.parametrize("name, passes", [
+    ("abelian_trivial", 1), ("sl2_linear", 1), ("paper_sec4", 2)])
+def test_one_duflo_pass_per_distinct_twist_map(capsys, monkeypatch, name, passes):
+    """Where td^{1/2} is the unit, hkr alone is the same map as the
+    twisted one: duflo_check runs once and its report serves both twists,
+    with only "twist" changed.  paper_sec4's td^{1/2} is not the unit."""
+    calls = []
+    check = cli.duflo_check
+    monkeypatch.setattr(cli, "duflo_check", lambda *a, **kw: calls.append(a[2]) or check(*a, **kw))
+    status, out, _ = run(capsys, "duflo-check", name, "--json")
+    assert status == 0
+    assert len(calls) == passes
+    res = json.loads(out)["results"]
+    assert res["twisted"]["twist"] == "td_sqrt" and res["hkr_only"]["twist"] == "hkr_only"
+    if passes == 1:
+        assert {**res["hkr_only"], "twist": "td_sqrt"} == res["twisted"]
+
+
 def test_internal_error_exits_3(capsys, monkeypatch):
     """An exception inside a subcommand is not a falsification (exit 1)."""
     monkeypatch.setitem(cli.COMMANDS, "validate", lambda s, digest, args: 1 // 0)
@@ -316,6 +334,13 @@ def test_internal_error_while_loading_exits_3(capsys, monkeypatch):
     ({"dim_g": 2, "action": [[[]], [[]]],
       "structure_constants": [[0, 1, [[1, "1"]]], [0, 1, [[1, "1"]]]]},
      "[e_0, e_1] is given a second time"),
+    # entries with no [k, c] pairs: checked as well, not skipped
+    ({"dim_g": 2, "action": [[[]], [[]]], "structure_constants": [[7, 9, []], [0, 0, []]]},
+     "malformed structure constant entry [7, 9, []]: index outside 0..1"),
+    ({"dim_g": 2, "action": [[[]], [[]]], "structure_constants": [[0, 0, []]]},
+     "[e_i, e_i] = 0"),
+    ({"dim_g": 2, "action": [[[]], [[]]], "structure_constants": [[0, 1, {}]]},
+     "{} is not a list of [k, c] pairs"),
 ])
 def test_malformed_shape_exits_2(capsys, tmp_path, change, message):
     doc = {"dim_g": 1, "dim_m": 1, "coordinate_weights": [1],

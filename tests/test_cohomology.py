@@ -18,7 +18,8 @@ from gman.liealg import LieAlgebra
 from gman.poly import monomials_of_weight
 from gman.scenario import Caps, ScenarioError, load_scenario
 
-from conftest import (basis_cochain, hkr_reference, morphism_reference, residuals_reference,
+from conftest import (basis_cochain, enumerate_slice_reference, hkr_reference,
+                      morphism_reference, residuals_reference, slice_reference,
                       two_generator_doc)
 
 
@@ -54,6 +55,53 @@ def test_enumeration_order_is_stable(sl2):
     a = enumerate_slice(sl2, "tpoly", 0, 1, 0)
     b = enumerate_slice(sl2, "tpoly", 0, 1, 0)
     assert a == b
+
+
+@pytest.mark.parametrize("name, caps", [("paper", None), ("sl2", (1, 3, 3)), ("abelian", None)])
+def test_enumeration_matches_uncached_reference(request, name, caps):
+    """Slice bases built from the cached multi-index and monomial tables
+    equal the uncached enumeration, element for element and in order:
+    both sides, every (w, p, q) that enumerate_slice accepts in the
+    weight window, at the order cap and with it raised by one."""
+    s = request.getfixturevalue(name)
+    s = s if caps is None else with_caps(s, *caps)
+    checked = 0
+    for side in SIDES:
+        qtop = s.n - 1 if side == "tpoly" else s.caps.max_arity
+        for w in weight_window(s):
+            for p in range(min(s.dim_g, s.caps.max_ce_degree) + 1):
+                for q in range(-1, qtop + 1):
+                    for order in (s.caps.max_order, s.caps.max_order + 1):
+                        at = with_caps(s, s.caps.max_weight, order, s.caps.max_arity)
+                        got = enumerate_slice(at, side, w, p, q)
+                        assert got == enumerate_slice_reference(s, side, w, p, q, order)
+                        checked += len(got)
+    assert checked
+
+
+@pytest.mark.parametrize("name, caps", [("paper", None), ("sl2", (1, 3, 3)), ("abelian", None)])
+def test_order_up_extends_by_the_top_order_elements(request, name, caps):
+    """The audit extends each operator-side echelon by exactly the
+    elements of the slice raised to order max_order + 1 that are not in
+    the slice, in the raised slice's order."""
+    s = request.getfixturevalue(name)
+    s = s if caps is None else with_caps(s, *caps)
+    ws = Workspace(s, "dpoly")
+    image_coords = ws.image_coords
+    nonempty = 0
+    for w in weight_window(s):
+        for k in range(-1, stable_degree_max(s, "dpoly") + 1):
+            ws.rank(w, k)  # the slice's own echelon first
+            seen = []
+            ws.image_coords = lambda elt: seen.append(elt) or image_coords(elt)
+            dim_up, _ = ws.order_up(w, k)
+            del ws.image_coords
+            base = set(ws.basis(w, k))
+            raised = slice_reference(s, "dpoly", w, k, s.caps.max_order + 1)
+            assert seen == [e for e in raised if e not in base]
+            assert dim_up == len(raised)
+            nonempty += bool(seen)
+    assert nonempty
 
 
 def test_differential_squares_to_zero_on_random_basis(paper, sl2):
@@ -314,7 +362,7 @@ def test_compiled_columns_equal_symbolic(request, name, caps, side):
     checked = 0
     for w in weight_window(s):
         for k in range(-1, stable_degree_max(s, side) + 1):
-            for elt in ws._enumerate(w, k, s.caps.max_order + 1):
+            for elt in slice_reference(s, side, w, k, s.caps.max_order + 1):
                 assert ws.image_coords(elt) == cochain_coords(
                     ws._diff(basis_cochain(s, side, elt))), elt
                 checked += 1
@@ -357,7 +405,8 @@ def test_one_symbolic_differential_per_generator(paper):
     diff = ws._diff
     ws._diff = lambda c: calls.append(c) or diff(c)
     cohomology_report(ws)
-    built = [e for w, k in ws._bases for e in ws._enumerate(w, k, ws.max_order + 1)]
+    built = [e for w, k in ws._bases
+             for e in slice_reference(paper, "dpoly", w, k, ws.max_order + 1)]
     generators = {(idx, mid) for idx, mid, _ in built}
     assert len(calls) == len(generators) < len(built)
 
@@ -438,7 +487,7 @@ def test_compiled_columns_on_random_scenarios(one, two, side):
         ws = Workspace(s, side)
         for w in weight_window(s):
             for k in range(-1, stable_degree_max(s, side) + 1):
-                for elt in ws._enumerate(w, k, s.caps.max_order + 1):
+                for elt in slice_reference(s, side, w, k, s.caps.max_order + 1):
                     image = ws.image_coords(elt)
                     assert image == cochain_coords(ws._diff(basis_cochain(s, side, elt))), elt
                     twice: dict = {}

@@ -79,6 +79,17 @@ def test_monomial_weight_and_enumeration():
     assert monomials_of_weight(1, (1,), -1) == []
 
 
+def test_monomials_of_weight_returns_a_fresh_list():
+    """The table behind monomials_of_weight is cached; a caller that
+    mutates its list changes neither the table nor the next answer."""
+    ms = monomials_of_weight(2, (1, 2), 4)
+    want = list(ms)
+    ms.append((9, 9))
+    ms.reverse()
+    assert monomials_of_weight(2, (1, 2), 4) == want
+    assert monomials_of_weight(2, (1, 2), 4) is not monomials_of_weight(2, (1, 2), 4)
+
+
 def test_json_roundtrip():
     """to_json is lossless: "num/den" strings and exponent lists, grlex order."""
     for _ in range(50):

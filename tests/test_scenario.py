@@ -138,6 +138,13 @@ def _tiny(**change) -> dict:
     # the location is named once, not once more by a wrapping handler
     (_tiny(action=[[[[1, 0, "1"]]]]), r"^action\[0\]\[0\]: term \[1, 0, '1'\] has 2 exponents"),
     (_tiny(action=[[[[-2, "1"]]]]), r"^action\[0\]\[0\]: term \[-2, '1'\] has an exponent"),
+    # entries with no [k, c] pairs are checked as well, not skipped
+    (_tiny(dim_g=2, action=[[[]], [[]]], structure_constants=[[7, 9, []], [0, 0, []]]),
+     r"entry \[7, 9, \[\]\]: index outside 0..1"),
+    (_tiny(dim_g=2, action=[[[]], [[]]], structure_constants=[[0, 0, []]]),
+     r"\[e_i, e_i\] = 0"),
+    (_tiny(dim_g=2, action=[[[]], [[]]], structure_constants=[[0, 1, "01"]]),
+     "'01' is not a list of"),
 ])
 def test_malformed_shapes_rejected(doc, message):
     with pytest.raises(ScenarioError, match=message):
