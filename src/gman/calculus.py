@@ -12,7 +12,11 @@ the vector field commutator, which is what the tests pin down.
 
 Wedge, bracket and interior product are term-pair kernels, run by
 ``poly.termwise`` on values and by ``ext_bilinear`` on cochains, which
-folds the Lambda g-dual signs into the kernel's factor.  Every
+folds the Lambda g-dual signs into the kernel's factor.  Given a raw map
+(index tuple -> key -> term map) and a factor f, ``ext_bilinear`` adds
+f times the product into it and builds nothing, so a sum of products
+that is only tested for zero or read as coordinates is never built as
+a Cochain; ``add_cochain`` adds one that is.  Every
 differential is one such extension: ``differential`` brackets with an
 action cochain q through a kernel and adds the Chevalley-Eilenberg
 differential of Lambda g-dual on the indices.
@@ -23,7 +27,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .liealg import Cochain, IndexTuple, LieAlgebra, merge_indices
-from .poly import Poly, Sparse, accumulate, addmul, derive, polys, termwise, unit
+from .poly import Coeff, Poly, Sparse, accumulate, addmul, derive, polys, termwise, unit
 
 CoordTuple = tuple[int, ...]
 
@@ -56,16 +60,6 @@ class PolyVector(Sparse):
     def vf_components(self) -> list[Poly]:
         """Coefficients of a tensor-degree-1 multivector as a plain list."""
         return [self.terms.get((j,), Poly.zero(self.n)) for j in range(self.n)]
-
-    def apply_to(self, f: Poly) -> Poly:
-        """Directional derivative sum_i p_i d_i f by a vector field, summed
-        on term maps into one Poly."""
-        acc: dict = {}
-        for idx, p in self.terms.items():
-            if len(idx) != 1:
-                raise ValueError("apply_to requires a vector field")
-            addmul(acc, p.terms, derive(f.terms, unit(self.n, idx[0])), 1)
-        return Poly(self.n, acc)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -172,27 +166,45 @@ def interior_form(theta: DiffForm, v: PolyVector) -> PolyVector:
 # ----------------------------------------------------- Lambda g-dual extension
 
 def ext_bilinear(a: Cochain, b: Cochain, kernel: Callable,
-                 exponent: Callable[[int, int], int]) -> Cochain:
+                 exponent: Callable[[int, int], int], acc: dict | None = None,
+                 f: Coeff = 1) -> Cochain | dict:
     """Bilinear extension of a term-pair kernel to cochains: on
     decomposables (alpha (x) v1) op (beta (x) v2) is (-1)**exponent(q1, p2)
     (alpha ^ beta) (x) op(v1, v2), q1 the degree of a term of v1 and p2 the
-    exterior degree of beta.  Each Poly, value (of b's type) and the
-    Cochain are built once, at the end."""
-    acc: dict[IndexTuple, dict] = {}
+    exterior degree of beta.  Given a raw map acc (index tuple -> key ->
+    term map), f times the product is added into it and acc is returned,
+    zeros and all; else each Poly, value (of b's type) and the Cochain
+    are built once, at the end."""
+    out = {} if acc is None else acc
     for i1, v1 in a.terms.items():
         for i2, v2 in b.terms.items():
             merged = merge_indices(i1, i2)
             if merged is None:
                 continue
             sign, idx = merged
-            out = acc.setdefault(idx, {})
+            sign *= f
+            m = out.setdefault(idx, {})
             for k1, p1 in v1.terms.items():
-                f = -sign if exponent(len(k1) + v1.SHIFT, len(i2)) % 2 else sign
+                g = -sign if exponent(len(k1) + v1.SHIFT, len(i2)) % 2 else sign
                 for k2, p2 in v2.terms.items():
-                    kernel(out, k1, p1, k2, p2, f)
+                    kernel(m, k1, p1, k2, p2, g)
+    if acc is not None:
+        return acc
     like = next(iter(b.terms.values()), None)
-    return a._like({idx: v for idx, out in acc.items()
-                    if (v := like._like(polys(like.n, out))).terms})
+    return a._like({idx: v for idx, m in out.items()
+                    if (v := like._like(polys(like.n, m))).terms})
+
+
+def add_cochain(c: Cochain, acc: dict, f: Coeff = 1) -> dict:
+    """acc += f c on the raw map of a cochain (index tuple -> key -> term
+    map), zeros and all."""
+    for idx, v in c.terms.items():
+        m = acc.setdefault(idx, {})
+        for key, p in v.terms.items():
+            t = m.setdefault(key, {})
+            for e, x in p.terms.items():
+                t[e] = t.get(e, 0) + f * x
+    return acc
 
 
 def differential(g: LieAlgebra, q: Cochain, c: Cochain, kernel: Callable) -> Cochain:
@@ -209,14 +221,16 @@ def differential(g: LieAlgebra, q: Cochain, c: Cochain, kernel: Callable) -> Coc
     return out + c._like(d_idx)
 
 
-def ext_schouten(a: Cochain, b: Cochain) -> Cochain:
-    """Bracket extension: sign exponent q1*p2 with shifted degrees."""
-    return ext_bilinear(a, b, _schouten, lambda q1, p2: q1 * p2)
+def ext_schouten(a: Cochain, b: Cochain, acc: dict | None = None, f: Coeff = 1):
+    """Bracket extension: sign exponent q1*p2 with shifted degrees; with a
+    raw map acc, adds f times the bracket into it (``ext_bilinear``)."""
+    return ext_bilinear(a, b, _schouten, lambda q1, p2: q1 * p2, acc, f)
 
 
-def ext_pv_wedge(a: Cochain, b: Cochain) -> Cochain:
-    """Product extension: Koszul sign from the tensor degree q1+1."""
-    return ext_bilinear(a, b, _pv_wedge, lambda q1, p2: (q1 + 1) * p2)
+def ext_pv_wedge(a: Cochain, b: Cochain, acc: dict | None = None, f: Coeff = 1):
+    """Product extension: Koszul sign from the tensor degree q1+1; with a
+    raw map acc, adds f times the product into it (``ext_bilinear``)."""
+    return ext_bilinear(a, b, _pv_wedge, lambda q1, p2: (q1 + 1) * p2, acc, f)
 
 
 def mixed_mul(a: Cochain, b: Cochain) -> Cochain:

@@ -30,7 +30,6 @@ from .atiyah import (atiyah_cocycle, invariant_connection_obstruction,
 from .calculus import mixed_mul
 from .checks import run_axiom_checks
 from .cohomology import Workspace, cohomology_report, duflo_check, hkr_check, twisting
-from .poly import Poly
 from .scenario import Caps, Scenario, ScenarioError, load_scenario
 from .series import log_todd_generator_series
 
@@ -56,7 +55,13 @@ def _load(args) -> tuple[Scenario, str]:
         json.dumps(json.loads(text), sort_keys=True).encode()).hexdigest()
     s = load_scenario(text)
     if args.caps is not None:
-        parts = [int(v) for v in args.caps.split(",")]
+        parts = []
+        for v in args.caps.split(","):
+            try:
+                parts.append(int(v))
+            except ValueError:
+                raise ScenarioError(f"--caps: {v!r} is not an integer in "
+                                    f"{args.caps!r} (max_weight,max_order,max_arity)") from None
         if len(parts) != 3:
             raise ScenarioError("--caps expects max_weight,max_order,max_arity")
         s = replace(s, caps=Caps(parts[0], parts[1], parts[2],

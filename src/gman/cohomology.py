@@ -24,11 +24,16 @@ d(x^e e_I (x) V) = x^e d(e_I (x) V) + sum_{a not in I} +-phi_a(x^e) e_{I+a} (x) 
 with the sign of merge_indices((a,), I): the symbolic differential
 (``side_differential``, [q, -] + d_Lambda through
 ``calculus.differential``), the one source of signs, runs once per
-generator (I, V).
+generator (I, V), and the action term is cached with it as raw entries
+that each column shifts by e and scales by e_i.
 
-A Duflo residual is built as basis-key coordinates, never as a Cochain:
-hkr of the twisted polyvector product is subtracted into the operator
-product's term maps (``dpoly.hkr_terms``); a unit td^{1/2} contracts nothing.
+A Duflo residual is summed into one raw map (index tuple -> key -> term
+map) and read off as basis-key coordinates, never built as a Cochain:
+``ext_cup`` or ``ext_gerstenhaber`` adds the operator product into it,
+and ``dpoly.hkr_terms`` subtracts hkr of the twisted polyvector product.
+Where the twist is the identity (hkr alone, or a unit td^{1/2}) that
+product is summed raw as well; under a real td^{1/2} it is built and
+contracted.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from __future__ import annotations
 import random
 from functools import cache
 from itertools import combinations
+from operator import sub
 from typing import Callable
 
 from .atiyah import todd_sqrt
@@ -44,7 +50,8 @@ from .calculus import (PolyVector, _schouten, contract, differential, ext_pv_wed
 from .dpoly import PolyDiffOp, _gerstenhaber, ext_cup, ext_gerstenhaber, ext_hkr, hkr_terms
 from .liealg import Cochain, merge_indices
 from .linalg import ColumnReducer
-from .poly import Coeff, Poly, accumulate, grlex_key, monomial_weight, monomials_of_weight
+from .poly import (Coeff, Poly, accumulate, grlex_key, int_first, monomial_weight,
+                   monomials_of_weight, unit)
 from .scenario import Scenario, action_cochain
 
 SIDES = ("tpoly", "dpoly")
@@ -130,15 +137,29 @@ def serialize_coords(coords: dict[tuple, Coeff]) -> list:
             for (idx, mid, exps), c in sorted(coords.items())]
 
 
-def residual_coords(product: Cochain, pv: Cochain) -> dict[tuple, Coeff]:
-    """Basis-key coordinates of product - ext_hkr(pv): hkr of pv is
-    subtracted by ``hkr_terms`` into copies of the product's term maps."""
-    acc = {idx: {slots: dict(p.terms) for slots, p in v.terms.items()}
-           for idx, v in product.terms.items()}
-    for idx, v in pv.terms.items():
-        hkr_terms(acc.setdefault(idx, {}), v, -1)
-    return {(idx, slots, e): c for idx, m in acc.items() for slots, t in m.items()
-            for e, c in t.items()}
+def raw_coords(acc: dict) -> dict[tuple, Coeff]:
+    """Basis-key coordinates of a raw map (index tuple -> key -> term map),
+    zeros dropped and coefficients int-first."""
+    return {(idx, key, e): int_first(c)
+            for idx, m in acc.items() for key, t in m.items() for e, c in t.items() if c}
+
+
+def residual_coords(n: int, acc: dict, pv: dict) -> dict[tuple, Coeff]:
+    """Basis-key coordinates of acc - ext_hkr(pv), for raw maps acc of an
+    operator product and pv of a polyvector one: hkr of pv is subtracted
+    into acc by ``hkr_terms``."""
+    for idx, m in pv.items():
+        hkr_terms(acc.setdefault(idx, {}), n, m, -1)
+    return raw_coords(acc)
+
+
+def twisted_terms(twisted: Callable, product: Callable, a: Cochain, b: Cochain) -> dict:
+    """The raw map of twisted(product(a, b)): summed raw by product where
+    the twist is ``_identity``, else built, twisted and read back."""
+    if twisted is _identity:
+        return product(a, b, {})
+    return {idx: {k: p.terms for k, p in v.terms.items()}
+            for idx, v in twisted(product(a, b)).terms.items()}
 
 
 def side_differential(s: Scenario, side: str) -> Callable[[Cochain], Cochain]:
@@ -194,7 +215,7 @@ class Workspace:
         self.pmax = min(s.dim_g, s.caps.max_ce_degree)
         self.qmax = s.n - 1 if side == "tpoly" else s.caps.max_arity - 1
         self._diff = side_differential(s, side)
-        self._units: dict[tuple, list] = {}  # (I, V) -> coordinates of d(e_I (x) V)
+        self._units: dict[tuple, tuple] = {}  # (I, V) -> _template
         self._bases: dict[tuple[int, int], list] = {}
         self._rows: dict[int, dict[tuple, int]] = {}
         self._echelons: dict[tuple[int, int], ColumnReducer] = {}
@@ -217,23 +238,36 @@ class Workspace:
         table = self._rows.setdefault(w, {})
         return {table.setdefault(key, len(table)): v for key, v in coords.items()}
 
+    def _template(self, idx: tuple, mid: tuple) -> tuple[list, list]:
+        """The image of the unit generator e_I (x) V as coordinates (key, c),
+        and the action term as entries (J, g - u_i, sign * c, i), one per
+        term c x^g d_i of each phi_a with e_a ^ e_I = sign e_J: it adds
+        sign * c * e_i at exponent g - u_i + e to the image of x^e e_I (x) V."""
+        if (idx, mid) not in self._units:
+            n = self.s.n
+            one = coords_cochain(self.s, self.side, {(idx, mid, (0,) * n): 1})
+            action = []
+            for a, field in enumerate(self.s.action):
+                if (merged := merge_indices((a,), idx)) is not None:
+                    sign, j = merged
+                    for (i,), p in field.terms.items():
+                        action.extend((j, tuple(map(sub, g, unit(n, i))), sign * c, i)
+                                      for g, c in p.terms.items())
+            self._units[idx, mid] = list(cochain_coords(self._diff(one)).items()), action
+        return self._units[idx, mid]
+
     def image_coords(self, elt: tuple) -> dict[tuple, object]:
         """Basis-key coordinates of d(x^e e_I (x) V), for the key
-        (I, V, e): the unit generator's image, cached per (I, V) and
-        shifted by x^e, plus the derivative term of the action."""
+        (I, V, e): the unit generator's image shifted by x^e, plus the
+        action entries with e_i > 0 shifted by x^e and scaled by e_i."""
         idx, mid, exps = elt
-        unit = self._units.get((idx, mid))
-        if unit is None:
-            one = coords_cochain(self.s, self.side, {(idx, mid, (0,) * self.s.n): 1})
-            unit = self._units[(idx, mid)] = list(cochain_coords(self._diff(one)).items())
-        out = {(j, v, tuple([a + b for a, b in zip(f, exps)])): c for (j, v, f), c in unit}
-        mono = Poly.monomial(exps, 1)
-        for a, field in enumerate(self.s.action):
-            if (merged := merge_indices((a,), idx)) is not None:
-                sign, j = merged
-                for f, c in field.apply_to(mono).terms.items():
-                    out[(j, mid, f)] = out.get((j, mid, f), 0) + sign * c
-        return {key: c for key, c in out.items() if c}
+        unit_image, action = self._template(idx, mid)
+        out = {(j, v, tuple([a + b for a, b in zip(f, exps)])): c for (j, v, f), c in unit_image}
+        for j, f, c, i in action:
+            if ei := exps[i]:
+                key = (j, mid, tuple([a + b for a, b in zip(f, exps)]))
+                out[key] = out.get(key, 0) + c * ei
+        return {key: int_first(c) for key, c in out.items() if c}
 
     def columns(self, w: int, k: int) -> list[dict]:
         """Images of the degree-k basis under the total differential.
@@ -384,7 +418,8 @@ def duflo_check(tp: Workspace, dp: Workspace, twist: str, *, seed: int = 0,
     image of the total differential in their slice; a non-reducible
     residual is reported as a falsification witness.  Each class is
     mapped once, not once per pair.  Residuals are basis-key coordinates
-    (``residual_coords``), reduced by ``in_image``, serialised on failure.
+    of one raw sum per pair and product (``residual_coords``), reduced by
+    ``in_image``, serialised on failure.
     """
     s = tp.s
     twisted = twisting(s, twist)
@@ -408,14 +443,15 @@ def duflo_check(tp: Workspace, dp: Workspace, twist: str, *, seed: int = 0,
     failures = []
     for i, j in pairs:
         a, b = classes[i], classes[j]
-        fa, fb = images[i], images[j]
+        fa, fb, ra, rb = images[i], images[j], a["rep"], b["rep"]
         wsum = a["weight"] + b["weight"]
 
-        prod_res = residual_coords(ext_cup(fa, fb), twisted(ext_pv_wedge(a["rep"], b["rep"])))
+        prod_res = residual_coords(s.n, ext_cup(fa, fb, {}),
+                                   twisted_terms(twisted, ext_pv_wedge, ra, rb))
         prod_ok = dp.in_image(wsum, a["degree"] + b["degree"] + 1, prod_res)
 
-        br_res = residual_coords(ext_gerstenhaber(fa, fb),
-                                 twisted(ext_schouten(a["rep"], b["rep"])))
+        br_res = residual_coords(s.n, ext_gerstenhaber(fa, fb, {}),
+                                 twisted_terms(twisted, ext_schouten, ra, rb))
         br_ok = dp.in_image(wsum, a["degree"] + b["degree"], br_res)
 
         if not (prod_ok and br_ok):

@@ -23,7 +23,7 @@ from operator import add
 
 from .calculus import PolyVector, ext_bilinear
 from .liealg import Cochain, sort_indices
-from .poly import Coeff, Poly, Sparse, _norm, addmul, derive, polys, termwise, unit
+from .poly import Coeff, Poly, Sparse, _norm, addmul, derive, int_first, polys, termwise, unit
 
 MultiIndex = tuple[int, ...]
 OpKey = tuple[MultiIndex, ...]
@@ -138,38 +138,43 @@ def cup(d1: PolyDiffOp, d2: PolyDiffOp) -> PolyDiffOp:
     return termwise(d1, d2, _cup)
 
 
-def hkr_terms(acc: dict, pv: PolyVector, f) -> dict:
-    """acc[slots][e] += f * sign/k! * c over every term c x^e d_idx of pv
+def hkr_terms(acc: dict, n: int, pv: dict, f) -> dict:
+    """acc[slots][e] += f * sign/k! * c over every term c x^e d_idx of the
+    raw polyvector pv (coordinate tuple -> term map over n coordinates)
     and every signed permutation of idx, k = len(idx): the raw kernel of
-    hkr.  Sums that cancel are dropped; coefficients stay int-first."""
-    for idx, p in pv.terms.items():
-        for slots, factor in _hkr_layout(idx, pv.n):
+    hkr.  Sums that cancel are dropped, zero entries of pv included;
+    coefficients stay int-first."""
+    for idx, t_in in pv.items():
+        for slots, factor in _hkr_layout(idx, n):
             g, t = f * factor, acc.setdefault(slots, {})
-            for e, c in p.terms.items():
+            for e, c in t_in.items():
                 if c := t.get(e, 0) + c * g:
-                    t[e] = c if type(c) is int or c.denominator != 1 else c.numerator
+                    t[e] = int_first(c)
                 else:
-                    del t[e]
+                    t.pop(e, None)
     return acc
 
 
 def hkr(pv: PolyVector) -> PolyDiffOp:
     """Antisymmetrized embedding of multivectors into operators, X_1 ^ ..
     ^ X_k |-> (1/k!) sum over signed permutations; identity on functions."""
-    return PolyDiffOp(pv.n, polys(pv.n, hkr_terms({}, pv, 1)))
+    raw = {idx: p.terms for idx, p in pv.terms.items()}
+    return PolyDiffOp(pv.n, polys(pv.n, hkr_terms({}, pv.n, raw, 1)))
 
 
 # ----------------------------------------------------- Lambda g-dual extension
 
-def ext_gerstenhaber(a: Cochain, b: Cochain) -> Cochain:
-    """Bracket extension with sign exponent q1*p2 (shifted degrees)."""
-    return ext_bilinear(a, b, _gerstenhaber, lambda q1, p2: q1 * p2)
+def ext_gerstenhaber(a: Cochain, b: Cochain, acc: dict | None = None, f: Coeff = 1):
+    """Bracket extension with sign exponent q1*p2 (shifted degrees); with
+    a raw map acc, adds f times the bracket into it (``ext_bilinear``)."""
+    return ext_bilinear(a, b, _gerstenhaber, lambda q1, p2: q1 * p2, acc, f)
 
 
-def ext_cup(a: Cochain, b: Cochain) -> Cochain:
+def ext_cup(a: Cochain, b: Cochain, acc: dict | None = None, f: Coeff = 1):
     """Cup extension; Koszul sign from the arity q1+1, matching the
-    wedge extension on the polyvector side through hkr."""
-    return ext_bilinear(a, b, _cup, lambda q1, p2: (q1 + 1) * p2)
+    wedge extension on the polyvector side through hkr.  With a raw map
+    acc, adds f times the product into it (``ext_bilinear``)."""
+    return ext_bilinear(a, b, _cup, lambda q1, p2: (q1 + 1) * p2, acc, f)
 
 
 def ext_hkr(a: Cochain) -> Cochain:

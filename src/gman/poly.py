@@ -48,6 +48,11 @@ def _norm(c):
     return c.numerator if c.denominator == 1 else c
 
 
+def int_first(c: Coeff) -> Coeff:
+    """An exact coefficient, a Fraction with denominator 1 as its int."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
 def addmul(tgt: dict, a: Mapping, b: Mapping, f: Coeff) -> dict:
     """tgt[e1 + e2] += f * c1 * c2 over all terms of the term maps a and b.
 

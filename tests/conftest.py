@@ -303,6 +303,73 @@ def residuals_reference(a: Cochain, b: Cochain, td: Cochain, hkr=hkr_reference) 
             cochain_coords(ext_gerstenhaber(fa, fb) - phi(ext_schouten(a, b))))
 
 
+def count_builds(monkeypatch, cls) -> list:
+    """Record every construction of a cls instance, through __init__ or,
+    where cls has one, _like."""
+    built = []
+    init = cls.__init__
+    monkeypatch.setattr(cls, "__init__",
+                        lambda self, *args: built.append(1) or init(self, *args))
+    if hasattr(cls, "_like"):
+        like = cls._like
+        monkeypatch.setattr(cls, "_like",
+                            lambda self, terms: built.append(1) or like(self, terms))
+    return built
+
+
+# The axiom identities as written before each became one raw sum
+# (``checks.tpoly_identities`` and ``dpoly_identities``): every product
+# is built as a Cochain and each residual is a Cochain subtraction.
+# References for the axiom tests; ``flip`` multiplies the sign of the
+# second term of the bracket antisymmetry (negative controls pass -1).
+
+def _sign(e: int) -> int:
+    return -1 if e % 2 else 1
+
+
+def tpoly_residuals_reference(d, a: Cochain, b: Cochain, c: Cochain, degs,
+                              flip: int = 1) -> dict:
+    (p1, q1), (p2, q2), _ = degs
+    g1, g2 = p1 + q1, p2 + q2
+    t1, t2 = p1 + q1 + 1, p2 + q2 + 1
+    ab, ac = ext_schouten(a, b), ext_schouten(a, c)
+    wab, da, db = ext_pv_wedge(a, b), d(a), d(b)
+    return {
+        "graded_commutativity": wab - ext_pv_wedge(b, a).scale(_sign(t1 * t2)),
+        "bracket_antisymmetry": ab + ext_schouten(b, a).scale(flip * _sign(g1 * g2)),
+        "graded_jacobi": ext_schouten(a, ext_schouten(b, c))
+            - ext_schouten(ab, c)
+            - ext_schouten(b, ac).scale(_sign(g1 * g2)),
+        "graded_leibniz": ext_schouten(a, ext_pv_wedge(b, c))
+            - ext_pv_wedge(ab, c)
+            - ext_pv_wedge(b, ac).scale(_sign(g1 * t2)),
+        "d_squared": d(da),
+        "d_derivation_product": d(wab)
+            - ext_pv_wedge(da, b)
+            - ext_pv_wedge(a, db).scale(_sign(t1)),
+        "d_derivation_bracket": d(ab)
+            - ext_schouten(da, b)
+            - ext_schouten(a, db).scale(_sign(g1)),
+    }
+
+
+def dpoly_residuals_reference(d, a: Cochain, b: Cochain, c: Cochain, degs,
+                              flip: int = 1) -> dict:
+    (p1, q1), (p2, q2), _ = degs
+    g1, g2 = p1 + q1, p2 + q2
+    ab, da = ext_gerstenhaber(a, b), d(a)
+    return {
+        "bracket_antisymmetry": ab + ext_gerstenhaber(b, a).scale(flip * _sign(g1 * g2)),
+        "graded_jacobi": ext_gerstenhaber(a, ext_gerstenhaber(b, c))
+            - ext_gerstenhaber(ab, c)
+            - ext_gerstenhaber(b, ext_gerstenhaber(a, c)).scale(_sign(g1 * g2)),
+        "D_squared": d(da),
+        "D_derivation_bracket": d(ab)
+            - ext_gerstenhaber(da, b)
+            - ext_gerstenhaber(a, d(b)).scale(_sign(g1)),
+    }
+
+
 # The differentials as written before every one became the bracket with
 # an action cochain plus d_Lambda (``calculus.differential``): the
 # Chevalley-Eilenberg differential walks every (p+1)-tuple of basis
@@ -371,6 +438,14 @@ def on_dpoly_reference(s: Scenario):
     return lambda a, mu: gerstenhaber(ops[a], mu)
 
 
+def vf_apply(x: PolyVector, f: Poly) -> Poly:
+    """X(f) = sum_i p_i d_i f for a vector field X."""
+    out = Poly.zero(f.n)
+    for (i,), p in x.terms.items():
+        out = out + p * f.partial(i)
+    return out
+
+
 def lie_derivative_reference(s: Scenario, a: int, t: EndTensor) -> EndTensor:
     """L_{phi_a} t: the action of e_a on End-valued tensors."""
     n = s.n
@@ -378,7 +453,7 @@ def lie_derivative_reference(s: Scenario, a: int, t: EndTensor) -> EndTensor:
     out = {}
     for (i, j, k), p in t.terms.items():
         # term 1: [phi, A(d_i)d_j] = phi(A_ijk) d_k - A_ijc d_c(phi^k) d_k
-        accumulate(out, (i, j, k), s.action[a].apply_to(p))
+        accumulate(out, (i, j, k), vf_apply(s.action[a], p))
         for c in range(n):
             accumulate(out, (i, j, c), (p * phi[c].partial(k)).scale(-1))
         # term 2: - A([phi, d_c]) d_j = +d_c(phi^i) A(d_i) d_j summed into slot c

@@ -120,6 +120,12 @@ def test_bad_caps_exits_2(capsys):
     for caps in ("4,2", ""):
         status, _, err = run(capsys, "validate", "paper_sec4", "--caps", caps)
         assert status == 2, caps
+    # a part that is not an integer is named, with the option
+    for caps, part in (("a,b,c", "'a'"), ("1,,2", "''"), ("6,4,x", "'x'"), ("6,4.5,3", "'4.5'")):
+        status, out, err = run(capsys, "duflo-check", "sl2_linear", "--caps", caps)
+        assert (status, out) == (2, ""), caps
+        assert err.startswith(f"error: --caps: {part} is not an integer"), err
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("caps, cap", [

@@ -9,16 +9,16 @@ from hypothesis import strategies as st
 
 from gman import cohomology
 from gman.atiyah import todd_sqrt
-from gman.calculus import ext_pv_wedge, ext_schouten, mixed_unit
+from gman.calculus import add_cochain, contract, ext_pv_wedge, ext_schouten, mixed_unit
 from gman.cohomology import (SIDES, Workspace, cochain_coords, cohomology_report,
                              duflo_check, enumerate_slice, hkr_check, residual_coords,
-                             stable_degree_max, twisting, weight_window)
+                             stable_degree_max, twisted_terms, twisting, weight_window)
 from gman.dpoly import ext_cup, ext_gerstenhaber, ext_hkr
-from gman.liealg import LieAlgebra
-from gman.poly import monomials_of_weight
+from gman.liealg import Cochain, LieAlgebra
+from gman.poly import Poly, monomials_of_weight
 from gman.scenario import Caps, ScenarioError, load_scenario
 
-from conftest import (basis_cochain, enumerate_slice_reference, hkr_reference,
+from conftest import (basis_cochain, count_builds, enumerate_slice_reference, hkr_reference,
                       morphism_reference, residuals_reference, slice_reference,
                       two_generator_doc)
 
@@ -250,6 +250,33 @@ def test_unit_twist_contracts_nothing(abelian, monkeypatch):
     assert twisted == plain and twisted["pairs_checked"] == 120
 
 
+def test_duflo_pair_loop_builds_nothing(abelian, monkeypatch):
+    """Every residual is summed into raw maps: once the workspaces hold
+    every echelon, a pass over 200 pairs builds as many Cochain and Poly
+    objects as a pass over one pair (those of todd_sqrt and of mapping
+    each class), so the pair loop builds none.  Negative control: with
+    ext_cup building its product, each pair adds one Cochain."""
+    tp, dp = both_sides(with_caps(abelian, 24, 4, 4))
+    duflo_check(tp, dp, "td_sqrt", sample_cap=10**5)  # every echelon, once
+
+    def builds(sample_cap):
+        counts = {cls: count_builds(monkeypatch, cls) for cls in (Cochain, Poly)}
+        report = duflo_check(tp, dp, "td_sqrt", sample_cap=sample_cap)
+        monkeypatch.undo()
+        assert report["pairs_checked"] == sample_cap and report["all_reduce"]
+        return {cls: len(built) for cls, built in counts.items()}
+
+    one = builds(1)
+    assert one[Cochain] and one[Poly]
+    assert builds(200) == one
+    ext_cup = cohomology.ext_cup
+    monkeypatch.setattr(cohomology, "ext_cup",
+                        lambda a, b, acc: add_cochain(ext_cup(a, b), acc))
+    built = count_builds(monkeypatch, Cochain)
+    duflo_check(tp, dp, "td_sqrt", sample_cap=200)
+    assert len(built) == one[Cochain] + 200
+
+
 def duflo_classes(tp):
     """Representatives of every class duflo_check pairs, in its order."""
     s = tp.s
@@ -264,23 +291,27 @@ def assert_int_first_coords(coords: dict) -> None:
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (key, c)
 
 
-@pytest.mark.parametrize("twist", ["td_sqrt", "hkr_only", "wrong"])
+@pytest.mark.parametrize("twist", ["td_sqrt", "hkr_only", "wrong", "unit"])
 @pytest.mark.parametrize("name, caps, sample", [
     ("paper", None, None), ("paper", (2, 1, 2), None), ("sl2", (2, 2, 3), None),
     ("abelian", (24, 4, 4), 200)])
 def test_residuals_match_cochain_subtraction(request, monkeypatch, name, caps, sample, twist):
-    """The residual coordinates duflo_check reduces equal those of the
+    """The residual coordinates duflo_check reduces, summed into raw maps
+    (raw throughout where the twist is the identity), equal those of the
     Cochain subtraction ext_cup(phi a, phi b) - phi(ext_pv_wedge(a, b))
     (and the same for the brackets), phi = hkr o contract(td, -) always
-    contracting, under td^{1/2}, under hkr alone and under the wrong
-    twist 2 * unit; every coordinate is int-first.  Negative control: the
-    reference with the sign of the hkr factor flipped disagrees."""
+    contracting, under td^{1/2}, under hkr alone, under the wrong twist
+    2 * unit and under contraction by the unit, which twisted_terms
+    builds and contracts where hkr alone sums raw; every coordinate is
+    int-first.  Negative control: the reference with the sign of the hkr
+    factor flipped disagrees."""
     s = request.getfixturevalue(name)
     s = s if caps is None else with_caps(s, *caps)
     if twist == "wrong":
         monkeypatch.setattr(cohomology, "todd_sqrt", lambda s: mixed_unit(s.dim_g, s.n).scale(2))
-    td = mixed_unit(s.dim_g, s.n) if twist == "hkr_only" else cohomology.todd_sqrt(s)
-    twisted = twisting(s, "hkr_only" if twist == "hkr_only" else "td_sqrt")
+    td = mixed_unit(s.dim_g, s.n) if twist in ("hkr_only", "unit") else cohomology.todd_sqrt(s)
+    twisted = ((lambda c: contract(td, c)) if twist == "unit"
+               else twisting(s, "hkr_only" if twist == "hkr_only" else "td_sqrt"))
     reps = duflo_classes(Workspace(s, "tpoly"))
     images = [ext_hkr(twisted(r)) for r in reps]
     pairs = [(i, j) for i in range(len(reps)) for j in range(i, len(reps))]
@@ -290,9 +321,10 @@ def test_residuals_match_cochain_subtraction(request, monkeypatch, name, caps, s
     nonzero = differs = 0
     for i, j in pairs:
         a, b = reps[i], reps[j]
-        got = (residual_coords(ext_cup(images[i], images[j]), twisted(ext_pv_wedge(a, b))),
-               residual_coords(ext_gerstenhaber(images[i], images[j]),
-                               twisted(ext_schouten(a, b))))
+        got = (residual_coords(s.n, ext_cup(images[i], images[j], {}),
+                               twisted_terms(twisted, ext_pv_wedge, a, b)),
+               residual_coords(s.n, ext_gerstenhaber(images[i], images[j], {}),
+                               twisted_terms(twisted, ext_schouten, a, b)))
         for coords in got:
             assert_int_first_coords(coords)
         assert got == residuals_reference(a, b, td), (i, j)
@@ -446,6 +478,24 @@ def two_generator_scenarios(draw):
     caps = {"max_weight": draw(st.integers(0, 2)), "max_order": draw(st.integers(1, 2)),
             "max_arity": draw(st.integers(1, 3))}
     return load_scenario(two_generator_doc(n, weights, a, b, a, caps))
+
+
+def test_columns_are_int_first_under_a_fractional_action():
+    """With action coefficient 1/2, an action entry times an even
+    exponent is integral: every column coordinate is an int or a proper
+    Fraction, on both sides, and both kinds occur."""
+    caps = {"max_weight": 3, "max_order": 2, "max_arity": 2}
+    s = load_scenario(two_generator_doc(2, [1, 1], "1/2", "-1", "1/2", caps))
+    kinds = set()
+    for side in SIDES:
+        ws = Workspace(s, side)
+        for w in weight_window(s):
+            for k in range(-1, stable_degree_max(s, side) + 1):
+                for elt in ws.basis(w, k):
+                    coords = ws.image_coords(elt)
+                    assert_int_first_coords(coords)
+                    kinds |= {type(c) for c in coords.values()}
+    assert kinds == {int, Fraction}
 
 
 def test_two_generator_family_needs_its_structure_constant():

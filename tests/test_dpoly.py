@@ -13,8 +13,8 @@ from gman.liealg import Cochain
 from gman.poly import Poly, accumulate, polys
 from gman.scenario import load_scenario
 
-from conftest import (bundled_doc, components_by_degree, mul_reference,
-                      partial_multi_reference, vf_bracket)
+from conftest import (bundled_doc, components_by_degree, count_builds, mul_reference,
+                      partial_multi_reference, vf_apply, vf_bracket)
 
 rng = random.Random(9)
 SL2 = load_scenario(bundled_doc("sl2_linear"))
@@ -161,21 +161,11 @@ def test_gerstenhaber_matches_component_composition():
     assert nonzero > 250
 
 
-def _count_builds(monkeypatch, cls) -> list:
-    """Record every construction of a cls instance, through __init__ or _like."""
-    built = []
-    init, like = cls.__init__, cls._like
-    monkeypatch.setattr(cls, "__init__",
-                        lambda self, *args: built.append(1) or init(self, *args))
-    monkeypatch.setattr(cls, "_like", lambda self, terms: built.append(1) or like(self, terms))
-    return built
-
-
 def test_gerstenhaber_builds_one_operator(monkeypatch):
     r = random.Random(5)
     a, b = _random_sum(r, 2), _random_sum(r, 2)
     assert len({len(k) for k in a.terms}) > 1
-    built = _count_builds(monkeypatch, PolyDiffOp)
+    built = count_builds(monkeypatch, PolyDiffOp)
     assert not gerstenhaber(a, b).is_zero()
     assert len(built) == 1
 
@@ -185,8 +175,8 @@ def test_ext_gerstenhaber_builds_one_cochain(monkeypatch):
     a = Cochain(2, {(): _random_sum(r, 2), (0,): _random_sum(r, 2), (1,): _random_sum(r, 2)})
     b = Cochain(2, {(): _random_sum(r, 2), (1,): _random_sum(r, 2)})
     assert len({len(k) for v in a.terms.values() for k in v.terms}) > 1
-    built = _count_builds(monkeypatch, Cochain)
-    values = _count_builds(monkeypatch, PolyDiffOp)
+    built = count_builds(monkeypatch, Cochain)
+    values = count_builds(monkeypatch, PolyDiffOp)
     got = ext_gerstenhaber(a, b)
     assert len(got.terms) > 1
     assert len(built) == 1
@@ -225,7 +215,7 @@ def test_bracket_with_vector_fields_matches_geometry():
         f = smp.poly()
         o1 = PolyDiffOp.from_vector_field(v1)
         assert gerstenhaber(o1, PolyDiffOp.function(f)) \
-            == PolyDiffOp.function(v1.apply_to(f))
+            == PolyDiffOp.function(vf_apply(v1, f))
         assert gerstenhaber(o1, PolyDiffOp.from_vector_field(v2)) \
             == PolyDiffOp.from_vector_field(vf_bracket(v1, v2))
 

@@ -296,9 +296,14 @@ def raw_diffop(n: int, acc: dict) -> PolyDiffOp:
     return PolyDiffOp(n, polys(n, acc))
 
 
+def raw_pv(pv: PolyVector) -> dict:
+    """The raw map (coordinate tuple -> term map) that hkr_terms reads."""
+    return {idx: p.terms for idx, p in pv.terms.items()}
+
+
 @pytest.mark.parametrize("f", [1, -1, Fraction(1, 2), 3])
 def test_hkr_kernel_matches_reference(f):
-    """hkr_terms(acc, pv, f) adds f * hkr(pv) into raw term maps, on top
+    """hkr_terms(acc, n, pv, f) adds f * hkr(pv) into raw term maps, on top
     of what acc holds, on polyvectors of tensor degree 0-3 in 1-3
     coordinates; adding the same with -f cancels to nothing."""
     r = random.Random(73)
@@ -308,12 +313,12 @@ def test_hkr_kernel_matches_reference(f):
         pv, pv2 = polyvector(r, n), polyvector(r, n)
         degrees |= {len(idx) for idx in pv.terms}
         assert_same(hkr(pv), hkr_reference(pv))
-        acc = hkr_terms({}, pv, f)
+        acc = hkr_terms({}, n, raw_pv(pv), f)
         assert_same(raw_diffop(n, acc), hkr_reference(pv).scale(f))
-        assert hkr_terms(acc, pv2, f) is acc
+        assert hkr_terms(acc, n, raw_pv(pv2), f) is acc
         assert_same(raw_diffop(n, acc), (hkr_reference(pv) + hkr_reference(pv2)).scale(f))
-        hkr_terms(acc, pv, -f)
-        hkr_terms(acc, pv2, -f)
+        hkr_terms(acc, n, raw_pv(pv), -f)
+        hkr_terms(acc, n, raw_pv(pv2), -f)
         assert not any(acc.values())
     assert degrees == {0, 1, 2, 3}
 
@@ -323,11 +328,34 @@ def test_hkr_kernel_sums_to_int():
     the negative drops every coefficient."""
     x = Poly.var(2, 0)
     pv = PolyVector(2, {(0, 1): x.scale(2)})
-    acc = hkr_terms(hkr_terms({}, pv, Fraction(1, 2)), pv, Fraction(1, 2))
+    acc = hkr_terms(hkr_terms({}, 2, raw_pv(pv), Fraction(1, 2)), 2, raw_pv(pv), Fraction(1, 2))
     assert acc == {((1, 0), (0, 1)): {(1, 0): 1}, ((0, 1), (1, 0)): {(1, 0): -1}}
     assert all(type(c) is int for t in acc.values() for c in t.values())
-    hkr_terms(acc, pv, -1)
+    hkr_terms(acc, 2, raw_pv(pv), -1)
     assert acc == {((1, 0), (0, 1)): {}, ((0, 1), (1, 0)): {}}
+
+
+def test_hkr_kernel_takes_raw_zero_entries():
+    """A raw polyvector map may hold zero coefficients, as the sums of
+    ext_pv_wedge and ext_schouten into a raw map do: a zero entry adds
+    nothing, also at an exponent the target lacks, and the result equals
+    hkr of the map with its zeros dropped."""
+    r = random.Random(83)
+    for _ in range(100):
+        n = r.randint(1, 3)
+        pv, pv2 = polyvector(r, n), polyvector(r, n)
+        # zero entries first: at (3, .., 3), which no operand holds, and at
+        # a random exponent of degree <= 2 unless pv2 holds it
+        zeros = {idx: {(3,) * n: 0, **{tuple(r.randint(0, 2) for _ in range(n)): 0}, **t}
+                 for idx, t in raw_pv(pv2).items()}
+        acc = hkr_terms(hkr_terms({}, n, raw_pv(pv), 1), n, zeros, 1)
+        assert_same(raw_diffop(n, acc), hkr_reference(pv) + hkr_reference(pv2))
+    x = Poly.var(1, 0)
+    acc = hkr_terms({}, 1, {(0,): {(1,): 0, (0,): 0}}, 1)
+    assert acc == {((1,),): {}}
+    acc = hkr_terms(hkr_terms({}, 1, raw_pv(PolyVector(1, {(0,): x})), 1), 1,
+                    {(0,): {(1,): 0, (2,): 0}}, -1)
+    assert acc == {((1,),): {(1,): 1}}
 
 
 def test_hkr_kernel_dropped_factorial_fails():
@@ -341,7 +369,8 @@ def test_hkr_kernel_dropped_factorial_fails():
         if max(map(len, pv.terms), default=0) < 2:
             continue
         with pytest.raises(AssertionError):
-            assert_same(raw_diffop(n, hkr_terms({}, pv, 1)), hkr_reference(pv, factor=lambda k: 1))
+            assert_same(raw_diffop(n, hkr_terms({}, n, raw_pv(pv), 1)),
+                        hkr_reference(pv, factor=lambda k: 1))
         checked += 1
     assert checked > 30
 
