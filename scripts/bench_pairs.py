@@ -17,7 +17,11 @@ speed falls on both sides alike.
 
 The file records every run's last standard-output line and, for each
 end-to-end metric of BENCHMARK.json, each side's median and quartiles
-and the number of pairs the change won.  Standard library only.
+and the number of pairs the change won.  It also records each side's
+line count of ``src/gman/*.py``, since set-up time includes compiling
+the sources where no bytecode is cached, and, for each workload, the
+per-layer metrics of one ``--trace 1`` run per side after its pairs,
+which show where the time went.  Standard library only.
 """
 
 from __future__ import annotations
@@ -56,9 +60,13 @@ def snapshot(into: Path) -> None:
             shutil.copy2(ROOT / name, into / name)
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def source_lines(tree: Path) -> int:
+    return sum(len(f.read_text().splitlines()) for f in (tree / "src" / "gman").glob("*.py"))
+
+
+def run(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
@@ -110,6 +118,7 @@ def main() -> int:
         sides = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         extract(parent, sides["parent"])
         snapshot(sides["change"])
+        lines = {side: source_lines(tree) for side, tree in sides.items()}
         for workload, n in plan:
             pairs = []
             for i in range(n):
@@ -121,11 +130,14 @@ def main() -> int:
                     print(f"{workload} pair {i + 1}/{n} {side}: wall_s {wall:.3f}",
                           file=sys.stderr, flush=True)
                 pairs.append(pair)
+            traced = {side: run(sides[side], workload, args.seed, args.seconds, trace=1)
+                      for side in ("parent", "change")}
             results[workload] = {
                 "all_correct": all(p[s]["correct"] for p in pairs for s in ("parent", "change")),
                 "failed": sum(p[s]["failed"] for p in pairs for s in ("parent", "change")),
                 "summary": summarise(pairs, bench["end_to_end"]),
                 "runs": pairs,
+                "traced": traced,
             }
 
     doc = {
@@ -134,6 +146,7 @@ def main() -> int:
         "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
                    f"--seconds {args.seconds:g} --trace 0",
         "parent": parent,
+        "src_gman_lines": lines,
         "machine": {"cores": os.cpu_count(), "python": platform.python_version(),
                     "os": f"{platform.system()} {platform.machine()}"},
         "protocol": "alternating pairs, one run per side each, the first side alternating "

@@ -246,7 +246,7 @@ def contract(eta: Cochain, a: Cochain) -> Cochain:
     """Contraction action of a balanced mixed form on polyvector cochains.
 
     For eta = omega (x) theta and a = alpha (x) X the result is
-    (omega ^ alpha) (x) i_theta X; the extension sign is +1 (the acting
-    element is balanced, hence even).  contract(unit, a) == a.
+    (-1)^{|theta||alpha|} (omega ^ alpha) (x) i_theta X: the Koszul sign
+    makes contraction by a closed eta a chain map.  contract(unit, a) == a.
     """
-    return ext_bilinear(eta, a, _interior, lambda k1, p2: 0)
+    return ext_bilinear(eta, a, _interior, lambda k1, p2: k1 * p2)

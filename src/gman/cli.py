@@ -20,6 +20,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 from dataclasses import replace
 from functools import partial
@@ -55,17 +56,14 @@ def _load(args) -> tuple[Scenario, str]:
         json.dumps(json.loads(text), sort_keys=True).encode()).hexdigest()
     s = load_scenario(text)
     if args.caps is not None:
-        parts = []
-        for v in args.caps.split(","):
-            try:
-                parts.append(int(v))
-            except ValueError:
+        parts = args.caps.split(",")
+        for v in parts:
+            if not re.fullmatch(r"-?[0-9]+", v):
                 raise ScenarioError(f"--caps: {v!r} is not an integer in "
-                                    f"{args.caps!r} (max_weight,max_order,max_arity)") from None
+                                    f"{args.caps!r} (max_weight,max_order,max_arity)")
         if len(parts) != 3:
             raise ScenarioError("--caps expects max_weight,max_order,max_arity")
-        s = replace(s, caps=Caps(parts[0], parts[1], parts[2],
-                                 s.caps.max_ce_degree))
+        s = replace(s, caps=Caps(*map(int, parts), s.caps.max_ce_degree))
     return s, digest
 
 

@@ -7,7 +7,8 @@ Functions are arity 0 (degree -1) with the empty tuple as only key.
 Coefficients always sit in a single left factor, which makes equality
 of operators equality of term maps.
 
-The Gerstenhaber bracket is built from slot insertion; the Hochschild
+The Gerstenhaber bracket is built from slot insertion, one product per
+distinct derivative of the inserted coefficient; the Hochschild
 differential is [m, -] with m the two-slot multiplication, so there is
 exactly one source of signs.  Bracket and cup are term-pair kernels
 (``poly.termwise`` on values, ``calculus.ext_bilinear`` on cochains).
@@ -38,18 +39,19 @@ def _hkr_layout(idx: tuple[int, ...], n: int) -> tuple[tuple[OpKey, Coeff], ...]
 
 
 @cache
-def _split_multiindex(alpha: MultiIndex, parts: int) -> tuple[tuple[OpKey, int], ...]:
-    """All ways to write alpha as a sum of ``parts`` multi-indices,
-    with the multinomial coefficient of the split.  Few distinct
-    (alpha, parts) occur, so each is computed once."""
+def _split_multiindex(alpha: MultiIndex, parts: int) -> tuple[tuple[MultiIndex, tuple], ...]:
+    """All ways to write alpha as a sum of ``parts`` multi-indices with their
+    multinomial coefficients, grouped by the first part: (first, ((rest,
+    coeff), ..)).  Few distinct (alpha, parts) occur; each is computed once."""
     if parts == 1:
-        return (((alpha,), 1),)
+        return ((alpha, (((), 1),)),)
     out = []
     for first in product(*(range(a + 1) for a in alpha)):
         coeff = prod(comb(a, b) for a, b in zip(alpha, first))
         rest = tuple(a - b for a, b in zip(alpha, first))
-        for tail, tcoeff in _split_multiindex(rest, parts - 1):
-            out.append(((first,) + tail, coeff * tcoeff))
+        out.append((first, tuple(((second,) + tail, coeff * c)
+                                 for second, group in _split_multiindex(rest, parts - 1)
+                                 for tail, c in group)))
     return tuple(out)
 
 
@@ -90,32 +92,42 @@ class PolyDiffOp(Sparse):
 # ------------------------------------------------------------------ insertion
 
 def _insert(acc: dict, key1: OpKey, p1: Poly, slot: int, key2: OpKey, p2: Poly,
-            sign: int) -> None:
+            sign: int, memo: dict | None = None) -> None:
     """acc += sign * (the term p2 D^key2 substituted into the given slot of
     the term p1 D^key1), where acc maps keys to raw term maps.
 
     The derivative on the consumed slot distributes over p2 and the
     slots of key2 by the multivariate Leibniz rule with multinomial
-    coefficients.
+    coefficients.  Each first part a of a split is one product p1 d^a p2,
+    kept in memo (a -> product) for the other slots of key1 and added into
+    each key of its group.
     """
-    for split, coeff in _split_multiindex(key1[slot], len(key2) + 1):
-        dp2 = derive(p2.terms, split[0])
-        if not dp2:
+    head, tail = key1[:slot], key1[slot + 1:]
+    memo = {} if memo is None else memo
+    for first, group in _split_multiindex(key1[slot], len(key2) + 1):
+        if (pq := memo.get(first)) is None:
+            dp2 = derive(p2.terms, first)
+            pq = memo[first] = addmul({}, p1.terms, dp2, 1) if dp2 else {}
+        if not pq:
             continue
-        new_slots = tuple(tuple(map(add, beta, delta)) for beta, delta in zip(key2, split[1:]))
-        key = key1[:slot] + new_slots + key1[slot + 1:]
-        addmul(acc.setdefault(key, {}), p1.terms, dp2, sign * coeff)
+        for rest, coeff in group:
+            new_slots = tuple(tuple(map(add, beta, delta)) for beta, delta in zip(key2, rest))
+            target = acc.setdefault(head + new_slots + tail, {})
+            scale = sign * coeff
+            for e, c in pq.items():
+                target[e] = target.get(e, 0) + c * scale
 
 
 def _gerstenhaber(acc: dict, key1: OpKey, p1: Poly, key2: OpKey, p2: Poly, f) -> None:
     """acc += f [p1 D^key1, p2 D^key2] = f (d1 o d2 - (-1)^{kl} d2 o d1) in
     shifted degrees k, l, where d1 o d2 = sum_i (-1)^{il} (d2 inserted
-    into slot i of d1)."""
-    k, l = len(key1) - 1, len(key2) - 1
+    into slot i of d1), its slots sharing one product memo."""
+    k, l, memo = len(key1) - 1, len(key2) - 1, {}
     for i in range(k + 1):
-        _insert(acc, key1, p1, i, key2, p2, -f if i * l % 2 else f)
+        _insert(acc, key1, p1, i, key2, p2, -f if i * l % 2 else f, memo)
+    memo = {}  # p1 and p2 swap roles
     for j in range(l + 1):
-        _insert(acc, key2, p2, j, key1, p1, f if (k * l + j * k) % 2 else -f)
+        _insert(acc, key2, p2, j, key1, p1, f if (k * l + j * k) % 2 else -f, memo)
 
 
 def gerstenhaber(d1: PolyDiffOp, d2: PolyDiffOp) -> PolyDiffOp:

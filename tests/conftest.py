@@ -2,8 +2,9 @@ import json
 from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
-from itertools import combinations, permutations
-from math import factorial
+from itertools import combinations, permutations, product
+from math import comb, factorial, prod
+from operator import add
 
 import pytest
 
@@ -13,7 +14,8 @@ from gman.calculus import (DiffForm, PolyVector, _xi_partial, _xi_partial_right,
 from gman.cohomology import cochain_coords, coords_cochain
 from gman.dpoly import PolyDiffOp, ext_cup, ext_gerstenhaber, gerstenhaber, hochschild
 from gman.liealg import Cochain, LieAlgebra, StructureError, merge_indices, sort_indices
-from gman.poly import Poly, Sparse, accumulate, monomials_of_weight, polys, unit
+from gman.poly import (Poly, Sparse, accumulate, addmul, derive, monomials_of_weight, polys,
+                       unit)
 from gman.scenario import Scenario, load_scenario
 
 
@@ -179,6 +181,44 @@ def cup_reference(d1: PolyDiffOp, d2: PolyDiffOp) -> PolyDiffOp:
     return PolyDiffOp(d1.n, acc)
 
 
+# Slot insertion as it was before the Leibniz splits were grouped by
+# their first part: one derivative and one product per split, from a
+# flat split table.  The reference for ``dpoly._insert`` and
+# ``_gerstenhaber``.
+
+def split_multiindex_reference(alpha, parts: int) -> tuple:
+    """Every split of alpha into ``parts`` multi-indices with its
+    multinomial coefficient, one flat tuple of (split, coeff)."""
+    if parts == 1:
+        return (((alpha,), 1),)
+    out = []
+    for first in product(*(range(a + 1) for a in alpha)):
+        coeff = prod(comb(a, b) for a, b in zip(alpha, first))
+        rest = tuple(a - b for a, b in zip(alpha, first))
+        for tail, tcoeff in split_multiindex_reference(rest, parts - 1):
+            out.append(((first,) + tail, coeff * tcoeff))
+    return tuple(out)
+
+
+def insert_reference(acc: dict, key1, p1: Poly, slot: int, key2, p2: Poly, sign) -> None:
+    for split, coeff in split_multiindex_reference(key1[slot], len(key2) + 1):
+        dp2 = derive(p2.terms, split[0])
+        if not dp2:
+            continue
+        new_slots = tuple(tuple(map(add, beta, delta)) for beta, delta in zip(key2, split[1:]))
+        key = key1[:slot] + new_slots + key1[slot + 1:]
+        addmul(acc.setdefault(key, {}), p1.terms, dp2, sign * coeff)
+
+
+def gerstenhaber_reference(acc: dict, key1, p1: Poly, key2, p2: Poly, f) -> None:
+    """The bracket kernel of ``dpoly._gerstenhaber``, on insert_reference."""
+    k, l = len(key1) - 1, len(key2) - 1
+    for i in range(k + 1):
+        insert_reference(acc, key1, p1, i, key2, p2, -f if i * l % 2 else f)
+    for j in range(l + 1):
+        insert_reference(acc, key2, p2, j, key1, p1, f if (k * l + j * k) % 2 else -f)
+
+
 def pv_wedge_reference(a: Sparse, b: Sparse) -> Sparse:
     out = {}
     for ia, pa in a.terms.items():
@@ -259,6 +299,8 @@ def ext_bilinear_reference(a: Cochain, b: Cochain, op, exponent) -> Cochain:
 
 
 def contract_reference(eta: Cochain, a: Cochain) -> Cochain:
+    """Form degree by form degree, with the Koszul sign of moving the
+    form past the exterior part of a."""
     acc = {}
     for iw, theta in eta.terms.items():
         for ia, x in a.terms.items():
@@ -266,10 +308,10 @@ def contract_reference(eta: Cochain, a: Cochain) -> Cochain:
             if merged is None:
                 continue
             sign, idx = merged
-            v = interior_form(theta, x)
-            if v.is_zero():
-                continue
-            accumulate(acc, idx, v.scale(sign))
+            for k, part in components_by_degree(theta):
+                v = interior_form(part, x)
+                if not v.is_zero():
+                    accumulate(acc, idx, v.scale(-sign if k * len(ia) % 2 else sign))
     return a._like(acc)
 
 

@@ -121,7 +121,9 @@ def test_bad_caps_exits_2(capsys):
         status, _, err = run(capsys, "validate", "paper_sec4", "--caps", caps)
         assert status == 2, caps
     # a part that is not an integer is named, with the option
-    for caps, part in (("a,b,c", "'a'"), ("1,,2", "''"), ("6,4,x", "'x'"), ("6,4.5,3", "'4.5'")):
+    for caps, part in (("a,b,c", "'a'"), ("1,,2", "''"), ("6,4,x", "'x'"), ("6,4.5,3", "'4.5'"),
+                       ("2_4,4,4", "'2_4'"), ("+4,4,4", "'+4'"), (" 4,4,4", "' 4'"),
+                       ("\u0664,4,4", "'\u0664'")):
         status, out, err = run(capsys, "duflo-check", "sl2_linear", "--caps", caps)
         assert (status, out) == (2, ""), caps
         assert err.startswith(f"error: --caps: {part} is not an integer"), err

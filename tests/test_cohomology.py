@@ -9,18 +9,20 @@ from hypothesis import strategies as st
 
 from gman import cohomology
 from gman.atiyah import todd_sqrt
-from gman.calculus import add_cochain, contract, ext_pv_wedge, ext_schouten, mixed_unit
+from gman.calculus import (_interior, add_cochain, contract, ext_bilinear, ext_pv_wedge,
+                           ext_schouten, mixed_unit)
 from gman.cohomology import (SIDES, Workspace, cochain_coords, cohomology_report,
                              duflo_check, enumerate_slice, hkr_check, residual_coords,
-                             stable_degree_max, twisted_terms, twisting, weight_window)
+                             side_differential, stable_degree_max, twisted_terms, twisting,
+                             weight_window)
 from gman.dpoly import ext_cup, ext_gerstenhaber, ext_hkr
 from gman.liealg import Cochain, LieAlgebra
 from gman.poly import Poly, monomials_of_weight
 from gman.scenario import Caps, ScenarioError, load_scenario
 
 from conftest import (basis_cochain, count_builds, enumerate_slice_reference, hkr_reference,
-                      morphism_reference, residuals_reference, slice_reference,
-                      two_generator_doc)
+                      morphism_reference, random_connection, residuals_reference,
+                      slice_reference, two_generator_doc)
 
 
 def both_sides(s):
@@ -496,6 +498,51 @@ def test_columns_are_int_first_under_a_fractional_action():
                     assert_int_first_coords(coords)
                     kinds |= {type(c) for c in coords.values()}
     assert kinds == {int, Fraction}
+
+
+def _chain_map_defects(s, iota) -> tuple[int, int]:
+    """(basis elements e with d iota(e) != iota(d e), basis elements) over
+    the polyvector window of s."""
+    d, ws = side_differential(s, "tpoly"), Workspace(s, "tpoly")
+    elts = [elt for w in weight_window(s) for k in range(-1, stable_degree_max(s, "tpoly") + 1)
+            for elt in ws.basis(w, k)]
+    cochains = [basis_cochain(s, "tpoly", elt) for elt in elts]
+    return sum(d(iota(c)) != iota(d(c)) for c in cochains), len(elts)
+
+
+def test_contraction_by_td_sqrt_is_a_chain_map():
+    """d o i_{td^{1/2}} = i_{td^{1/2}} o d on every basis element of the
+    window of the two-generator scenario on R^2 at caps 2,3,4, flat and
+    with random connections.  Negative control: without the Koszul sign
+    of moving the form past the exterior part, the flat case fails."""
+    caps = {"max_weight": 2, "max_order": 3, "max_arity": 4}
+    flat = load_scenario(two_generator_doc(2, [1, 1], "1", "1", "1", caps))
+    scenarios = [flat] + [random_connection(flat, shift, random.Random(seed))
+                          for shift in (0, 1) for seed in (0, 2)]
+    # at shift 0 no Christoffel symbol has a monomial of its weight -1, so
+    # td^{1/2} is the flat one there; the two shift-1 ones differ from it
+    assert len({str(todd_sqrt(s)) for s in scenarios}) == 3
+    for s in scenarios:
+        td = todd_sqrt(s)
+        bad, total = _chain_map_defects(s, lambda c: contract(td, c))
+        assert (bad, total > 150) == (0, True), s
+    td = todd_sqrt(flat)
+    unsigned = _chain_map_defects(flat, lambda c: ext_bilinear(td, c, _interior, lambda k1, p2: 0))
+    assert unsigned[0] > 0
+
+
+def test_connection_scenario_reduces_under_td_sqrt(monkeypatch):
+    """The two-generator scenario on R^2 at caps 2,2,2 with a seeded linear
+    connection: every residual reduces under td^{1/2}.  Negative control:
+    contraction without the Koszul sign fails pairs there."""
+    caps = {"max_weight": 2, "max_order": 2, "max_arity": 2}
+    two = load_scenario(two_generator_doc(2, [1, 1], "1/2", "-1", "1/2", caps))
+    s = random_connection(two, 1, random.Random(0))
+    report = duflo_check(*both_sides(s), "td_sqrt")
+    assert (report["classes"], report["pairs_checked"], report["all_reduce"]) == (6, 21, True)
+    monkeypatch.setattr(cohomology, "contract",
+                        lambda eta, a: ext_bilinear(eta, a, _interior, lambda k1, p2: 0))
+    assert not duflo_check(*both_sides(s), "td_sqrt")["all_reduce"]
 
 
 def test_two_generator_family_needs_its_structure_constant():

@@ -281,9 +281,10 @@ def test_interior_kernel_signs():
     assert interior_form(DiffForm(3, {(1,): one}), dxyz) == PolyVector(3, {(0, 2): -one})
     assert interior_form(DiffForm(3, {(2,): one}), dxyz) == PolyVector(3, {(0, 1): one})
     assert interior_form(DiffForm(3, {(0, 2): one}), dxyz) == PolyVector(3, {(1,): -one})
-    # the shuffle of e_1 past e_0 and the hop of dy past d_x: +d_x
+    # the shuffle of e_1 past e_0, the Koszul sign of dy past e^0 and the
+    # hop of dy past d_x: -d_x ^ d_z
     got = contract(Cochain(2, {(1,): DiffForm(3, {(1,): one})}), Cochain(2, {(0,): dxyz}))
-    assert got == Cochain(2, {(0, 1): PolyVector(3, {(0, 2): one})})
+    assert got == Cochain(2, {(0, 1): PolyVector(3, {(0, 2): -one})})
 
 
 def raw_diffop(n: int, acc: dict) -> PolyDiffOp:
