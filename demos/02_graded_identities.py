@@ -5,16 +5,18 @@ and polydifferential operators with the Gerstenhaber bracket — carry
 differential graded Lie algebra structures once the Chevalley-Eilenberg
 differential of the g-action is added.  This script runs the randomized
 identity suite on the sl2 scenario and prints a small worked example of
-each bracket.
+each bracket.  A single value is a cochain of degree 0: the products and
+brackets of cochains serve it, with every sign 1 on the empty index tuple.
 
 Run with:  python demos/02_graded_identities.py
 """
 
 from importlib import resources
 
-from gman.calculus import PolyVector, schouten
+from gman.calculus import PolyVector, ext_schouten
 from gman.checks import run_axiom_checks
-from gman.dpoly import PolyDiffOp, gerstenhaber, hkr, hochschild
+from gman.dpoly import PolyDiffOp, ext_gerstenhaber, hkr
+from gman.liealg import Cochain
 from gman.poly import Poly
 from gman.scenario import load_scenario
 
@@ -26,20 +28,25 @@ def main():
     # A worked Schouten bracket on the plane: [x d_x /\ d_y, y d_x].
     n = 2
     x, y = Poly.var(n, 0), Poly.var(n, 1)
-    a = PolyVector(n, {(0, 1): x})
-    b = PolyVector.vector_field([y, Poly(n)])
-    print("[x d_x^d_y, y d_x] =", schouten(a, b))
 
-    # The Hochschild differential measures failure to be a derivation:
-    dxx = PolyDiffOp(n, {((2, 0),): Poly.const(n, 1)})
-    print("d_H(d_x^2) =", hochschild(dxx))
+    def value(v):
+        return Cochain(0, {(): v})
+
+    a = value(PolyVector(n, {(0, 1): x}))
+    b = value(PolyVector.vector_field([y, Poly(n)]))
+    print("[x d_x^d_y, y d_x] =", ext_schouten(a, b))
+
+    # The Hochschild differential [m, -] measures failure to be a derivation:
+    m = value(PolyDiffOp.multiplication(n))
+    dxx = value(PolyDiffOp(n, {((2, 0),): Poly.const(n, 1)}))
+    print("d_H(d_x^2) =", ext_gerstenhaber(m, dxx))
     print("d_H vanishes on hkr images:",
-          hochschild(hkr(PolyVector(n, {(0, 1): x}))).is_zero())
+          ext_gerstenhaber(m, value(hkr(PolyVector(n, {(0, 1): x})))).is_zero())
 
     # Gerstenhaber bracket of two vector fields is the usual bracket:
-    v1 = PolyDiffOp.from_vector_field(PolyVector.vector_field([x, Poly(n)]))
-    v2 = PolyDiffOp.from_vector_field(PolyVector.vector_field([Poly(n), y]))
-    print("[x d_x, y d_y]_G =", gerstenhaber(v1, v2))
+    v1 = value(PolyDiffOp.from_vector_field(PolyVector.vector_field([x, Poly(n)])))
+    v2 = value(PolyDiffOp.from_vector_field(PolyVector.vector_field([Poly(n), y])))
+    print("[x d_x, y d_y]_G =", ext_gerstenhaber(v1, v2))
 
     # The full randomized suite: antisymmetry, Jacobi, Leibniz, d^2 = 0
     # and the derivation properties of the CE differential, on both sides.

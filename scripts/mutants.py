@@ -1,0 +1,140 @@
+#!/usr/bin/env python3
+"""Mutation gate: every listed mutation of gman must make Tier-1 fail.
+
+    python3 scripts/mutants.py                 # every mutant, one after another
+    python3 scripts/mutants.py --only sort-swap-sign contract-koszul
+
+Each mutation is a file, an exact old string (found exactly once in it)
+and a new string.  It is applied alone to a fresh copy of the working
+tree's tracked and unignored files in a temporary directory, where
+Tier-1 runs with ``-x``; the copy is removed afterwards.  Mutants run
+one at a time, never in parallel, and no bytecode is written, so no run
+sees another's compiled sources.  The last mutant is an inert control, a
+changed comment, which must survive: that shows a surviving mutant is
+reported.
+
+Prints one line per mutant: killed (with the first failing test) or
+SURVIVED.  Exits 0 when every mutant but the control is killed and the
+control survives, 1 otherwise, 2 when a mutation no longer applies.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+from bench_pairs import ROOT, snapshot
+
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"]
+CONTROL = "inert-comment"
+
+# name: (file under src/gman, old string, new string)
+MUTANTS = {
+    "hkr-permutation-sign": (
+        "dpoly.py", "_norm(Fraction(sort_indices(perm)[0], k))", "_norm(Fraction(1, k))"),
+    "hkr-factorial": (
+        "dpoly.py", "k = factorial(len(idx))", "k = 1"),
+    "norm-int-first": (
+        "poly.py", "return c.numerator if c.denominator == 1 else c", "return c"),
+    "int-first-kept-fraction": (
+        "poly.py", "return c if type(c) is int or c.denominator != 1 else c.numerator",
+        "return c"),
+    "residual-sign": (
+        "cohomology.py", "hkr_terms(acc.setdefault(idx, {}), n, m, -1)",
+        "hkr_terms(acc.setdefault(idx, {}), n, m, 1)"),
+    "unit-skip-always": (
+        "cohomology.py", "return _identity if td_half == unit else",
+        "return _identity if True else"),
+    "unit-skip-never": (
+        "cohomology.py", "return _identity if td_half == unit else",
+        "return _identity if False else"),
+    "d-lambda-odd-derivation-sign": (
+        "liealg.py", "(c if t % 2 else -c) * s[0]", "-c * s[0]"),
+    "lie-end-leibniz-term": (
+        "atiyah.py", "addmul(acc.setdefault((i, l, k), {}), dpx, pt.terms, f)", "pass"),
+    "compose-merge-sign": (
+        "atiyah.py", "               f * merged[0])", "               f)"),
+    "compose-order": (
+        "atiyah.py",
+        "if ka[-2] == kb[-1] and (merged := merge_indices(ka[:-2], kb[:-2])):\n"
+        "        addmul(acc.setdefault(merged[1] + (kb[-2], ka[-1]), {})",
+        "if kb[-2] == ka[-1] and (merged := merge_indices(ka[:-2], kb[:-2])):\n"
+        "        addmul(acc.setdefault(merged[1] + (ka[-2], kb[-1]), {})"),
+    "maurer-cartan-half": (
+        "scenario.py", "differential(lie, q.scale(Fraction(1, 2)), q, _schouten)",
+        "differential(lie, q, q, _schouten)"),
+    "duplicate-structure-constant": (
+        "scenario.py", 'raise ScenarioError(f"[e_{i}, e_{j}] is given a second time")', "pass"),
+    "order-up-top-filter": (
+        "cohomology.py", "if sum(map(sum, bs)) == top", "if sum(map(sum, bs)) <= top"),
+    "contract-koszul": (
+        "calculus.py", "return ext_bilinear(eta, a, _interior, lambda k1, p2: k1 * p2)",
+        "return ext_bilinear(eta, a, _interior, lambda k1, p2: 0)"),
+    "schouten-bracket-sign": (
+        "calculus.py", "dpa, pb.terms, -f * left[0] * merged[0])",
+        "dpa, pb.terms, f * left[0] * merged[0])"),
+    "gerstenhaber-swap-sign": (
+        "dpoly.py", "f if (k * l + j * k) % 2 else -f", "-f if (k * l + j * k) % 2 else f"),
+    "sort-swap-sign": (
+        "liealg.py", "            sign = -sign\n", "            sign = sign\n"),
+    "schouten-right-parity": (
+        "calculus.py", "fr = f if len(ia) % 2 else -f", "fr = f"),
+    CONTROL: (
+        "liealg.py", "# insertion sort, counting swaps; sequences here are short",
+        "# insertion sort"),
+}
+
+
+def apply(tree: Path, name: str) -> None:
+    rel, old, new = MUTANTS[name]
+    path = tree / "src" / "gman" / rel
+    path.write_text(path.read_text().replace(old, new))
+
+
+def run(name: str) -> tuple[bool, str, float]:
+    """(killed, first failing test or "", seconds) of one mutant."""
+    with tempfile.TemporaryDirectory(prefix="gman-mutant-") as tmp:
+        tree = Path(tmp)
+        snapshot(tree)
+        apply(tree, name)
+        env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        t0 = time.perf_counter()
+        proc = subprocess.run(TIER1, cwd=tree, env=env, capture_output=True, text=True)
+        seconds = time.perf_counter() - t0
+    first = next((line for line in proc.stdout.splitlines()
+                  if line.startswith(("FAILED", "ERROR"))), "")
+    return proc.returncode != 0, first, seconds
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--only", nargs="+", choices=sorted(MUTANTS), metavar="NAME",
+                    help="run only these mutants")
+    args = ap.parse_args(argv)
+    names = args.only or list(MUTANTS)
+    for name in names:  # every mutation applies, before any run
+        rel, old, _ = MUTANTS[name]
+        if (ROOT / "src" / "gman" / rel).read_text().count(old) != 1:
+            print(f"{name}: the old string is not found exactly once in {rel}", file=sys.stderr)
+            return 2
+    wrong = []
+    for name in names:
+        killed, first, seconds = run(name)
+        verdict = f"killed   {first}" if killed else "SURVIVED"
+        print(f"{name:32} {seconds:6.1f} s  {verdict}", flush=True)
+        if killed == (name == CONTROL):
+            wrong.append(name)
+    if wrong:
+        print("wrong verdict: " + ", ".join(wrong))
+    return 1 if wrong else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

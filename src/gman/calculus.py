@@ -11,8 +11,10 @@ bracket on such polynomials.  On generators this reduces to X(f) and
 the vector field commutator, which is what the tests pin down.
 
 Wedge, bracket and interior product are term-pair kernels, run by
-``poly.termwise`` on values and by ``ext_bilinear`` on cochains, which
-folds the Lambda g-dual signs into the kernel's factor.  Given a raw map
+``ext_bilinear`` on cochains, which folds the Lambda g-dual signs into
+the kernel's factor; a single value is a cochain of degree 0, on whose
+empty index tuple every sign is 1.  The one odd derivative is the left
+one, ``_xi_partial``.  Given a raw map
 (index tuple -> key -> term map) and a factor f, ``ext_bilinear`` adds
 f times the product into it and builds nothing, so a sum of products
 that is only tested for zero or read as coordinates is never built as
@@ -27,7 +29,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .liealg import Cochain, IndexTuple, LieAlgebra, merge_indices
-from .poly import Coeff, Poly, Sparse, accumulate, addmul, derive, polys, termwise, unit
+from .poly import Coeff, Poly, Sparse, accumulate, addmul, derive, polys, unit
 
 CoordTuple = tuple[int, ...]
 
@@ -76,11 +78,6 @@ def _pv_wedge(acc: dict, ia: CoordTuple, pa: Poly, ib: CoordTuple, pb: Poly, f) 
         addmul(acc.setdefault(merged[1], {}), pa.terms, pb.terms, f * merged[0])
 
 
-def pv_wedge(a: PolyVector, b: PolyVector) -> PolyVector:
-    """Exterior product; serves forms too, whose keys are also coordinate tuples."""
-    return termwise(a, b, _pv_wedge)
-
-
 def _xi_partial(idx: CoordTuple, i: int) -> tuple[int, CoordTuple] | None:
     """Left odd derivative of the symbol product indexed by idx."""
     if i not in idx:
@@ -90,35 +87,24 @@ def _xi_partial(idx: CoordTuple, i: int) -> tuple[int, CoordTuple] | None:
     return sign, idx[:t] + idx[t + 1:]
 
 
-def _xi_partial_right(idx: CoordTuple, i: int) -> tuple[int, CoordTuple] | None:
-    """Right odd derivative: the symbol hops over the factors after it."""
-    if i not in idx:
-        return None
-    t = idx.index(i)
-    sign = -1 if (len(idx) - 1 - t) % 2 else 1
-    return sign, idx[:t] + idx[t + 1:]
-
-
 def _schouten(acc: dict, ia: CoordTuple, pa: Poly, ib: CoordTuple, pb: Poly, f) -> None:
     """acc += f [pa d_ia, pb d_ib], the canonical odd Poisson bracket
     sum_i (dr a / d xi_i)(dl b / d x_i) - (dr a / d x_i)(dl b / d xi_i)
-    with right derivatives on the first argument and left on the second."""
+    with right derivatives on the first argument and left on the second.
+    A right derivative of the symbols of ia is the left one times
+    (-1)^(|ia| - 1): the symbol hops over the other |ia| - 1 factors."""
+    fr = f if len(ia) % 2 else -f
     for i in range(pa.n):
-        right = _xi_partial_right(ia, i)
+        right = _xi_partial(ia, i)
         if right is not None and (merged := merge_indices(right[1], ib)) is not None:
             dpb = derive(pb.terms, unit(pa.n, i))
             if dpb:
-                addmul(acc.setdefault(merged[1], {}), pa.terms, dpb, f * right[0] * merged[0])
+                addmul(acc.setdefault(merged[1], {}), pa.terms, dpb, fr * right[0] * merged[0])
         left = _xi_partial(ib, i)
         if left is not None and (merged := merge_indices(ia, left[1])) is not None:
             dpa = derive(pa.terms, unit(pa.n, i))
             if dpa:
                 addmul(acc.setdefault(merged[1], {}), dpa, pb.terms, -f * left[0] * merged[0])
-
-
-def schouten(a: PolyVector, b: PolyVector) -> PolyVector:
-    """Schouten bracket; biderivation extension of X(f) and [X,Y]."""
-    return termwise(a, b, _schouten)
 
 
 # --------------------------------------------------------- differential forms
@@ -144,7 +130,9 @@ class DiffForm(Sparse):
 
 
 def _interior(acc: dict, tform: CoordTuple, h: Poly, idx: CoordTuple, p: Poly, f) -> None:
-    """acc += f i_{h dx^tform} (p d_idx), on raw term maps."""
+    """acc += f i_{h dx^tform} (p d_idx), on raw term maps: <dx^i, d_j> =
+    delta, and composite forms contract the leftmost multivector slots
+    first (i_{t1 ^ t2} = i_{t2} o i_{t1})."""
     for i in tform:
         step = _xi_partial(idx, i)
         if step is None:
@@ -152,15 +140,6 @@ def _interior(acc: dict, tform: CoordTuple, h: Poly, idx: CoordTuple, p: Poly, f
         s, idx = step
         f *= s
     addmul(acc.setdefault(idx, {}), h.terms, p.terms, f)
-
-
-def interior_form(theta: DiffForm, v: PolyVector) -> PolyVector:
-    """Interior product of a k-form into a multivector.
-
-    Pairing <dx^i, d_j> = delta; composite forms contract the leftmost
-    multivector slots first (i_{t1 ^ t2} = i_{t2} o i_{t1}).
-    """
-    return termwise(theta, v, _interior)
 
 
 # ----------------------------------------------------- Lambda g-dual extension

@@ -10,8 +10,9 @@ of operators equality of term maps.
 The Gerstenhaber bracket is built from slot insertion, one product per
 distinct derivative of the inserted coefficient; the Hochschild
 differential is [m, -] with m the two-slot multiplication, so there is
-exactly one source of signs.  Bracket and cup are term-pair kernels
-(``poly.termwise`` on values, ``calculus.ext_bilinear`` on cochains).
+exactly one source of signs.  Bracket and cup are term-pair kernels,
+run by ``calculus.ext_bilinear`` on cochains; a single operator is a
+cochain of degree 0.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from operator import add
 
 from .calculus import PolyVector, ext_bilinear
 from .liealg import Cochain, sort_indices
-from .poly import Coeff, Poly, Sparse, _norm, addmul, derive, int_first, polys, termwise, unit
+from .poly import Coeff, Poly, Sparse, _norm, addmul, derive, int_first, polys, unit
 
 MultiIndex = tuple[int, ...]
 OpKey = tuple[MultiIndex, ...]
@@ -92,18 +93,17 @@ class PolyDiffOp(Sparse):
 # ------------------------------------------------------------------ insertion
 
 def _insert(acc: dict, key1: OpKey, p1: Poly, slot: int, key2: OpKey, p2: Poly,
-            sign: int, memo: dict | None = None) -> None:
+            sign: int, memo: dict) -> None:
     """acc += sign * (the term p2 D^key2 substituted into the given slot of
     the term p1 D^key1), where acc maps keys to raw term maps.
 
     The derivative on the consumed slot distributes over p2 and the
     slots of key2 by the multivariate Leibniz rule with multinomial
     coefficients.  Each first part a of a split is one product p1 d^a p2,
-    kept in memo (a -> product) for the other slots of key1 and added into
-    each key of its group.
+    kept in memo (a -> product), which the caller shares across the slots
+    of key1, and added into each key of its group.
     """
     head, tail = key1[:slot], key1[slot + 1:]
-    memo = {} if memo is None else memo
     for first, group in _split_multiindex(key1[slot], len(key2) + 1):
         if (pq := memo.get(first)) is None:
             dp2 = derive(p2.terms, first)
@@ -130,24 +130,9 @@ def _gerstenhaber(acc: dict, key1: OpKey, p1: Poly, key2: OpKey, p2: Poly, f) ->
         _insert(acc, key2, p2, j, key1, p1, f if (k * l + j * k) % 2 else -f, memo)
 
 
-def gerstenhaber(d1: PolyDiffOp, d2: PolyDiffOp) -> PolyDiffOp:
-    """Gerstenhaber bracket, summed term pair by term pair."""
-    return termwise(d1, d2, _gerstenhaber)
-
-
-def hochschild(d: PolyDiffOp) -> PolyDiffOp:
-    """Hochschild differential as [m, -] with m the multiplication."""
-    return gerstenhaber(PolyDiffOp.multiplication(d.n), d)
-
-
 def _cup(acc: dict, k1: OpKey, p1: Poly, k2: OpKey, p2: Poly, f) -> None:
     """acc += f (p1 D^k1) cup (p2 D^k2): slots concatenate."""
     addmul(acc.setdefault(k1 + k2, {}), p1.terms, p2.terms, f)
-
-
-def cup(d1: PolyDiffOp, d2: PolyDiffOp) -> PolyDiffOp:
-    """Concatenation product: arities add, coefficients multiply."""
-    return termwise(d1, d2, _cup)
 
 
 def hkr_terms(acc: dict, n: int, pv: dict, f) -> dict:

@@ -8,7 +8,9 @@ is a bracket with an action cochain (``calculus.differential``).
 Antisymmetry is checked exactly at construction, and so is the Jacobi
 identity, as d_lambda^2 = 0 on the generators.
 Cochains with values in a coefficient module are finite maps from
-strictly increasing basis-index tuples to module values.
+strictly increasing basis-index tuples to module values.  Every
+permutation sign is one routine, ``sort_indices``: merging two index
+tuples is sorting their concatenation.
 """
 
 from __future__ import annotations
@@ -28,30 +30,12 @@ def merge_indices(a: IndexTuple, b: IndexTuple) -> tuple[int, IndexTuple] | None
     """Merge two strictly increasing index tuples into one.
 
     Returns (sign, merged) where sign is the parity of the shuffle, or
-    None if the tuples share an index (the wedge vanishes).
+    None if the tuples share an index (the wedge vanishes): the sort of
+    their concatenation.
     """
-    if not a:
-        return 1, b
-    if not b:
-        return 1, a
-    if set(a) & set(b):
-        return None
-    merged = []
-    sign = 1
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] < b[j]:
-            merged.append(a[i])
-            i += 1
-        else:
-            # b[j] hops over the remaining len(a)-i entries of a
-            if (len(a) - i) % 2:
-                sign = -sign
-            merged.append(b[j])
-            j += 1
-    merged.extend(a[i:])
-    merged.extend(b[j:])
-    return sign, tuple(merged)
+    if not a or not b:
+        return 1, a or b
+    return sort_indices(a + b)
 
 
 def sort_indices(seq: IndexTuple) -> tuple[int, IndexTuple] | None:
@@ -123,7 +107,7 @@ class Cochain(Sparse):
 
     ``terms`` maps strictly increasing index tuples to V values.  Terms of
     several exterior degrees may coexist (sums of mixed bidegree); most
-    operations treat the object termwise.
+    operations act on it term by term.
     """
 
     __slots__ = ()

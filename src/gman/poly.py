@@ -13,10 +13,11 @@ then exponent tuple).  Serialization and basis enumeration elsewhere
 rely on this order being fixed.
 
 Every product is one multiply-accumulate kernel, ``addmul``, on raw
-term maps (exponent -> coefficient).  A bilinear value operation is a
+term maps (exponent -> coefficient).  A bilinear operation is a
 term-pair kernel ``kernel(acc, k1, p1, k2, p2, f)`` adding f times the
-product of two terms into ``acc[key]``; ``termwise`` runs it over every
-term pair and builds each Poly once, at the end (``polys``), dropping
+product of two terms into ``acc[key]``; ``calculus.ext_bilinear`` runs
+it over every term pair of two cochains (a single value is a cochain of
+degree 0) and builds each Poly once, at the end (``polys``), dropping
 zeros and normalising coefficients.  ``derive`` is the one derivative.
 
 ``Sparse`` is the one container above Poly: a zero-free map from keys
@@ -30,7 +31,7 @@ from fractions import Fraction
 from functools import cache
 from math import perm
 from operator import add, sub
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 Exponent = tuple[int, ...]
 Coeff = int | Fraction
@@ -227,15 +228,6 @@ class Poly:
 def polys(n: int, acc: dict) -> dict:
     """{key: Poly} from a map of raw term maps, zero values dropped."""
     return {k: p for k, t in acc.items() if (p := Poly(n, t))}
-
-
-def termwise(a, b, kernel: Callable) -> "Sparse":
-    """The value operation of a term-pair kernel, of b's type."""
-    acc: dict = {}
-    for k1, p1 in a.terms.items():
-        for k2, p2 in b.terms.items():
-            kernel(acc, k1, p1, k2, p2, 1)
-    return b._like(polys(b.n, acc))
 
 
 def accumulate(acc: dict, key, value, op=add) -> None:

@@ -9,14 +9,20 @@ from operator import add
 import pytest
 
 from gman.atiyah import EndTensor
-from gman.calculus import (DiffForm, PolyVector, _xi_partial, _xi_partial_right, contract,
-                           ext_pv_wedge, ext_schouten, interior_form, mixed_mul, schouten)
+from gman.calculus import DiffForm, PolyVector, contract, ext_pv_wedge, ext_schouten, mixed_mul
 from gman.cohomology import cochain_coords, coords_cochain
-from gman.dpoly import PolyDiffOp, ext_cup, ext_gerstenhaber, gerstenhaber, hochschild
+from gman.dpoly import PolyDiffOp, ext_cup, ext_gerstenhaber
 from gman.liealg import Cochain, LieAlgebra, StructureError, merge_indices, sort_indices
 from gman.poly import (Poly, Sparse, accumulate, addmul, derive, monomials_of_weight, polys,
                        unit)
 from gman.scenario import Scenario, load_scenario
+
+
+def at0(op, a, b, *args):
+    """op (an ext_* product, contract or ext_bilinear) on the values a and
+    b as cochains of degree 0, read back at the empty index tuple."""
+    c = op(Cochain(0, {(): a}), Cochain(0, {(): b}), *args)
+    return c.terms[()] if c.terms else b._like({})
 
 
 def bundled(name: str) -> Scenario:
@@ -232,13 +238,23 @@ def pv_wedge_reference(a: Sparse, b: Sparse) -> Sparse:
     return a._like(out)
 
 
+def xi_partial_reference(idx, i: int, right: bool = False):
+    """(sign, idx without i) for the left odd derivative by the symbol i of
+    the symbol product indexed by idx, or the right one: the symbol hops
+    over the factors before it, or after it.  None if i is not in idx."""
+    if i not in idx:
+        return None
+    t = idx.index(i)
+    return (-1) ** (len(idx) - 1 - t if right else t), idx[:t] + idx[t + 1:]
+
+
 def schouten_reference(a: PolyVector, b: PolyVector) -> PolyVector:
     n = a.n
     acc = {}
     for ia, pa in a.terms.items():
         for ib, pb in b.terms.items():
             for i in range(n):
-                right = _xi_partial_right(ia, i)
+                right = xi_partial_reference(ia, i, right=True)
                 if right is not None:
                     s1, ia_red = right
                     dpb = partial_reference(pb, i)
@@ -247,7 +263,7 @@ def schouten_reference(a: PolyVector, b: PolyVector) -> PolyVector:
                         if merged is not None:
                             s2, idx = merged
                             accumulate(acc, idx, mul_reference(pa, dpb).scale(s1 * s2))
-                left = _xi_partial(ib, i)
+                left = xi_partial_reference(ib, i)
                 if left is not None:
                     s1, ib_red = left
                     dpa = partial_reference(pa, i)
@@ -309,7 +325,7 @@ def contract_reference(eta: Cochain, a: Cochain) -> Cochain:
                 continue
             sign, idx = merged
             for k, part in components_by_degree(theta):
-                v = interior_form(part, x)
+                v = at0(contract, part, x)
                 if not v.is_zero():
                     accumulate(acc, idx, v.scale(-sign if k * len(ia) % 2 else sign))
     return a._like(acc)
@@ -472,12 +488,12 @@ def total_differential_reference(g: LieAlgebra, c: Cochain, action, d_v) -> Coch
 
 
 def on_polyvectors_reference(s: Scenario):
-    return lambda a, v: schouten(s.action[a], v)
+    return lambda a, v: at0(ext_schouten, s.action[a], v)
 
 
 def on_dpoly_reference(s: Scenario):
     ops = [PolyDiffOp.from_vector_field(vf) for vf in s.action]
-    return lambda a, mu: gerstenhaber(ops[a], mu)
+    return lambda a, mu: at0(ext_gerstenhaber, ops[a], mu)
 
 
 def vf_apply(x: PolyVector, f: Poly) -> Poly:

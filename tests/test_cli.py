@@ -278,6 +278,19 @@ def test_duflo_residual_within_caps_exits_1(capsys, monkeypatch):
     assert err == ""
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "weight-split artefact: duflo_check reduces each whole residual against the one "
+    "echelon of weight w_a + w_b, so the parts of other weights, which the weight-1 "
+    "connection puts into td^{1/2}, never reduce (2 of 10 pairs); reduced weight by "
+    "weight, every pair passes"))
+def test_connection_fixture_passes_duflo_check(capsys):
+    """The sl2 scenario with a weight-1 connection satisfies the Duflo
+    statement, as its flat case does, so duflo-check must exit 0 there."""
+    status, _, _ = run(capsys, "duflo-check", str(FIXTURES / "sl2_linear_connection.json"),
+                       "--json")
+    assert status == 0
+
+
 @pytest.mark.parametrize("name, passes", [
     ("abelian_trivial", 1), ("sl2_linear", 1), ("paper_sec4", 2)])
 def test_one_duflo_pass_per_distinct_twist_map(capsys, monkeypatch, name, passes):

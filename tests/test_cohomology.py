@@ -1,3 +1,4 @@
+import pathlib
 import random
 from collections import Counter
 from dataclasses import replace
@@ -23,6 +24,9 @@ from gman.scenario import Caps, ScenarioError, load_scenario
 from conftest import (basis_cochain, count_builds, enumerate_slice_reference, hkr_reference,
                       morphism_reference, random_connection, residuals_reference,
                       slice_reference, two_generator_doc)
+
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def both_sides(s):
@@ -510,11 +514,13 @@ def _chain_map_defects(s, iota) -> tuple[int, int]:
     return sum(d(iota(c)) != iota(d(c)) for c in cochains), len(elts)
 
 
-def test_contraction_by_td_sqrt_is_a_chain_map():
+def test_contraction_by_td_sqrt_is_a_chain_map(paper):
     """d o i_{td^{1/2}} = i_{td^{1/2}} o d on every basis element of the
     window of the two-generator scenario on R^2 at caps 2,3,4, flat and
-    with random connections.  Negative control: without the Koszul sign
-    of moving the form past the exterior part, the flat case fails."""
+    with random connections, of paper_sec4 at its bundled caps, and of
+    the sl2 scenario with a connection in tests/fixtures.  Negative
+    control: without the Koszul sign of moving the form past the
+    exterior part, the flat two-generator case and the fixture fail."""
     caps = {"max_weight": 2, "max_order": 3, "max_arity": 4}
     flat = load_scenario(two_generator_doc(2, [1, 1], "1", "1", "1", caps))
     scenarios = [flat] + [random_connection(flat, shift, random.Random(seed))
@@ -529,6 +535,14 @@ def test_contraction_by_td_sqrt_is_a_chain_map():
     td = todd_sqrt(flat)
     unsigned = _chain_map_defects(flat, lambda c: ext_bilinear(td, c, _interior, lambda k1, p2: 0))
     assert unsigned[0] > 0
+    fixture = load_scenario((FIXTURES / "sl2_linear_connection.json").read_text())
+    for s, total in ((paper, 32), (fixture, 1160)):
+        td = todd_sqrt(s)
+        assert _chain_map_defects(s, lambda c: contract(td, c)) == (0, total)
+    td = todd_sqrt(fixture)
+    unsigned = _chain_map_defects(fixture, lambda c: ext_bilinear(td, c, _interior,
+                                                                   lambda k1, p2: 0))
+    assert unsigned == (433, 1160)
 
 
 def test_connection_scenario_reduces_under_td_sqrt(monkeypatch):

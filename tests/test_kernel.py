@@ -10,22 +10,21 @@ coefficient, no Fraction with denominator 1, no zero value stored.
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import pytest
 
 from gman.atiyah import EndTensor, _lie_end
-from gman.calculus import (DiffForm, PolyVector, contract, differential,
-                           ext_pv_wedge, ext_schouten, interior_form, mixed_mul, pv_wedge,
-                           schouten)
+from gman.calculus import (DiffForm, PolyVector, contract, differential, ext_pv_wedge,
+                           ext_schouten, mixed_mul)
 from gman.cohomology import side_differential
-from gman.dpoly import (PolyDiffOp, _gerstenhaber, cup, ext_cup, ext_gerstenhaber,
-                        gerstenhaber, hkr, hkr_terms, hochschild)
+from gman.dpoly import PolyDiffOp, _gerstenhaber, ext_cup, ext_gerstenhaber, hkr, hkr_terms
 from gman.liealg import Cochain
 from gman.poly import Poly, Sparse, addmul, derive, polys
 from gman.scenario import action_cochain, load_scenario
 
-from conftest import (bundled, ce_differential_reference, contract_reference, cup_reference,
+from conftest import (at0, bundled, ce_differential_reference, contract_reference, cup_reference,
                       end_differential_reference, ext_bilinear_reference, hkr_reference,
                       mul_reference, on_dpoly_reference, on_polyvectors_reference,
                       partial_multi_reference, partial_reference, pv_wedge_reference,
@@ -125,26 +124,28 @@ def test_bilinear_operations_match_references():
     for _ in range(250):
         n = r.randint(1, 3)
         d1, d2 = diffop(r, n), diffop(r, n)
-        assert_same(cup(d1, d2), cup_reference(d1, d2))
+        assert_same(at0(ext_cup, d1, d2), cup_reference(d1, d2))
         a, b = polyvector(r, n), polyvector(r, n)
-        assert_same(pv_wedge(a, b), pv_wedge_reference(a, b))
-        assert_same(schouten(a, b), schouten_reference(a, b))
+        assert_same(at0(ext_pv_wedge, a, b), pv_wedge_reference(a, b))
+        assert_same(at0(ext_schouten, a, b), schouten_reference(a, b))
         f, g = polyvector(r, n, DiffForm), polyvector(r, n, DiffForm)
-        wedge = pv_wedge(f, g)
+        wedge = at0(ext_pv_wedge, f, g)
         assert type(wedge) is DiffForm
         assert_same(wedge, pv_wedge_reference(f, g))
         # a vector field wedged or bracketed with itself cancels to zero
         v = PolyVector(n, {(j,): half_poly(r, n) for j in range(n)})
-        assert pv_wedge(v, v).is_zero() and schouten(v, v).is_zero()
-        nonzero += not schouten(a, b).is_zero()
+        assert at0(ext_pv_wedge, v, v).is_zero() and at0(ext_schouten, v, v).is_zero()
+        nonzero += not at0(ext_schouten, a, b).is_zero()
     assert nonzero > 100
 
 
 @pytest.mark.parametrize("op, ref, make", [
     (lambda a, b: a * b, mul_reference, half_poly),
-    (cup, cup_reference, diffop),
-    (pv_wedge, pv_wedge_reference, polyvector),
-    (schouten, schouten_reference, polyvector),
+    pytest.param(partial(at0, ext_cup), cup_reference, diffop, id="cup-cup_reference-diffop"),
+    pytest.param(partial(at0, ext_pv_wedge), pv_wedge_reference, polyvector,
+                 id="pv_wedge-pv_wedge_reference-polyvector"),
+    pytest.param(partial(at0, ext_schouten), schouten_reference, polyvector,
+                 id="schouten-schouten_reference-polyvector"),
 ])
 def test_flipped_reference_fails_the_comparison(op, ref, make):
     """Negative control: one flipped sign in the reference must trip
@@ -182,19 +183,20 @@ def cochain(r: random.Random, m: int, n: int, value) -> Cochain:
     return Cochain(m, {r.choice(keys): value(r, n) for _ in range(r.randint(1, 3))})
 
 
-def _reference(op, exponent):
-    return lambda a, b: ext_bilinear_reference(a, b, op, exponent)
+def _reference(ext, exponent):
+    """ext_bilinear_reference over the value product of ext at degree 0."""
+    return lambda a, b: ext_bilinear_reference(a, b, partial(at0, ext), exponent)
 
 
 # name: (operation, reference, value maker of the first operand, of the second)
 EXTENSIONS = {
-    "ext_pv_wedge": (ext_pv_wedge, _reference(pv_wedge, lambda q1, p2: (q1 + 1) * p2),
+    "ext_pv_wedge": (ext_pv_wedge, _reference(ext_pv_wedge, lambda q1, p2: (q1 + 1) * p2),
                      polyvector, polyvector),
-    "ext_schouten": (ext_schouten, _reference(schouten, lambda q1, p2: q1 * p2),
+    "ext_schouten": (ext_schouten, _reference(ext_schouten, lambda q1, p2: q1 * p2),
                      polyvector, polyvector),
-    "mixed_mul": (mixed_mul, _reference(pv_wedge, lambda k1, p2: k1 * p2), form, form),
-    "ext_cup": (ext_cup, _reference(cup, lambda q1, p2: (q1 + 1) * p2), diffop, diffop),
-    "ext_gerstenhaber": (ext_gerstenhaber, _reference(gerstenhaber, lambda q1, p2: q1 * p2),
+    "mixed_mul": (mixed_mul, _reference(ext_pv_wedge, lambda k1, p2: k1 * p2), form, form),
+    "ext_cup": (ext_cup, _reference(ext_cup, lambda q1, p2: (q1 + 1) * p2), diffop, diffop),
+    "ext_gerstenhaber": (ext_gerstenhaber, _reference(ext_gerstenhaber, lambda q1, p2: q1 * p2),
                          diffop, diffop),
     "contract": (contract, contract_reference, form, polyvector),
 }
@@ -278,9 +280,9 @@ def test_interior_kernel_signs():
     pinned by hand: dx^i hops over the slots before d_i."""
     one = Poly.const(3, 1)
     dxyz = PolyVector(3, {(0, 1, 2): one})
-    assert interior_form(DiffForm(3, {(1,): one}), dxyz) == PolyVector(3, {(0, 2): -one})
-    assert interior_form(DiffForm(3, {(2,): one}), dxyz) == PolyVector(3, {(0, 1): one})
-    assert interior_form(DiffForm(3, {(0, 2): one}), dxyz) == PolyVector(3, {(1,): -one})
+    assert at0(contract, DiffForm(3, {(1,): one}), dxyz) == PolyVector(3, {(0, 2): -one})
+    assert at0(contract, DiffForm(3, {(2,): one}), dxyz) == PolyVector(3, {(0, 1): one})
+    assert at0(contract, DiffForm(3, {(0, 2): one}), dxyz) == PolyVector(3, {(1,): -one})
     # the shuffle of e_1 past e_0, the Koszul sign of dy past e^0 and the
     # hop of dy past d_x: -d_x ^ d_z
     got = contract(Cochain(2, {(1,): DiffForm(3, {(1,): one})}), Cochain(2, {(0,): dxyz}))
@@ -407,8 +409,9 @@ def differentials(s) -> dict:
                   lambda c: ce_differential_reference(s.lie, c, on_polyvectors_reference(s)),
                   polyvector, 100),
         "dpoly": (side_differential(s, "dpoly"),
-                  lambda c: total_differential_reference(s.lie, c, on_dpoly_reference(s),
-                                                         hochschild),
+                  lambda c: total_differential_reference(
+                      s.lie, c, on_dpoly_reference(s),
+                      partial(at0, ext_gerstenhaber, PolyDiffOp.multiplication(s.n))),
                   diffop, 100),
         "end": (lambda c: differential(s.lie, action_cochain(s), c, _lie_end),
                 lambda c: end_differential_reference(s, c), end_tensor, 40),

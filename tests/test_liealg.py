@@ -28,6 +28,17 @@ def test_merge_indices_signs():
     assert merge_indices((0, 2), (1,)) == (-1, (0, 1, 2))
     assert merge_indices((0,), (0,)) is None
     assert merge_indices((), (0, 1)) == (1, (0, 1))
+    # every pair of index tuples of length <= 3 over 5 generators, against
+    # the parity of the inversions of the concatenation
+    tuples = [t for k in range(4) for t in combinations(range(5), k)]
+    assert len(tuples) ** 2 == 676
+    for a in tuples:
+        for b in tuples:
+            want = None
+            if not set(a) & set(b):
+                inversions = sum(x > y for x in a for y in b)
+                want = (-1) ** inversions, tuple(sorted(a + b))
+            assert merge_indices(a, b) == want, (a, b)
 
 
 def test_sort_indices():

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import bundled_doc, covariant_basis, gamma, morphism_reference
-from gman.calculus import PolyVector, schouten
+from conftest import at0, bundled_doc, covariant_basis, gamma, morphism_reference
+from gman.calculus import PolyVector, ext_schouten
 from gman.poly import Poly, unit
 from gman.scenario import ScenarioError, load_scenario
 
@@ -161,9 +161,9 @@ def test_flat_shapes_still_accepted():
 def test_schouten_against_action():
     s = load_scenario(bundled_doc("sl2_linear"))
     h, e, f = s.action
-    assert schouten(h, e) == e.scale(2)
-    assert schouten(h, f) == f.scale(-2)
-    assert schouten(e, f) == h
+    assert at0(ext_schouten, h, e) == e.scale(2)
+    assert at0(ext_schouten, h, f) == f.scale(-2)
+    assert at0(ext_schouten, e, f) == h
 
 
 def action_doc(action) -> list:
