@@ -86,6 +86,17 @@ MUTANTS = {
         "liealg.py", "            sign = -sign\n", "            sign = sign\n"),
     "schouten-right-parity": (
         "calculus.py", "fr = f if len(ia) % 2 else -f", "fr = f"),
+    "label-row-identity": (
+        "linalg.py", "    return -1 - u", "    return u"),
+    "insert-label-only-is-dependent": (
+        "linalg.py", "if not col or max(col) < 0:\n            if col:",
+        "if not col:\n            if col:"),
+    "contains-label-only": (
+        "linalg.py", "return not col or max(col) < 0", "return not col"),
+    "obstruction-last-kernel-vector": (
+        "atiyah.py", "vec = reducer.kernel[-1]", "vec = reducer.kernel[0]"),
+    "obstruction-solution-sign": (
+        "atiyah.py", "Fraction(-v, lam)", "Fraction(v, lam)"),
     CONTROL: (
         "liealg.py", "# insertion sort, counting swaps; sequences here are short",
         "# insertion sort"),

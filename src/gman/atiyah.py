@@ -22,11 +22,12 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 from .calculus import DiffForm, differential, ext_bilinear, mixed_mul, mixed_unit
 from .liealg import Cochain, merge_indices
-from .linalg import ColumnReducer
+from .linalg import ColumnReducer, label_row
 from .poly import (Poly, Sparse, accumulate, addmul, derive, monomial_weight,
                    monomials_of_weight, unit)
 from .scenario import Scenario, action_cochain
@@ -106,24 +107,16 @@ def invariant_connection_obstruction(s: Scenario, max_poly_weight: int | None = 
     """Solve d_CE(A) = R for a difference tensor A, per weight slice.
 
     Unknowns are monomial entries of A with polynomial weight up to the
-    window cap.  Returns either the invariant connection (with the
-    invariance identity re-verified) or the unsolvable slice as a
-    certificate.
+    window cap.  The image of unknown u is labelled ``label_row(u)``,
+    the slice of R after them; if R is dependent, its kernel vector,
+    lambda at R's label and v at u's, gives u the coefficient -v/lambda.
+    Returns either the invariant connection (with the invariance
+    identity re-verified) or the unsolvable slice as a certificate.
     """
     n, w = s.n, s.weights
     window = s.caps.max_weight if max_poly_weight is None else max_poly_weight
     r = atiyah_cocycle(s)
     q = action_cochain(s)
-
-    # unknown basis grouped by tensor weight
-    unknowns: dict[int, list] = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for d in range(window + 1):
-                    for exps in monomials_of_weight(n, w, d):
-                        tau = d + w[i] + w[j] - w[k]
-                        unknowns.setdefault(tau, []).append((i, j, k, exps))
 
     # required slices from the cocycle
     required: dict[int, dict] = {}
@@ -137,26 +130,33 @@ def invariant_connection_obstruction(s: Scenario, max_poly_weight: int | None = 
     certificates = []
     rows: dict = {}
     for tau, rhs in sorted(required.items()):
-        basis = unknowns.get(tau, [])
-        reducer = ColumnReducer(track=True)
+        basis = [(i, j, k, exps) for i, j, k in product(range(n), repeat=3)
+                 if 0 <= (d := tau - w[i] - w[j] + w[k]) <= window
+                 for exps in monomials_of_weight(n, w, d)]
+        reducer = ColumnReducer()
         for u, (i, j, k, exps) in enumerate(basis):
             one = Cochain(s.dim_g, {(): EndTensor(n, {(i, j, k): Poly.monomial(exps, 1)})})
             image = differential(s.lie, q, one, _lie_end)
-            reducer.insert({rows.setdefault((a, key, e), len(rows)): c
-                            for (a,), t in image.terms.items()
-                            for key, p in t.terms.items()
-                            for e, c in p.terms.items()}, label=u)
-        combo = reducer.solve({rows.setdefault(key, len(rows)): c for key, c in rhs.items()})
-        if combo is None:
+            reducer.insert({label_row(u): 1, **{rows.setdefault((a, key, e), len(rows)): c
+                                                for (a,), t in image.terms.items()
+                                                for key, p in t.terms.items()
+                                                for e, c in p.terms.items()}})
+        col = {rows.setdefault(key, len(rows)): c for key, c in rhs.items()}
+        rhs_row = label_row(len(basis))
+        col[rhs_row] = 1
+        if reducer.insert(col):
             certificates.append({
                 "tensor_weight_slice": tau,
                 "unknown_dimension": len(basis),
                 "rhs": {str(k): str(v) for k, v in rhs.items()},
             })
         else:
-            for u, coeff in combo.items():
-                i, j, k, exps = basis[u]
-                solution = solution + EndTensor(n, {(i, j, k): Poly.monomial(exps, coeff)})
+            vec = reducer.kernel[-1]
+            lam = vec.pop(rhs_row)
+            for row, v in vec.items():
+                i, j, k, exps = basis[label_row(row)]
+                solution = solution + EndTensor(
+                    n, {(i, j, k): Poly.monomial(exps, Fraction(-v, lam))})
 
     if certificates:
         return {"solvable": False, "certificates": certificates, "window": window}

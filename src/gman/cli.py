@@ -277,6 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse would take a value such as -3,4,4 for an option: glue it on
+    while "--caps" in argv[:-1] and re.match(r"-[0-9]", argv[(i := argv.index("--caps")) + 1]):
+        argv[i:i + 2] = [f"--caps={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -13,7 +13,7 @@ order exactly max_order + 1.
 
 Each (weight, total degree) slice is eliminated once: a Workspace keeps
 one echelon of the slice's differential columns and answers rank,
-kernel (cocycle representatives, on the polyvector side) and image
+kernel (cocycles, read off label rows on the polyvector side) and image
 membership from it, for the cohomology report, the order-cap audit,
 the HKR injectivity test and both Duflo twists alike.
 
@@ -49,7 +49,7 @@ from .calculus import (PolyVector, _schouten, contract, differential, ext_pv_wed
                        ext_schouten, mixed_unit)
 from .dpoly import PolyDiffOp, _gerstenhaber, ext_cup, ext_gerstenhaber, ext_hkr, hkr_terms
 from .liealg import Cochain, merge_indices
-from .linalg import ColumnReducer
+from .linalg import ColumnReducer, label_row
 from .poly import (Coeff, Poly, accumulate, grlex_key, int_first, monomial_weight,
                    monomials_of_weight, unit)
 from .scenario import Scenario, action_cochain
@@ -197,10 +197,11 @@ class Workspace:
     The echelon of slice (w, k) is a ColumnReducer filled once with the
     images of the slice's basis under the total differential.  Every
     question about the slice is answered from it: its pivot count is the
-    rank of d on the slice, its kernel combinations (tracked on the
-    tpoly side only, the one side whose cocycles are read) are the
-    cocycles, and its pivots span the image of d in slice (w, k + 1),
-    against which membership and independence are tested.  The
+    rank of d on the slice, its kernel vectors are the cocycles (on the
+    tpoly side, whose basis element u carries 1 at ``label_row(u)``;
+    dpoly columns go in bare), and its pivots span the image of d in
+    slice (w, k + 1), against which membership and independence are
+    tested on matrix rows.  The
     order-cap audit extends the same echelons by the basis elements of
     total order max_order + 1.  Columns come from ``image_coords``, off
     one cached symbolic differential per unit generator e_I (x) V.
@@ -277,9 +278,11 @@ class Workspace:
     def _echelon(self, w: int, k: int) -> ColumnReducer:
         key = (w, k)
         if key not in self._echelons:
-            red = ColumnReducer(track=self.side == "tpoly")
+            red = ColumnReducer()
             for u, col in enumerate(self.columns(w, k)):
-                red.insert(col, label=u)
+                if self.side == "tpoly":
+                    col[label_row(u)] = 1
+                red.insert(col)
             self._echelons[key] = red
         return self._echelons[key]
 
@@ -328,7 +331,7 @@ class Workspace:
         if key not in self._reps:
             basis = self.basis(w, k)
             kernel = self._echelon(w, k).kernel if basis else []
-            cocycles = [{basis[u]: v for u, v in combo.items()} for combo in kernel]
+            cocycles = [{basis[label_row(r)]: v for r, v in vec.items()} for vec in kernel]
             self._reps[key] = [
                 coords_cochain(self.s, self.side, c)
                 for c, new in zip(cocycles, self.independent_mod_image(w, k, cocycles)) if new]

@@ -1,3 +1,4 @@
+import itertools
 import pathlib
 import random
 from dataclasses import replace
@@ -10,7 +11,8 @@ from gman.atiyah import (EndTensor, _compose, _lie_end, atiyah_cocycle, connecti
                          todd_log, todd_sqrt)
 from gman.calculus import DiffForm, differential, ext_bilinear, mixed_mul, mixed_unit
 from gman.liealg import Cochain, merge_indices
-from gman.poly import Poly, addmul
+from gman.linalg import ColumnReducer, label_row
+from gman.poly import Poly, addmul, monomial_weight, monomials_of_weight
 from gman.scenario import action_cochain, load_scenario
 from gman.series import log_todd_generator_series
 
@@ -101,6 +103,34 @@ def test_obstruction_recovers_invariant_connection(sl2):
     assert ob["solvable"] is True
     s_inv = replace(alt, christoffel=ob["invariant_christoffel"])
     assert atiyah_cocycle(s_inv).is_zero()
+
+
+def test_obstruction_solves_past_a_kernel_of_the_unknowns():
+    """y d_x on R^2 with Gamma^x_xx = 1 and weights [1, 1]: R has one
+    weight, 1, where the 8 constant unknowns have images of rank 5, so
+    3 kernel vectors come before the right-hand side's.  The solve still
+    finds A = Gamma: the invariant connection is the flat one."""
+    s = load_scenario((FIXTURES / "nilpotent_connection.json").read_text())
+    w = s.weights
+    taus = {monomial_weight(e, w) + w[i] + w[j] - w[k] - s.action_weights[a]
+            for (a,), t in atiyah_cocycle(s).terms.items()
+            for (i, j, k), p in t.terms.items() for e in p.terms}
+    assert taus == {1}
+    unknowns = [(i, j, k, e) for i, j, k in itertools.product(range(s.n), repeat=3)
+                for e in monomials_of_weight(s.n, w, 1 - w[i] - w[j] + w[k])]
+    red, rows = ColumnReducer(), {}
+    for u, (i, j, k, e) in enumerate(unknowns):
+        one = Cochain(s.dim_g, {(): EndTensor(s.n, {(i, j, k): Poly.monomial(e, 1)})})
+        image = differential(s.lie, action_cochain(s), one, _lie_end)
+        red.insert({label_row(u): 1, **{rows.setdefault((idx, key, f), len(rows)): c
+                                        for idx, t in image.terms.items()
+                                        for key, p in t.terms.items()
+                                        for f, c in p.terms.items()}})
+    assert (len(unknowns), red.rank, len(red.kernel)) == (8, 5, 3)
+    ob = invariant_connection_obstruction(s)
+    assert ob["solvable"] is True
+    assert ob["invariant_christoffel"] == {}
+    assert ob["difference_tensor"] == connection_tensor(s)
 
 
 def test_todd_paper_values(paper):

@@ -130,14 +130,15 @@ def test_bad_caps_exits_2(capsys):
         assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("caps, cap", [
-    ("6,-1,4", "max_order"),
-    ("6,0,4", "max_order"),
-    ("-3,-3,-3", "max_weight"),
-    ("0,1,0", "max_arity"),
-])
-def test_out_of_range_caps_exit_2(capsys, caps, cap):
-    status, out, err = run(capsys, "cohomology", "paper_sec4", f"--caps={caps}")
+@pytest.mark.parametrize("caps, cap, joined", [
+    pytest.param(caps, cap, joined, id=f"{caps}-{cap}" + ("" if joined else "-separate"))
+    for joined in (True, False)
+    for caps, cap in [("6,-1,4", "max_order"), ("6,0,4", "max_order"),
+                      ("-3,-3,-3", "max_weight"), ("0,1,0", "max_arity")]])
+def test_out_of_range_caps_exit_2(capsys, caps, cap, joined):
+    """--caps=V and --caps V alike, a negative first cap included."""
+    argv = [f"--caps={caps}"] if joined else ["--caps", caps]
+    status, out, err = run(capsys, "cohomology", "paper_sec4", *argv)
     assert status == 2
     assert out == ""
     assert f"cap {cap}" in err

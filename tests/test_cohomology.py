@@ -378,12 +378,20 @@ def test_order_audit_flags_truncated_slice(sl2):
 
 
 def test_kernels_tracked_on_tpoly_only(paper):
+    """Every tpoly column carries its label row, so each pivot and kernel
+    vector holds one; dpoly echelons hold no label row and an empty
+    kernel."""
     tp, dp = both_sides(paper)
     cohomology_report(dp)
     hkr_check(tp, dp)
-    assert tp._echelons and all(red.track for red in tp._echelons.values())
-    assert dp._echelons and not any(red.track or red.combos or red.kernel
-                                    for red in dp._echelons.values())
+    assert tp._echelons and all(
+        red.rank + len(red.kernel) == len(tp.basis(w, k))
+        and all(min(v) < 0 for v in [*red.pivots.values(), *red.kernel])
+        for (w, k), red in tp._echelons.items())
+    assert any(red.kernel for red in tp._echelons.values())
+    assert dp._echelons and not any(
+        red.kernel or any(min(piv) < 0 for piv in red.pivots.values())
+        for red in dp._echelons.values())
     with pytest.raises(ValueError, match="tpoly"):
         dp.representatives(0, 0)
 

@@ -5,7 +5,7 @@ import pytest
 import sympy
 
 from gman import linalg
-from gman.linalg import ColumnReducer
+from gman.linalg import ColumnReducer, label_row
 
 rng = random.Random(17)
 
@@ -39,52 +39,87 @@ def test_rank_against_sympy_oracle():
         assert red.rank == expected
 
 
+def labelled(col: dict, u: int) -> dict:
+    return {**col, label_row(u): 1}
+
+
+def solve(cols: list[dict], target: dict) -> dict | None:
+    """target as a combination of cols, read from the kernel vector that
+    the target leaves when labelled after them; None if independent."""
+    red = ColumnReducer()
+    for u, c in enumerate(cols):
+        red.insert(labelled(c, u))
+    if red.insert(labelled(target, len(cols))):
+        return None
+    vec = dict(red.kernel[-1])
+    lam = vec.pop(label_row(len(cols)))
+    return {label_row(r): Fraction(-v, lam) for r, v in vec.items()}
+
+
+def test_label_rows_are_negative_and_invert():
+    assert [label_row(u) for u in range(3)] == [-1, -2, -3]
+    assert all(label_row(label_row(u)) == u for u in range(5))
+
+
 def test_kernel_combinations_are_kernel_vectors():
     for _ in range(25):
         nrows, ncols = rng.randint(2, 6), rng.randint(2, 8)
         cols = rand_columns(nrows, ncols)
-        red = ColumnReducer(track=True)
+        red = ColumnReducer()
         for u, c in enumerate(cols):
-            red.insert(dict(c), label=u)
+            red.insert(labelled(c, u))
         assert len(red.kernel) == ncols - red.rank
-        for combo in red.kernel:
+        for vec in red.kernel:
+            assert vec and max(vec) < 0
             acc = {}
-            for u, coeff in combo.items():
-                for r, v in cols[u].items():
-                    acc[r] = acc.get(r, 0) + coeff * v
+            for r, coeff in vec.items():
+                for row, v in cols[label_row(r)].items():
+                    acc[row] = acc.get(row, 0) + coeff * v
             assert all(v == 0 for v in acc.values())
 
 
 def test_membership_and_solve():
     cols = [{0: 1, 1: 2}, {1: 1, 2: 1}]
-    red = ColumnReducer(track=True)
-    for u, c in enumerate(cols):
-        red.insert(dict(c), label=u)
+    red = ColumnReducer()
+    for c in cols:
+        red.insert(dict(c))
     target = {0: 3, 1: 4, 2: -2}  # 3*c0 - 2*c1
-    sol = red.solve(dict(target))
-    assert sol == {0: Fraction(3), 1: Fraction(-2)}
+    assert solve(cols, target) == {0: Fraction(3), 1: Fraction(-2)}
     assert red.contains(target)
     assert not red.contains({2: 1, 0: 1})
-    assert red.solve({0: 0, 2: 5}) is None
+    assert solve(cols, {0: 0, 2: 5}) is None
 
 
 def test_copy_extends_without_touching_the_original():
-    red = ColumnReducer(track=True)
-    red.insert({0: 1, 1: 2}, label=0)
+    red = ColumnReducer()
+    red.insert(labelled({0: 1, 1: 2}, 0))
+    red.insert(labelled({0: 2, 1: 4}, 1))
     ext = red.copy()
-    assert not ext.track and ext.pivots == red.pivots
+    assert ext.pivots == red.pivots and ext.kernel == [] and len(red.kernel) == 1
     assert ext.insert({1: 1, 2: 1}) and not ext.insert({0: 1, 1: 3, 2: 1})
-    assert ext.rank == 2 and red.rank == 1
+    assert ext.rank == 2 and red.rank == 1 and len(red.kernel) == 1
     assert not red.contains({1: 1, 2: 1})
+
+
+def test_labelled_echelon_judges_matrix_rows_only():
+    """Against labelled pivots a bare column picks up label rows as it
+    reduces; contains and insert look at its matrix rows alone."""
+    red = ColumnReducer()
+    for u, c in enumerate([{0: 1, 1: 2}, {1: 1, 2: 1}]):
+        red.insert(labelled(c, u))
+    inside = {0: 3, 1: 4, 2: -2}
+    assert red.reduce(inside) and max(red.reduce(inside)) < 0
+    assert red.contains(inside)
+    ext = red.copy()
+    assert not ext.insert(inside) and ext.rank == 2
+    assert not red.contains({2: 1, 0: 1})
+    assert ext.insert({2: 1, 0: 1}) and ext.rank == 3
 
 
 def test_solve_randomized():
     for _ in range(30):
         nrows, ncols = rng.randint(2, 7), rng.randint(1, 6)
         cols = rand_columns(nrows, ncols, density=0.6)
-        red = ColumnReducer(track=True)
-        for u, c in enumerate(cols):
-            red.insert(dict(c), label=u)
         coeffs = {u: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                   for u in range(ncols)}
         target = {}
@@ -92,7 +127,7 @@ def test_solve_randomized():
             for r, v in cols[u].items():
                 target[r] = target.get(r, Fraction(0)) + k * v
         target = {r: v for r, v in target.items() if v}
-        sol = red.solve(dict(target))
+        sol = solve(cols, target)
         assert sol is not None
         # verify the solution reproduces the target exactly
         acc = {}
@@ -105,9 +140,11 @@ def test_solve_randomized():
 def test_normalize_column():
     # denominators are cleared and the content divided out on the way in
     red = ColumnReducer()
-    assert red.reduce({0: Fraction(2, 3), 1: Fraction(-4, 3)}) == ({0: 1, 1: -2}, None)
-    assert red.reduce({}) == ({}, None)
-    assert red.reduce({0: Fraction(0)}) == ({}, None)
+    assert red.reduce({0: Fraction(2, 3), 1: Fraction(-4, 3)}) == {0: 1, 1: -2}
+    assert red.reduce({}) == {}
+    assert red.reduce({0: Fraction(0)}) == {}
+    # label rows are cleared and divided with the matrix rows
+    assert red.reduce({0: Fraction(2, 3), label_row(0): 2}) == {0: 1, label_row(0): 3}
 
 
 def test_fraction_entries_accepted():
@@ -118,7 +155,8 @@ def test_fraction_entries_accepted():
 
 def test_int_fraction_and_mixed_columns_agree():
     """The same columns as ints, as Fractions of denominator 1 and mixed
-    give the same echelon, kernel and solutions, and int pivots."""
+    give the same echelon, kernel and solutions, and int pivots; the
+    target is labelled last, so its solution is the last kernel vector."""
     for _ in range(30):
         nrows, ncols = rng.randint(2, 7), rng.randint(1, 6)
         cols = rand_columns(nrows, ncols, density=0.6)
@@ -135,13 +173,12 @@ def test_int_fraction_and_mixed_columns_agree():
         ]
         results = []
         for form in forms:
-            red = ColumnReducer(track=True)
-            for u, c in enumerate(cols):
-                red.insert({r: form(r, v) for r, v in c.items()}, label=u)
+            red = ColumnReducer()
+            for u, c in enumerate(cols + [target]):
+                red.insert(labelled({r: form(r, v) for r, v in c.items()}, u))
             assert all(type(v) is int for piv in red.pivots.values() for v in piv.values())
-            sol = red.solve({r: form(r, v) for r, v in target.items()})
-            assert sol is not None
-            results.append((red.rank, red.pivots, red.kernel, sol))
+            assert red.kernel and label_row(len(cols)) in red.kernel[-1]
+            results.append((red.rank, red.pivots, red.kernel))
         assert results[0] == results[1] == results[2]
 
 
@@ -154,5 +191,6 @@ def test_int_columns_skip_denominator_clearing(monkeypatch):
     assert red.insert({0: 2, 1: 4, 2: 0})
     assert red.pivots == {1: {0: 1, 1: 2}}
     assert red.contains({0: -3, 1: -6})
+    assert not red.insert(labelled({0: 1, 1: 2}, 0)) and red.kernel == [{label_row(0): 1}]
     with pytest.raises(AssertionError):
         red.insert({0: Fraction(1, 2)})
