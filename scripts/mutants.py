@@ -80,6 +80,10 @@ MUTANTS = {
     "schouten-bracket-sign": (
         "calculus.py", "dpa, pb.terms, -f * left[0] * merged[0])",
         "dpa, pb.terms, f * left[0] * merged[0])"),
+    "leibniz-wrong-slot": (
+        "dpoly.py", "tuple(map(add, slots[j], d))", "tuple(map(add, slots[0], d))"),
+    "leibniz-skip-first-part": (
+        "dpoly.py", "for j, d in rest:", "for j, d in rest[1:]:"),
     "gerstenhaber-swap-sign": (
         "dpoly.py", "f if (k * l + j * k) % 2 else -f", "-f if (k * l + j * k) % 2 else f"),
     "sort-swap-sign": (

@@ -43,10 +43,11 @@ def _read_scenario_text(spec: str) -> str:
     try:
         with open(spec, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError:
-        pass
-    if spec in BUNDLED:
-        return resources.files("gman.data").joinpath(spec + ".json").read_text()
+    except OSError as exc:
+        if spec in BUNDLED:
+            return resources.files("gman.data").joinpath(spec + ".json").read_text()
+        if not isinstance(exc, (FileNotFoundError, NotADirectoryError)):
+            raise ScenarioError(f"cannot read scenario file {spec}: {exc.strerror}") from exc
     raise ScenarioError(f"no such scenario file or bundled name: {spec}")
 
 

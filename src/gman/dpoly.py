@@ -8,7 +8,9 @@ Coefficients always sit in a single left factor, which makes equality
 of operators equality of term maps.
 
 The Gerstenhaber bracket is built from slot insertion, one product per
-distinct derivative of the inserted coefficient; the Hochschild
+distinct derivative of the inserted coefficient, each target key
+shifting only the slots a derivative reaches (the Leibniz split table
+lists each split's nonzero parts, slot by slot); the Hochschild
 differential is [m, -] with m the two-slot multiplication, so there is
 exactly one source of signs.  Bracket and cup are term-pair kernels,
 run by ``calculus.ext_bilinear`` on cochains; a single operator is a
@@ -43,16 +45,21 @@ def _hkr_layout(idx: tuple[int, ...], n: int) -> tuple[tuple[OpKey, Coeff], ...]
 def _split_multiindex(alpha: MultiIndex, parts: int) -> tuple[tuple[MultiIndex, tuple], ...]:
     """All ways to write alpha as a sum of ``parts`` multi-indices with their
     multinomial coefficients, grouped by the first part: (first, ((rest,
-    coeff), ..)).  Few distinct (alpha, parts) occur; each is computed once."""
+    coeff), ..)).  A rest is sparse: the (slot, part) pairs, slots counted
+    from 0 after the first part, of its nonzero parts in ascending slot
+    order.  Few distinct (alpha, parts) occur; each is computed once."""
     if parts == 1:
         return ((alpha, (((), 1),)),)
     out = []
     for first in product(*(range(a + 1) for a in alpha)):
         coeff = prod(comb(a, b) for a, b in zip(alpha, first))
         rest = tuple(a - b for a, b in zip(alpha, first))
-        out.append((first, tuple(((second,) + tail, coeff * c)
-                                 for second, group in _split_multiindex(rest, parts - 1)
-                                 for tail, c in group)))
+        group = []
+        for second, tails in _split_multiindex(rest, parts - 1):
+            shifted = ((0, second),) if any(second) else ()
+            group += ((shifted + tuple((j + 1, d) for j, d in tail), coeff * c)
+                      for tail, c in tails)
+        out.append((first, tuple(group)))
     return tuple(out)
 
 
@@ -101,7 +108,8 @@ def _insert(acc: dict, key1: OpKey, p1: Poly, slot: int, key2: OpKey, p2: Poly,
     slots of key2 by the multivariate Leibniz rule with multinomial
     coefficients.  Each first part a of a split is one product p1 d^a p2,
     kept in memo (a -> product), which the caller shares across the slots
-    of key1, and added into each key of its group.
+    of key1, and added into each key of its group: key2 with the slots
+    its rest lists shifted, in place of the consumed slot.
     """
     head, tail = key1[:slot], key1[slot + 1:]
     for first, group in _split_multiindex(key1[slot], len(key2) + 1):
@@ -111,8 +119,10 @@ def _insert(acc: dict, key1: OpKey, p1: Poly, slot: int, key2: OpKey, p2: Poly,
         if not pq:
             continue
         for rest, coeff in group:
-            new_slots = tuple(tuple(map(add, beta, delta)) for beta, delta in zip(key2, rest))
-            target = acc.setdefault(head + new_slots + tail, {})
+            slots = list(key2)
+            for j, d in rest:
+                slots[j] = tuple(map(add, slots[j], d))
+            target = acc.setdefault(head + tuple(slots) + tail, {})
             scale = sign * coeff
             for e, c in pq.items():
                 target[e] = target.get(e, 0) + c * scale

@@ -50,6 +50,19 @@ def test_unknown_name_exits_2(capsys):
     assert "no such scenario" in err
 
 
+def test_unreadable_scenario_path_exits_2(capsys, tmp_path, monkeypatch):
+    """A path that exists but cannot be read is reported with the OS
+    error, not as an unknown name; a bundled name still loads when a
+    directory of that name is in the way."""
+    status, _, err = run(capsys, "validate", str(tmp_path))
+    assert status == 2
+    assert err == f"error: cannot read scenario file {tmp_path}: Is a directory\n"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "paper_sec4").mkdir()
+    status, _, err = run(capsys, "validate", "paper_sec4")
+    assert (status, err) == (0, "")
+
+
 def test_usage_error_exits_2(capsys):
     assert main(["validate"]) == 2
     assert main(["frobnicate", "paper_sec4"]) == 2

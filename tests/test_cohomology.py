@@ -21,8 +21,8 @@ from gman.liealg import Cochain, LieAlgebra
 from gman.poly import Poly, monomials_of_weight
 from gman.scenario import Caps, ScenarioError, load_scenario
 
-from conftest import (basis_cochain, count_builds, enumerate_slice_reference, hkr_reference,
-                      morphism_reference, random_connection, residuals_reference,
+from conftest import (basis_cochain, bundled, count_builds, enumerate_slice_reference,
+                      hkr_reference, morphism_reference, random_connection, residuals_reference,
                       slice_reference, two_generator_doc)
 
 
@@ -141,6 +141,27 @@ def test_paper_hkr_match(paper):
     assert hc["dimensions_match"]
     assert hc["hkr_injective_on_H"]
     assert hc["mismatches"] == []
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 4: weight_window ignores positive action weights, so "
+    "paper_sec4's operator slices at w -5 (k 1-4) lie below its window"))
+def test_no_slice_below_the_window():
+    """On every bundled scenario and both sides, every slice below the
+    window is empty.  A basis element of weight w has a monomial of
+    weight w + gshift + mshift >= 0, so no slice lies below the floor
+    scanned from."""
+    below = {}
+    for name in ("paper_sec4", "sl2_linear", "abelian_trivial"):
+        s = bundled(name)
+        floor = -(sum(map(abs, s.action_weights)) + sum(s.weights)
+                  + s.caps.max_arity * s.caps.max_order * max(s.weights)) - 1
+        for side in SIDES:
+            ws = Workspace(s, side)
+            below.update(((name, side, w, k), len(ws.basis(w, k)))
+                         for w in range(floor, weight_window(s)[0])
+                         for k in range(-1, ws.pmax + ws.qmax + 1) if ws.basis(w, k))
+    assert below == {}
 
 
 def test_abelian_zero_action_cohomology(abelian):

@@ -80,15 +80,27 @@ def _brute_split(alpha, parts):
 
 
 def test_split_multiindex_against_brute_force():
+    """The sparse rests, expanded to dense splits, are every split once
+    with its multinomial coefficient; a rest lists only nonzero parts,
+    in ascending slot order."""
     for n in (1, 2, 3):
         for alpha in product(range(5), repeat=n):
             if sum(alpha) > 4:
                 continue
-            for parts in (1, 2, 3):
+            for parts in (1, 2, 3, 4):
                 groups = _split_multiindex(alpha, parts)
                 assert type(groups) is tuple
                 assert len({first for first, _ in groups}) == len(groups)
-                got = tuple(((first,) + rest, c) for first, group in groups for rest, c in group)
+                zero, got = (0,) * n, []
+                for first, group in groups:
+                    for rest, c in group:
+                        slots = [j for j, _ in rest]
+                        assert slots == sorted(set(slots))
+                        assert all(0 <= j < parts - 1 and any(d) for j, d in rest)
+                        dense = [zero] * (parts - 1)
+                        for j, d in rest:
+                            dense[j] = d
+                        got.append(((first, *dense), c))
                 assert sum(c for _, c in got) == parts ** sum(alpha)
                 assert len({split for split, _ in got}) == len(got)
                 assert dict(got) == _brute_split(alpha, parts)
