@@ -73,7 +73,7 @@ MUTANTS = {
     "duplicate-structure-constant": (
         "scenario.py", 'raise ScenarioError(f"[e_{i}, e_{j}] is given a second time")', "pass"),
     "order-up-top-filter": (
-        "cohomology.py", "if sum(map(sum, bs)) == top", "if sum(map(sum, bs)) <= top"),
+        "cohomology.py", "sum(map(sum, bs)) == max_order", "sum(map(sum, bs)) <= max_order"),
     "contract-koszul": (
         "calculus.py", "return ext_bilinear(eta, a, _interior, lambda k1, p2: k1 * p2)",
         "return ext_bilinear(eta, a, _interior, lambda k1, p2: 0)"),
@@ -101,6 +101,20 @@ MUTANTS = {
         "atiyah.py", "vec = reducer.kernel[-1]", "vec = reducer.kernel[0]"),
     "obstruction-solution-sign": (
         "atiyah.py", "Fraction(-v, lam)", "Fraction(v, lam)"),
+    "caps-exceeded-at-the-cap": (
+        "cli.py", "if sum(map(sum, mid)) > c.max_order}", "if sum(map(sum, mid)) >= c.max_order}"),
+    "duflo-inconclusive-if-any-capped": (
+        "cli.py", "if bitten and all(bitten):", "if bitten and any(bitten):"),
+    "hkr-mismatch-any-unstable": (
+        "cli.py", "set(capped) <= unstable", "set(capped) & unstable"),
+    "hkr-injective-if-any-independent": (
+        "cohomology.py", "if not all(dp.independent_mod_image(w, k, mapped)):",
+        "if not any(dp.independent_mod_image(w, k, mapped)):"),
+    "todd-square-unchecked": (
+        "cli.py", "return (0 if square_ok else 1), results, lines", "return 0, results, lines"),
+    "caps-unvalidated": (
+        "scenario.py", "self = super().__new__(cls, max_weight, max_order, max_arity, max_ce_degree)",
+        "return super().__new__(cls, max_weight, max_order, max_arity, max_ce_degree)"),
     CONTROL: (
         "liealg.py", "# insertion sort, counting swaps; sequences here are short",
         "# insertion sort"),

@@ -20,7 +20,6 @@ forms, are nilpotent and commute.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import factorial
@@ -165,7 +164,7 @@ def invariant_connection_obstruction(s: Scenario, max_poly_weight: int | None = 
     coboundary = differential(s.lie, q, Cochain(s.dim_g, {(): solution}), _lie_end)
     assert (coboundary - r).is_zero(), "internal error: solver produced a non-solution"
     inv_gamma = {(k, i, j): p for (i, j, k), p in (connection_tensor(s) - solution).terms.items()}
-    s_inv = replace(s, christoffel=inv_gamma)
+    s_inv = s._replace(christoffel=inv_gamma)
     assert atiyah_cocycle(s_inv).is_zero(), "invariant connection fails re-verification"
     return {"solvable": True, "difference_tensor": solution,
             "invariant_christoffel": inv_gamma, "window": window}

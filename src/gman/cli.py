@@ -22,7 +22,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import replace
 from functools import partial
 from importlib import resources
 
@@ -64,7 +63,7 @@ def _load(args) -> tuple[Scenario, str]:
                                     f"{args.caps!r} (max_weight,max_order,max_arity)")
         if len(parts) != 3:
             raise ScenarioError("--caps expects max_weight,max_order,max_arity")
-        s = replace(s, caps=Caps(*map(int, parts), s.caps.max_ce_degree))
+        s = s._replace(caps=Caps(*map(int, parts), s.caps.max_ce_degree))
     return s, digest
 
 

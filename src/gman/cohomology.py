@@ -50,8 +50,8 @@ from .calculus import (PolyVector, _schouten, contract, differential, ext_pv_wed
 from .dpoly import PolyDiffOp, _gerstenhaber, ext_cup, ext_gerstenhaber, ext_hkr, hkr_terms
 from .liealg import Cochain, merge_indices
 from .linalg import ColumnReducer, label_row
-from .poly import (Coeff, Poly, accumulate, grlex_key, int_first, monomial_weight,
-                   monomials_of_weight, unit)
+from .poly import (Coeff, Poly, _monomials, accumulate, grlex_key, int_first,
+                   monomial_weight, monomials_of_weight, unit)
 from .scenario import Scenario, action_cochain
 
 SIDES = ("tpoly", "dpoly")
@@ -95,23 +95,32 @@ def enumerate_slice(s: Scenario, side: str, weight: int, p: int, q: int) -> list
         raise ValueError(f"exterior degree {p} outside caps")
     if side == "dpoly" and q + 1 > s.caps.max_arity + 1:
         raise ValueError(f"arity {q + 1} outside caps")
-    return _elements(s, side, weight, p, combinations(range(s.n), q + 1) if side == "tpoly"
-                     else _beta_tuples(s.n, q + 1, s.caps.max_order))
+    return _elements(s, weight, p, _weighted_mids(side, s.n, s.weights, q + 1, s.caps.max_order))
 
 
-def _elements(s: Scenario, side: str, weight: int, p: int, mids) -> list[tuple]:
+@cache
+def _weighted_mids(side: str, n: int, weights: tuple[int, ...], arity: int, max_order: int,
+                   exact: bool = False) -> tuple[tuple[tuple, int], ...]:
+    """The middle structures of the given arity, in order, each with its
+    weight: coordinate tuples on the tpoly side; on the dpoly side,
+    multi-index tuples of total order at most max_order, or exactly
+    max_order if exact."""
+    if side == "tpoly":
+        return tuple((mid, sum(weights[j] for j in mid)) for mid in combinations(range(n), arity))
+    return tuple((bs, sum(monomial_weight(b, weights) for b in bs))
+                 for bs in _beta_tuples(n, arity, max_order)
+                 if not exact or sum(map(sum, bs)) == max_order)
+
+
+def _elements(s: Scenario, weight: int, p: int, mids) -> list[tuple]:
     """The basis elements (I, mid, exps) of the weight with |I| = p over
-    the given middle structures, in order."""
+    the given (middle structure, weight) pairs, in order."""
     n, w = s.n, s.weights
-    mids = [(mid, sum(w[j] for j in mid) if side == "tpoly"
-             else sum(monomial_weight(b, w) for b in mid)) for mid in mids]
     out: list[tuple] = []
     for idx in combinations(range(s.dim_g), p):
         gshift = sum(s.action_weights[i] for i in idx)
         for mid, mshift in mids:
-            target = weight + gshift + mshift
-            for exps in monomials_of_weight(n, w, target):
-                out.append((idx, mid, exps))
+            out.extend((idx, mid, exps) for exps in _monomials(n, w, weight + gshift + mshift))
     return out
 
 
@@ -301,10 +310,10 @@ class Workspace:
         the rank of d on it: the slice's echelon, copied and extended by
         the images of the basis elements of total order exactly
         max_order + 1.  The polyvector side has no order cap."""
-        top = self.max_order + 1
+        s = self.s
         extra = [] if self.side == "tpoly" else [
-            e for p, q in self._degrees(k) for e in _elements(self.s, "dpoly", w, p, [
-                bs for bs in _beta_tuples(self.s.n, q + 1, top) if sum(map(sum, bs)) == top])]
+            e for p, q in self._degrees(k) for e in _elements(s, w, p, _weighted_mids(
+                "dpoly", s.n, s.weights, q + 1, self.max_order + 1, exact=True))]
         red = self._echelon(w, k).copy()
         for elt in extra:
             red.insert(self._column(w, self.image_coords(elt)))

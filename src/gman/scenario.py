@@ -9,13 +9,20 @@ entry per pair of generators; Q^2 = 0 for Q = d_CE + phi, as the Jacobi
 identity d_Lambda^2 = 0 and as the Maurer-Cartan equation
 1/2 [q, q] + d_Lambda q = 0 of the action cochain q, which says phi is a
 morphism; homogeneity; and the symmetry of the connection.
+
+``Scenario`` and ``Caps`` are immutable named tuples, changed only by
+``_replace``.  ``Caps`` validates its fields when it is built, so a new
+one is always made with ``Caps(...)``: ``Caps._replace`` would skip the
+checks.  They are not dataclasses because ``import dataclasses`` also
+loads ``inspect``, ``ast`` and ``dis``, on every start-up of the CLI.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from typing import NamedTuple
 
 from .calculus import PolyVector, _schouten, differential
 from .liealg import Cochain, LieAlgebra, StructureError
@@ -26,32 +33,25 @@ class ScenarioError(ValueError):
     """Malformed or mathematically invalid scenario input."""
 
 
-@dataclass(frozen=True)
-class Caps:
-    max_weight: int
-    max_order: int
-    max_arity: int
-    max_ce_degree: int
+class Caps(namedtuple("Caps", "max_weight max_order max_arity max_ce_degree")):
+    """The truncation caps of a scenario's windows, checked when built."""
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, max_weight: int, max_order: int, max_arity: int, max_ce_degree: int):
+        self = super().__new__(cls, max_weight, max_order, max_arity, max_ce_degree)
         for name, value in self.to_json().items():
             if type(value) is not int or value < 0:
                 raise ScenarioError(f"cap {name} must be a non-negative integer, got {value!r}")
         for name in ("max_order", "max_arity"):
             if getattr(self, name) < 1:
                 raise ScenarioError(f"cap {name} must be at least 1, got {getattr(self, name)}")
+        return self
 
     def to_json(self) -> dict:
-        return {
-            "max_weight": self.max_weight,
-            "max_order": self.max_order,
-            "max_arity": self.max_arity,
-            "max_ce_degree": self.max_ce_degree,
-        }
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     n: int
     weights: tuple[int, ...]
     lie: LieAlgebra

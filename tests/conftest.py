@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 from itertools import combinations, permutations, product
@@ -102,7 +101,7 @@ def random_connection(s: Scenario, shift: int, rng) -> Scenario:
                 gamma[(k, i, j)] = p
                 if i != j:
                     gamma[(k, j, i)] = p
-    return replace(s, christoffel=gamma, christoffel_shift=shift)
+    return s._replace(christoffel=gamma, christoffel_shift=shift)
 
 
 def atiyah_reference(s: Scenario) -> Cochain:

@@ -1,7 +1,6 @@
 import itertools
 import pathlib
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -101,7 +100,7 @@ def test_obstruction_recovers_invariant_connection(sl2):
     alt = random_connection(sl2, 1, random.Random(7))
     ob = invariant_connection_obstruction(alt)
     assert ob["solvable"] is True
-    s_inv = replace(alt, christoffel=ob["invariant_christoffel"])
+    s_inv = alt._replace(christoffel=ob["invariant_christoffel"])
     assert atiyah_cocycle(s_inv).is_zero()
 
 

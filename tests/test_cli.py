@@ -292,6 +292,84 @@ def test_duflo_residual_within_caps_exits_1(capsys, monkeypatch):
     assert err == ""
 
 
+def _edit_failures(monkeypatch, edit):
+    """Make duflo-check apply edit to the failing pairs of each report."""
+    check = cli.duflo_check
+
+    def edited(tp, dp, twist, **kwargs):
+        rep = check(tp, dp, twist, **kwargs)
+        edit(rep["failures"])
+        return rep
+    monkeypatch.setattr(cli, "duflo_check", edited)
+
+
+def _set_mids(failures, mid):
+    for f in failures:
+        for row in f["product_residual"] + f["bracket_residual"]:
+            row[1] = mid
+
+
+@pytest.mark.parametrize("mid, code", [
+    pytest.param([[1], [0]], 1, id="order-and-arity-at-the-caps"),
+    pytest.param([[2]], 2, id="order-beyond"),
+    pytest.param([[0], [0], [0]], 2, id="arity-beyond"),
+])
+def test_duflo_residual_at_the_caps_is_within_them(capsys, monkeypatch, mid, code):
+    """At caps 2,1,2 a residual row of total order 1 and arity 2 lies in
+    the window, so its failing pair is a falsification; one more of either
+    and the pair is inconclusive."""
+    _edit_failures(monkeypatch, lambda failures: _set_mids(failures, mid))
+    status, out, err = run(capsys, "duflo-check", "paper_sec4", "--caps", "2,1,2", "--json")
+    assert status == code
+    assert json.loads(out)["results"]["twisted"]["failures"]
+    assert ("beyond the cap(s)" in err) == (code == 2)
+
+
+def test_duflo_one_pair_within_caps_exits_1(capsys, monkeypatch):
+    """Negative control: of sl2's two failing pairs at caps 2,2,3, the
+    last moved into the window (every row a function) is a falsification,
+    though the first is still beyond the caps."""
+    _edit_failures(monkeypatch, lambda failures: _set_mids(failures[-1:], []))
+    status, out, err = run(capsys, "duflo-check", "sl2_linear", "--caps", "2,2,3", "--json")
+    assert status == 1
+    assert len(json.loads(out)["results"]["twisted"]["failures"]) == 2
+    assert err == ""
+
+
+def test_hkr_mismatch_in_a_stable_and_an_unstable_slice_exits_1(capsys, monkeypatch):
+    """Negative control: sl2's mismatch at caps 1,1,3 sits in an unstable
+    slice; one more in a stable slice beside it is a falsification."""
+    report, check = cli.cohomology_report, cli.hkr_check
+    reports = []
+
+    def recorded(ws):
+        reports.append(report(ws))
+        return reports[-1]
+
+    def one_more(tp, dp):
+        match = check(tp, dp)
+        stable = next(e for e in reports[-1]["slices"] if e["stable"])
+        match["mismatches"].append({"weight": stable["weight"],
+                                    "total_degree": stable["total_degree"]})
+        return match
+    monkeypatch.setattr(cli, "cohomology_report", recorded)
+    monkeypatch.setattr(cli, "hkr_check", one_more)
+    status, out, err = run(capsys, "cohomology", "sl2_linear", "--caps", "1,1,3", "--json")
+    assert status == 1
+    assert len(json.loads(out)["results"]["hkr"]["mismatches"]) == 2
+    assert err == ""
+
+
+def test_todd_sqrt_scaled_by_2_exits_1(capsys, monkeypatch):
+    """Negative control: a square root that does not square to td is a
+    falsification."""
+    sqrt = cli.todd_sqrt
+    monkeypatch.setattr(cli, "todd_sqrt", lambda s: sqrt(s).scale(2))
+    status, out, _ = run(capsys, "todd", "paper_sec4", "--json")
+    assert status == 1
+    assert json.loads(out)["results"]["sqrt_squares_to_todd"] is False
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "weight-split artefact: duflo_check reduces each whole residual against the one "
     "echelon of weight w_a + w_b, so the parts of other weights, which the weight-1 "
@@ -485,3 +563,18 @@ def test_closed_pipe_in_a_subprocess_prints_nothing():
     err = proc.stderr.read()
     assert proc.wait() == 141
     assert err == b""
+
+
+def test_start_up_imports_no_dataclasses_or_inspect():
+    """`import gman.cli` is all of a run's start-up, and it does not load
+    dataclasses, which would also load inspect, ast and dis.  Skipped
+    where the interpreter loads either module before any import."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    probe = "import sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+
+    def loaded(code):
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True).stdout.strip()
+    if (bare := loaded(probe)) != "[]":
+        pytest.skip(f"a bare interpreter has already loaded {bare}")
+    assert loaded("import gman.cli; " + probe) == "[]"

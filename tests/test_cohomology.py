@@ -1,7 +1,6 @@
 import pathlib
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -178,6 +177,20 @@ def test_abelian_hkr_and_duflo(abelian):
     assert hkr_check(tp, dp)["dimensions_match"]
     dc = duflo_check(tp, dp, "td_sqrt", sample_cap=120)
     assert dc["all_reduce"]
+
+
+def test_hkr_check_sees_one_of_two_classes_map_into_the_image(abelian, monkeypatch):
+    """Negative control: abelian slice (0, 0) holds two classes; HKR made
+    to send the second to zero, a coboundary, is not injective on H,
+    though the first still maps outside the image."""
+    tp, dp = both_sides(abelian)
+    first, second = tp.representatives(0, 0)
+    monkeypatch.setattr(cohomology, "ext_hkr",
+                        lambda c: Cochain(c.n, {}) if c is second else ext_hkr(c))
+    assert dp.independent_mod_image(0, 0, [cochain_coords(ext_hkr(first))]) == [True]
+    match = hkr_check(tp, dp)
+    assert match["dimensions_match"]
+    assert not match["hkr_injective_on_H"]
 
 
 def test_representatives_are_cocycles(paper):
@@ -372,7 +385,7 @@ def test_wrong_twist_fails_only_its_own_map(paper, monkeypatch):
 
 
 def with_caps(s, w, o, a):
-    return replace(s, caps=Caps(w, o, a, s.caps.max_ce_degree))
+    return s._replace(caps=Caps(w, o, a, s.caps.max_ce_degree))
 
 
 @pytest.mark.parametrize("caps", [None, (1, 3, 3), (1, 1, 3)])

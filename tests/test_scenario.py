@@ -7,7 +7,7 @@ import pytest
 from conftest import at0, bundled_doc, covariant_basis, gamma, morphism_reference
 from gman.calculus import PolyVector, ext_schouten
 from gman.poly import Poly, unit
-from gman.scenario import ScenarioError, load_scenario
+from gman.scenario import Caps, Scenario, ScenarioError, load_scenario
 
 
 def test_bundled_scenarios_load():
@@ -109,6 +109,26 @@ def test_bad_json_caps_rejected(caps, cap):
     doc["caps"].update(caps)
     with pytest.raises(ScenarioError, match=f"cap {cap}"):
         load_scenario(doc)
+
+
+@pytest.mark.parametrize("caps, message", [
+    ((6, 0, 4, 1), "cap max_order must be at least 1, got 0"),
+    ((6, 4, 4, True), "cap max_ce_degree must be a non-negative integer, got True"),
+])
+def test_caps_validate_when_built(caps, message):
+    """Caps checks its fields when it is built, not only when loaded."""
+    with pytest.raises(ScenarioError) as exc:
+        Caps(*caps)
+    assert str(exc.value) == message
+
+
+def test_replace_gives_a_scenario():
+    s = load_scenario(bundled_doc("paper_sec4"))
+    t = s._replace(caps=Caps(2, 1, 2, s.caps.max_ce_degree))
+    assert type(t) is Scenario and type(t.caps) is Caps
+    assert t.caps.to_json() == {"max_weight": 2, "max_order": 1, "max_arity": 2,
+                                "max_ce_degree": s.caps.max_ce_degree}
+    assert (t.n, t.lie, t.action, t.name, t.dim_g) == (s.n, s.lie, s.action, s.name, s.dim_g)
 
 
 def _tiny(**change) -> dict:
