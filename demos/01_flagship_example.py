@@ -37,8 +37,9 @@ def main():
 
     # Is there an invariant connection at all?  Solving the linear
     # system Gamma must satisfy shows the class [R] is a genuine
-    # obstruction: the right-hand side lands in an empty weight slice.
-    ob = invariant_connection_obstruction(s, 10)
+    # obstruction: the right-hand side lands in an empty weight slice,
+    # here with unknowns up to polynomial weight 10.
+    ob = invariant_connection_obstruction(s._replace(caps=s.caps._replace(max_weight=10)))
     print(f"\ninvariant connection exists: {ob['solvable']}")
     for cert in ob["certificates"]:
         print(f"  certificate: tensor weight slice {cert['tensor_weight_slice']}"

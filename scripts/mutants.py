@@ -104,17 +104,33 @@ MUTANTS = {
     "caps-exceeded-at-the-cap": (
         "cli.py", "if sum(map(sum, mid)) > c.max_order}", "if sum(map(sum, mid)) >= c.max_order}"),
     "duflo-inconclusive-if-any-capped": (
-        "cli.py", "if bitten and all(bitten):", "if bitten and any(bitten):"),
+        "cli.py", "if failures and all(caps for _, caps in failures):",
+        "if failures and any(caps for _, caps in failures):"),
     "hkr-mismatch-any-unstable": (
-        "cli.py", "set(capped) <= unstable", "set(capped) & unstable"),
+        "cli.py", "if (w, k) in unstable else set())", "if unstable else set())"),
+    "hkr-mismatches-unchecked": (
+        "cli.py", 'for e in match["mismatches"])]', "for e in [])]"),
+    "hkr-injectivity-unchecked": (
+        "cli.py", 'failures.append(("hkr not injective on H", set()))', "pass"),
+    "duflo-failures-unchecked": (
+        "cli.py", 'for f in twisted["failures"]]', "for f in []]"),
+    "axioms-failures-unchecked": (
+        "cli.py", 'failures += [(f"{side} {f[\'identity\']}", set()) for f in r["failures"]]',
+        "pass"),
+    "atiyah-closed-unchecked": (
+        "cli.py", 'failures = [] if closed else [("atiyah cocycle not CE-closed", set())]',
+        "failures = []"),
     "hkr-injective-if-any-independent": (
         "cohomology.py", "if not all(dp.independent_mod_image(w, k, mapped)):",
         "if not any(dp.independent_mod_image(w, k, mapped)):"),
     "todd-square-unchecked": (
-        "cli.py", "return (0 if square_ok else 1), results, lines", "return 0, results, lines"),
+        "cli.py", 'failures = [] if square_ok else [("sqrt^2 != todd", set())]', "failures = []"),
     "caps-unvalidated": (
         "scenario.py", "self = super().__new__(cls, max_weight, max_order, max_arity, max_ce_degree)",
         "return super().__new__(cls, max_weight, max_order, max_arity, max_ce_degree)"),
+    "caps-replace-unchecked": (
+        "scenario.py", "    @classmethod\n    def _make(cls, iterable):  # _replace builds through "
+        "this, so it checks too\n        return cls(*iterable)\n\n", ""),
     CONTROL: (
         "liealg.py", "# insertion sort, counting swaps; sequences here are short",
         "# insertion sort"),

@@ -102,18 +102,18 @@ def is_ce_closed(s: Scenario, cochain: Cochain) -> bool:
 
 # --------------------------------------------------------------- obstruction
 
-def invariant_connection_obstruction(s: Scenario, max_poly_weight: int | None = None) -> dict:
+def invariant_connection_obstruction(s: Scenario) -> dict:
     """Solve d_CE(A) = R for a difference tensor A, per weight slice.
 
     Unknowns are monomial entries of A with polynomial weight up to the
-    window cap.  The image of unknown u is labelled ``label_row(u)``,
+    cap ``max_weight``.  The image of unknown u is labelled ``label_row(u)``,
     the slice of R after them; if R is dependent, its kernel vector,
     lambda at R's label and v at u's, gives u the coefficient -v/lambda.
     Returns either the invariant connection (with the invariance
     identity re-verified) or the unsolvable slice as a certificate.
     """
     n, w = s.n, s.weights
-    window = s.caps.max_weight if max_poly_weight is None else max_poly_weight
+    window = s.caps.max_weight
     r = atiyah_cocycle(s)
     q = action_cochain(s)
 

@@ -11,7 +11,7 @@ result that only a truncation cap decides (the caps and the slices or
 pairs are named on stderr), 3 an internal error (traceback on stderr),
 141 the reader closed standard output early (``gman ... | head``) on a
 run that would have exited 0; a run that would have exited 1 or 2 keeps
-that status.
+that status.  Every subcommand takes its 0, 1 or 2 from ``_verdict``.
 """
 
 from __future__ import annotations
@@ -99,33 +99,45 @@ def _frame(s: Scenario, digest: str, args, results: dict) -> dict:
         "scenario": s.name,
         "scenario_digest": digest,
         "caps": s.caps.to_json(),
-        "seed": getattr(args, "seed", None),
         "results": results,
     }
+
+
+def _verdict(failures: list[tuple[str, set[str]]]) -> int:
+    """The exit status from a run's failing witnesses, each a label and the
+    named caps it lies beyond: 0 with none, 1 if any lies within every cap,
+    else 2, naming the caps and the witnesses on stderr."""
+    if failures and all(caps for _, caps in failures):
+        print(f"inconclusive: every failure lies beyond the cap(s) "
+              f"{', '.join(sorted(set().union(*(caps for _, caps in failures))))}: "
+              + ", ".join(label for label, _ in failures), file=sys.stderr)
+        return 2
+    return 1 if failures else 0
 
 
 def cmd_validate(s, digest, args) -> tuple[int, dict, list[str]]:
     results = {"valid": True, "dim_g": s.dim_g, "dim_m": s.n,
                "action_weights": list(s.action_weights)}
-    return 0, results, [f"scenario {s.name or args.scenario}: valid "
-                        f"(dim_g={s.dim_g}, dim_m={s.n})"]
+    return _verdict([]), results, [f"scenario {s.name or args.scenario}: valid "
+                                   f"(dim_g={s.dim_g}, dim_m={s.n})"]
 
 
 def cmd_axioms(s, digest, args) -> tuple[int, dict, list[str]]:
     results = run_axiom_checks(s, cases=args.cases, seed=args.seed)
-    lines = []
+    lines, failures = [], []
     for side in ("tpoly", "dpoly"):
         r = results[side]
         lines.append(f"{side}: {r['passed']}/{r['cases']} passed")
         for f in r["failures"][:5]:
             lines.append(f"  FAILED {f['identity']} at degrees {f['degrees']}")
-    return (0 if results["all_passed"] else 1), results, lines
+        failures += [(f"{side} {f['identity']}", set()) for f in r["failures"]]
+    return _verdict(failures), results, lines
 
 
 def cmd_atiyah(s, digest, args) -> tuple[int, dict, list[str]]:
     r = atiyah_cocycle(s)
     closed = is_ce_closed(s, r)
-    obstruction = invariant_connection_obstruction(s, args.obstruction_weight)
+    obstruction = invariant_connection_obstruction(s)
     results = {
         "cocycle": _serialize_end_cochain(r),
         "ce_closed": closed,
@@ -143,7 +155,8 @@ def cmd_atiyah(s, digest, args) -> tuple[int, dict, list[str]]:
         lines.append(f"  R(e_{row[0]}, d_{row[1]}) d_{row[2]} -> d_{row[3]}: {row[4]}")
     lines.append(f"invariant connection: "
                  f"{'exists' if obstruction['solvable'] else 'obstructed'}")
-    return (0 if closed else 1), results, lines
+    failures = [] if closed else [("atiyah cocycle not CE-closed", set())]
+    return _verdict(failures), results, lines
 
 
 def cmd_todd(s, digest, args) -> tuple[int, dict, list[str]]:
@@ -161,7 +174,8 @@ def cmd_todd(s, digest, args) -> tuple[int, dict, list[str]]:
     lines = [f"todd cocycle: {len(results['todd'])} terms; "
              f"sqrt^2 == todd: {square_ok}",
              "log-series coefficients: " + ", ".join(results["log_series"])]
-    return (0 if square_ok else 1), results, lines
+    failures = [] if square_ok else [("sqrt^2 != todd", set())]
+    return _verdict(failures), results, lines
 
 
 def cmd_cohomology(s, digest, args) -> tuple[int, dict, list[str]]:
@@ -169,14 +183,12 @@ def cmd_cohomology(s, digest, args) -> tuple[int, dict, list[str]]:
     rep_t, rep_d = cohomology_report(tp), cohomology_report(dp)
     match = hkr_check(tp, dp)
     results = {"tpoly": rep_t, "dpoly": rep_d, "hkr": match}
-    status = 0 if match["dimensions_match"] and match["hkr_injective_on_H"] else 1
     unstable = {(e["weight"], e["total_degree"]) for e in rep_d["slices"] if not e["stable"]}
-    capped = [(e["weight"], e["total_degree"]) for e in match["mismatches"]]
-    if match["hkr_injective_on_H"] and capped and set(capped) <= unstable:
-        status = 2
-        print(f"inconclusive: dim H differs only in slices that change when the cap "
-              f"max_order={s.caps.max_order} is raised: "
-              + ", ".join(f"(w {w}, k {k})" for w, k in capped), file=sys.stderr)
+    cap = {f"max_order={s.caps.max_order}"}
+    failures = [(f"(w {w}, k {k})", cap if (w, k) in unstable else set())
+                for w, k in ((e["weight"], e["total_degree"]) for e in match["mismatches"])]
+    if not match["hkr_injective_on_H"]:
+        failures.append(("hkr not injective on H", set()))
     lines = []
     for e in match["slices"]:
         if e["dim_H_tpoly"] or e["dim_H_dpoly"]:
@@ -185,7 +197,7 @@ def cmd_cohomology(s, digest, args) -> tuple[int, dict, list[str]]:
     lines.append(f"hkr dimension match: {match['dimensions_match']}; "
                  f"injective on H: {match['hkr_injective_on_H']}; "
                  f"order-cap stable: {rep_d['all_stable']}")
-    return status, results, lines
+    return _verdict(failures), results, lines
 
 
 def _caps_exceeded(s, failure: dict) -> set[str]:
@@ -213,14 +225,10 @@ def cmd_duflo(s, digest, args) -> tuple[int, dict, list[str]]:
     ]
     for f in twisted["failures"][:3]:
         lines.append(f"  FAILED pair {f['pair']}")
-    bitten = [_caps_exceeded(s, f) for f in twisted["failures"]]
-    if bitten and all(bitten):
-        pairs = (" x ".join(f"(w {c['weight']}, k {c['degree']}, #{c['index']})" for c in f["pair"])
-                 for f in twisted["failures"])
-        print(f"inconclusive: every failing pair has a residual beyond the cap(s) "
-              f"{', '.join(sorted(set().union(*bitten)))}: {', '.join(pairs)}", file=sys.stderr)
-        return 2, results, lines
-    return (0 if twisted["all_reduce"] else 1), results, lines
+    failures = [(" x ".join(f"(w {c['weight']}, k {c['degree']}, #{c['index']})"
+                            for c in f["pair"]), _caps_exceeded(s, f))
+                for f in twisted["failures"]]
+    return _verdict(failures), results, lines
 
 
 COMMANDS = {
@@ -264,12 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="machine-readable report")
         p.add_argument("--caps", default=None,
                        help="override caps: max_weight,max_order,max_arity")
-        p.add_argument("--seed", type=int, default=0)
+        if name in ("axioms", "duflo-check"):  # the two commands that draw at random
+            p.add_argument("--seed", type=int, default=0)
         if name == "axioms":
             p.add_argument("--cases", type=_int_at_least(1), default=200)
-        if name == "atiyah":
-            p.add_argument("--obstruction-weight", type=_int_at_least(0), default=None,
-                           help="polynomial weight window for the obstruction solve")
         if name == "duflo-check":
             p.add_argument("--sample-cap", type=_int_at_least(1), default=1000)
     return parser

@@ -140,9 +140,9 @@ def cochain_coords(c: Cochain) -> dict[tuple, Coeff]:
 
 
 def serialize_coords(coords: dict[tuple, Coeff]) -> list:
-    """Rows [I, mid, exps, "num/den"] of basis-key coordinates, in key order."""
-    return [[list(idx), [list(b) for b in mid] if mid and isinstance(mid[0], tuple) else list(mid),
-             list(exps), f"{c.numerator}/{c.denominator}"]
+    """Rows [I, mid, exps, "num/den"] of operator-side basis-key
+    coordinates (mid a tuple of slot multi-indices), in key order."""
+    return [[list(idx), [list(b) for b in mid], list(exps), f"{c.numerator}/{c.denominator}"]
             for (idx, mid, exps), c in sorted(coords.items())]
 
 

@@ -11,10 +11,10 @@ identity d_Lambda^2 = 0 and as the Maurer-Cartan equation
 morphism; homogeneity; and the symmetry of the connection.
 
 ``Scenario`` and ``Caps`` are immutable named tuples, changed only by
-``_replace``.  ``Caps`` validates its fields when it is built, so a new
-one is always made with ``Caps(...)``: ``Caps._replace`` would skip the
-checks.  They are not dataclasses because ``import dataclasses`` also
-loads ``inspect``, ``ast`` and ``dis``, on every start-up of the CLI.
+``_replace``.  ``Caps`` validates its fields whenever it is built, by
+``Caps(...)`` or by ``_replace``.  They are not dataclasses because
+``import dataclasses`` also loads ``inspect``, ``ast`` and ``dis``, on
+every start-up of the CLI.
 """
 
 from __future__ import annotations
@@ -46,6 +46,10 @@ class Caps(namedtuple("Caps", "max_weight max_order max_arity max_ce_degree")):
             if getattr(self, name) < 1:
                 raise ScenarioError(f"cap {name} must be at least 1, got {getattr(self, name)}")
         return self
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through this, so it checks too
+        return cls(*iterable)
 
     def to_json(self) -> dict:
         return self._asdict()

@@ -69,7 +69,8 @@ def test_criterion_1_atiyah_flagship_value(capsys, paper):
 def test_criterion_2_obstruction_certificate(capsys, paper):
     with criterion(capsys, 2, "invariant-connection obstruction for the "
                    "flagship scenario is certified unsolvable", 5.0):
-        ob = invariant_connection_obstruction(paper, 10)
+        ob = invariant_connection_obstruction(
+            paper._replace(caps=paper.caps._replace(max_weight=10)))
         assert ob["solvable"] is False
         assert ob["window"] == 10
         assert ob["certificates"]

@@ -81,7 +81,7 @@ def test_difference_tensor(sl2):
 
 
 def test_obstruction_unsolvable_for_paper(paper):
-    ob = invariant_connection_obstruction(paper, 10)
+    ob = invariant_connection_obstruction(paper._replace(caps=paper.caps._replace(max_weight=10)))
     assert ob["solvable"] is False
     assert ob["window"] == 10
     [cert] = ob["certificates"]

@@ -172,19 +172,20 @@ def test_arity_one_cap_is_valid(capsys):
     assert json.loads(out)["results"]["twisted"]["window"]["max_total_degree"] == -1
 
 
-@pytest.mark.parametrize("argv", [
-    ["duflo-check", "paper_sec4", "--sample-cap", "-1"],
-    ["duflo-check", "paper_sec4", "--sample-cap", "0"],
-    ["axioms", "abelian_trivial", "--cases", "-5"],
-    ["axioms", "abelian_trivial", "--cases", "0"],
-    ["atiyah", "paper_sec4", "--obstruction-weight", "-3"],
-], ids=lambda argv: "=".join(argv[-2:]))
-def test_out_of_range_option_exits_2(capsys, argv):
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(argv, message, id="=".join(argv[-2:])) for argv, message in [
+        (["duflo-check", "paper_sec4", "--sample-cap", "-1"], "argument --sample-cap: must be"),
+        (["duflo-check", "paper_sec4", "--sample-cap", "0"], "argument --sample-cap: must be"),
+        (["axioms", "abelian_trivial", "--cases", "-5"], "argument --cases: must be"),
+        (["axioms", "abelian_trivial", "--cases", "0"], "argument --cases: must be"),
+        (["atiyah", "paper_sec4", "--caps", "-3,4,4"], "cap max_weight must be"),
+    ]])
+def test_out_of_range_option_exits_2(capsys, argv, message):
     """A count or window below its smallest meaningful value is a usage
-    error naming the option, not a traceback or a vacuous pass."""
+    error naming the option or cap, not a traceback or a vacuous pass."""
     status, out, err = run(capsys, *argv)
     assert (status, out) == (2, "")
-    assert f"argument {argv[-2]}: must be at least" in err
+    assert message in err
     assert "Traceback" not in err
 
 
@@ -194,13 +195,22 @@ def test_out_of_range_option_exits_2(capsys, argv):
                  id="--sample-cap=1"),
     pytest.param(["axioms", "abelian_trivial", "--cases", "1"],
                  lambda r: r["tpoly"]["cases"] == 1, id="--cases=1"),
-    pytest.param(["atiyah", "paper_sec4", "--obstruction-weight", "0"],
-                 lambda r: r["obstruction"]["window"] == 0, id="--obstruction-weight=0"),
+    pytest.param(["atiyah", "paper_sec4", "--caps", "0,4,4"],
+                 lambda r: r["obstruction"]["window"] == 0, id="--caps=0,4,4"),
 ])
 def test_smallest_valid_option_runs(capsys, argv, check):
     status, out, _ = run(capsys, *argv, "--json")
     assert status == 0
     assert check(json.loads(out)["results"])
+
+
+@pytest.mark.parametrize("command", ["validate", "atiyah", "todd", "cohomology"])
+def test_seed_only_where_something_is_random(capsys, command):
+    """Only axioms and duflo-check draw at random; the other commands
+    take no --seed, and a run that passes one is a usage error."""
+    status, out, err = run(capsys, command, "paper_sec4", "--seed", "0")
+    assert (status, out) == (2, "")
+    assert "unrecognized arguments: --seed 0" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -368,6 +378,46 @@ def test_todd_sqrt_scaled_by_2_exits_1(capsys, monkeypatch):
     status, out, _ = run(capsys, "todd", "paper_sec4", "--json")
     assert status == 1
     assert json.loads(out)["results"]["sqrt_squares_to_todd"] is False
+
+
+def test_atiyah_cocycle_not_closed_exits_1(capsys, monkeypatch):
+    """Negative control: an Atiyah cocycle that is not CE-closed is a
+    falsification."""
+    monkeypatch.setattr(cli, "is_ce_closed", lambda s, r: False)
+    status, out, err = run(capsys, "atiyah", "paper_sec4", "--json")
+    assert (status, err) == (1, "")
+    assert json.loads(out)["results"]["ce_closed"] is False
+
+
+def test_axioms_one_failing_identity_exits_1(capsys, monkeypatch):
+    """Negative control: one identity that fails (a polyvector cochain
+    equal to 0) is a falsification."""
+    from gman import checks
+    identities = checks.tpoly_identities
+
+    def one_false(d, a, b, c, degs):
+        return {**identities(d, a, b, c, degs), "a_vanishes": [(checks.add_cochain, (a,), 1)]}
+    monkeypatch.setattr(checks, "tpoly_identities", one_false)
+    status, out, err = run(capsys, "axioms", "sl2_linear", "--cases", "3", "--json")
+    assert (status, err) == (1, "")
+    res = json.loads(out)["results"]
+    assert {f["identity"] for f in res["tpoly"]["failures"]} == {"a_vanishes"}
+    assert res["dpoly"]["failures"] == []
+
+
+def test_hkr_not_injective_decides_beside_an_unstable_mismatch(capsys, monkeypatch):
+    """Negative control: at caps 1,1,3 sl2's one dim H mismatch lies in an
+    unstable slice, which alone is inconclusive; an HKR map that is not
+    injective on H beside it is a falsification."""
+    check = cli.hkr_check
+
+    def not_injective(tp, dp):
+        return {**check(tp, dp), "hkr_injective_on_H": False}
+    monkeypatch.setattr(cli, "hkr_check", not_injective)
+    status, out, err = run(capsys, "cohomology", "sl2_linear", "--caps", "1,1,3", "--json")
+    assert (status, err) == (1, "")
+    hkr = json.loads(out)["results"]["hkr"]
+    assert [(m["weight"], m["total_degree"]) for m in hkr["mismatches"]] == [(-2, 1)]
 
 
 @pytest.mark.xfail(strict=True, reason=(

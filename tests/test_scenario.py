@@ -122,6 +122,14 @@ def test_caps_validate_when_built(caps, message):
     assert str(exc.value) == message
 
 
+def test_caps_replace_validates():
+    """_replace builds through the same checks as Caps(...)."""
+    with pytest.raises(ScenarioError) as exc:
+        Caps(6, 4, 4, 1)._replace(max_order=0)
+    assert str(exc.value) == "cap max_order must be at least 1, got 0"
+    assert Caps(6, 4, 4, 1)._replace(max_weight=10) == Caps(10, 4, 4, 1)
+
+
 def test_replace_gives_a_scenario():
     s = load_scenario(bundled_doc("paper_sec4"))
     t = s._replace(caps=Caps(2, 1, 2, s.caps.max_ce_degree))
