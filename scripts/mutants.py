@@ -131,6 +131,11 @@ MUTANTS = {
     "caps-replace-unchecked": (
         "scenario.py", "    @classmethod\n    def _make(cls, iterable):  # _replace builds through "
         "this, so it checks too\n        return cls(*iterable)\n\n", ""),
+    "digest-raw-text": (
+        "cli.py", "sha256(json.dumps(json.loads(text), sort_keys=True).encode())",
+        "sha256(text.encode())"),
+    "antisymmetry-no-swap": (
+        "liealg.py", "for t in ((i, j, k), (j, i, k))", "for t in ((i, j, k),)"),
     CONTROL: (
         "liealg.py", "# insertion sort, counting swaps; sequences here are short",
         "# insertion sort"),

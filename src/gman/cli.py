@@ -17,13 +17,19 @@ that status.  Every subcommand takes its 0, 1 or 2 from ``_verdict``.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import re
 import sys
 from functools import partial
-from importlib import resources
+
+try:  # the built-in module: hashlib would also load OpenSSL, a sixth of a run's memory
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .atiyah import (atiyah_cocycle, invariant_connection_obstruction,
                      is_ce_closed, todd_cocycle, todd_sqrt)
@@ -36,6 +42,7 @@ from .series import log_todd_generator_series
 VERSION = "0.1.0"
 BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for `yes | head`
 BUNDLED = ("paper_sec4", "sl2_linear", "abelian_trivial")
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def _read_scenario_text(spec: str) -> str:
@@ -44,7 +51,7 @@ def _read_scenario_text(spec: str) -> str:
             return fh.read()
     except OSError as exc:
         if spec in BUNDLED:
-            return resources.files("gman.data").joinpath(spec + ".json").read_text()
+            return _read_scenario_text(os.path.join(DATA, spec + ".json"))
         if not isinstance(exc, (FileNotFoundError, NotADirectoryError)):
             raise ScenarioError(f"cannot read scenario file {spec}: {exc.strerror}") from exc
     raise ScenarioError(f"no such scenario file or bundled name: {spec}")
@@ -52,8 +59,7 @@ def _read_scenario_text(spec: str) -> str:
 
 def _load(args) -> tuple[Scenario, str]:
     text = _read_scenario_text(args.scenario)
-    digest = hashlib.sha256(
-        json.dumps(json.loads(text), sort_keys=True).encode()).hexdigest()
+    digest = sha256(json.dumps(json.loads(text), sort_keys=True).encode()).hexdigest()
     s = load_scenario(text)
     if args.caps is not None:
         parts = args.caps.split(",")

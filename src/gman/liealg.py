@@ -68,14 +68,12 @@ class LieAlgebra:
         self._validate()
 
     def _validate(self) -> None:
-        m = self.dim
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    if self.c.get((i, j, k), 0) != -self.c.get((j, i, k), 0):
-                        raise StructureError(
-                            f"antisymmetry fails: c[{i}][{j}][{k}] != -c[{j}][{i}][{k}]"
-                        )
+        m, c = self.dim, self.c
+        # a triple and its swap fail together, and only where one is stored
+        if bad := min((t for i, j, k in c for t in ((i, j, k), (j, i, k))
+                       if c.get(t, 0) != -c.get((t[1], t[0], t[2]), 0)), default=None):
+            i, j, k = bad
+            raise StructureError(f"antisymmetry fails: c[{i}][{j}][{k}] != -c[{j}][{i}][{k}]")
         # Jacobi: d_Lambda^2 e^l at e^i^e^j^e^k is the cyclic sum of c^r_ij c^l_rk
         residual: dict[tuple[IndexTuple, int], Coeff] = {}
         for l in range(m):

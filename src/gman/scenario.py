@@ -176,14 +176,14 @@ def load_scenario(document: str | dict, name: str = "") -> Scenario:
             pairs.add(pair)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ScenarioError(f"malformed structure constant entry {entry}: {exc}") from exc
+    raw_action = doc.get("action")  # shape checked before the algebra, which loops over dim_g
+    if not _is_array(raw_action, (m, n)):
+        raise ScenarioError(f"action must list {m} vector fields of {n} coordinate components")
     try:
         lie = LieAlgebra(m, structure)
     except StructureError as exc:
         raise ScenarioError(str(exc)) from exc
 
-    raw_action = doc.get("action")
-    if not _is_array(raw_action, (m, n)):
-        raise ScenarioError(f"action must list {m} vector fields of {n} coordinate components")
     action = []
     for a, rows in enumerate(raw_action):
         comps = [_parse_poly(n, rows[j], f"action[{a}][{j}]") for j in range(n)]

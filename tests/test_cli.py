@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -616,15 +617,39 @@ def test_closed_pipe_in_a_subprocess_prints_nothing():
 
 
 def test_start_up_imports_no_dataclasses_or_inspect():
-    """`import gman.cli` is all of a run's start-up, and it does not load
-    dataclasses, which would also load inspect, ast and dis.  Skipped
-    where the interpreter loads either module before any import."""
+    """`import gman.cli` is all of a run's start-up.  It does not load
+    dataclasses, which would also load inspect, ast and dis, nor hashlib,
+    which would also load OpenSSL through _hashlib, nor
+    importlib.resources.  The interpreter runs with -S, so no module that
+    site would preload can hide one that gman loads."""
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
-    probe = "import sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    probe = ("import gman.cli, sys; print(sorted({'dataclasses', 'inspect', 'hashlib', "
+             "'_hashlib', 'importlib.resources'} & set(sys.modules)))")
+    assert subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
+                          text=True, check=True).stdout.strip() == "[]"
 
-    def loaded(code):
-        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, check=True).stdout.strip()
-    if (bare := loaded(probe)) != "[]":
-        pytest.skip(f"a bare interpreter has already loaded {bare}")
-    assert loaded("import gman.cli; " + probe) == "[]"
+
+def canonical_sha256(name: str) -> str:
+    with open(os.path.join(cli.DATA, name + ".json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", cli.BUNDLED)
+def test_scenario_digest_is_sha256_of_canonical_json(capsys, name):
+    status, out, _ = run(capsys, "validate", name, "--json")
+    assert status == 0
+    assert json.loads(out)["scenario_digest"] == canonical_sha256(name)
+
+
+def test_scenario_digest_without_the_built_in_sha256():
+    """Where neither _sha2 nor _sha256 can be imported the digest comes
+    from hashlib, and it is the same."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    code = ("import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "import json, gman.cli\n"
+            "print(json.dumps(['hashlib' in sys.modules] + [gman.cli._load(gman.cli.build_parser()"
+            ".parse_args(['validate', n]))[1] for n in gman.cli.BUNDLED]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert json.loads(out) == [True] + [canonical_sha256(n) for n in cli.BUNDLED]

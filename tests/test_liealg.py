@@ -80,6 +80,33 @@ def random_structure(r: random.Random, m: int) -> tuple[int, dict]:
     return m, out
 
 
+def test_antisymmetry_check_matches_triple_loop():
+    """On 500 seeded random structure dicts, some not antisymmetric,
+    LieAlgebra reports the same first failing triple as a loop over every
+    basis triple, and raises exactly when that loop finds one."""
+    r = random.Random(17)
+    seen = {True: 0, False: 0}
+    for _ in range(500):
+        m = r.randint(1, 4)
+        c = {}
+        for _ in range(r.randint(0, 6)):
+            i, j, k = (r.randrange(m) for _ in range(3))
+            c[i, j, k] = r.choice([-1, 1, 2, Fraction(1, 2)])
+            if r.random() < 0.7:
+                c[j, i, k] = -c[i, j, k]
+        want = next((f"antisymmetry fails: c[{i}][{j}][{k}] != -c[{j}][{i}][{k}]"
+                     for i in range(m) for j in range(m) for k in range(m)
+                     if c.get((i, j, k), 0) != -c.get((j, i, k), 0)), None)
+        seen[want is None] += 1
+        try:
+            LieAlgebra(m, c)
+        except StructureError as exc:
+            assert str(exc) == want if want else str(exc).startswith("Jacobi fails")
+        else:
+            assert want is None
+    assert min(seen.values()) >= 100
+
+
 def test_jacobi_check_matches_quadruple_loop():
     """On 300 seeded random antisymmetric algebras LieAlgebra raises
     exactly when the cyclic-sum loop over basis quadruples finds a

@@ -179,6 +179,17 @@ def test_malformed_shapes_rejected(doc, message):
         load_scenario(doc)
 
 
+def test_action_shape_checked_before_the_algebra(monkeypatch):
+    """A wrong action shape is reported before the algebra is built, whose
+    checks loop over every generator: dim_g = 400 with one vector field."""
+    def unbuilt(*args):
+        raise AssertionError("LieAlgebra built before the action shape was checked")
+    monkeypatch.setattr("gman.scenario.LieAlgebra", unbuilt)
+    doc = dict(bundled_doc("paper_sec4"), dim_g=400)
+    with pytest.raises(ScenarioError, match="action must list 400 vector fields of 1 "):
+        load_scenario(doc)
+
+
 def test_flat_shapes_still_accepted():
     """The smallest well-formed documents: no algebra, or a full
     christoffel array of empty polynomials."""
