@@ -86,6 +86,14 @@ MUTANTS = {
         "dpoly.py", "for j, d in rest:", "for j, d in rest[1:]:"),
     "gerstenhaber-swap-sign": (
         "dpoly.py", "f if (k * l + j * k) % 2 else -f", "-f if (k * l + j * k) % 2 else f"),
+    "vector-field-rule-at-order-2": (
+        "dpoly.py", "len(key1) == 1 and sum(key1[0]) == 1", "len(key1) == 1 and sum(key1[0]) < 3"),
+    "zero-run-parity": (
+        "dpoly.py", "if (v - u) % 2 == 0}", "if (v - u) % 2}"),
+    "extreme-split-kept": (
+        "dpoly.py", "_split_multiindex(key[j], 2)[1:-1]", "_split_multiindex(key[j], 2)[:-1]"),
+    "run-key-sign": (
+        "dpoly.py", "c * (_sign2(f, u, 1, l) if u >= 0", "-c * (_sign2(f, u, 1, l) if u >= 0"),
     "sort-swap-sign": (
         "liealg.py", "            sign = -sign\n", "            sign = sign\n"),
     "schouten-right-parity": (

@@ -11,10 +11,11 @@ The Gerstenhaber bracket is built from slot insertion, one product per
 distinct derivative of the inserted coefficient, each target key
 shifting only the slots a derivative reaches (the Leibniz split table
 lists each split's nonzero parts, slot by slot); the Hochschild
-differential is [m, -] with m the two-slot multiplication, so there is
-exactly one source of signs.  Bracket and cup are term-pair kernels,
-run by ``calculus.ext_bilinear`` on cochains; a single operator is a
-cochain of degree 0.
+differential is [m, -] with m the two-slot multiplication.  A vector
+field or a first m in a term pair leaves out the terms that cancel,
+signed by the loops' ``_sign1`` and ``_sign2``, the one source of signs.
+Bracket and cup are term-pair kernels, run by ``calculus.ext_bilinear``
+on cochains; a single operator is a cochain of degree 0.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class PolyDiffOp(Sparse):
 # ------------------------------------------------------------------ insertion
 
 def _insert(acc: dict, key1: OpKey, p1: Poly, slot: int, key2: OpKey, p2: Poly,
-            sign: int, memo: dict) -> None:
+            sign: int, memo: dict, raising: bool) -> None:
     """acc += sign * (the term p2 D^key2 substituted into the given slot of
     the term p1 D^key1), where acc maps keys to raw term maps.
 
@@ -109,10 +110,12 @@ def _insert(acc: dict, key1: OpKey, p1: Poly, slot: int, key2: OpKey, p2: Poly,
     coefficients.  Each first part a of a split is one product p1 d^a p2,
     kept in memo (a -> product), which the caller shares across the slots
     of key1, and added into each key of its group: key2 with the slots
-    its rest lists shifted, in place of the consumed slot.
+    its rest lists shifted, in place of the consumed slot.  Unless
+    ``raising``, the group a = 0 is left out where key2 has slots.
     """
     head, tail = key1[:slot], key1[slot + 1:]
-    for first, group in _split_multiindex(key1[slot], len(key2) + 1):
+    groups = _split_multiindex(key1[slot], len(key2) + 1)
+    for first, group in groups if raising or not key2 else groups[1:]:
         if (pq := memo.get(first)) is None:
             dp2 = derive(p2.terms, first)
             pq = memo[first] = addmul({}, p1.terms, dp2, 1) if dp2 else {}
@@ -128,16 +131,58 @@ def _insert(acc: dict, key1: OpKey, p1: Poly, slot: int, key2: OpKey, p2: Poly,
                 target[e] = target.get(e, 0) + c * scale
 
 
+def _sign1(f, i: int, l: int):
+    """The sign of d2 inserted into slot i of d1 in f [d1, d2]."""
+    return -f if i * l % 2 else f
+
+
+def _sign2(f, j: int, k: int, l: int):
+    """The sign of d1 inserted into slot j of d2 in f [d1, d2]."""
+    return f if (k * l + j * k) % 2 else -f
+
+
 def _gerstenhaber(acc: dict, key1: OpKey, p1: Poly, key2: OpKey, p2: Poly, f) -> None:
     """acc += f [p1 D^key1, p2 D^key2] = f (d1 o d2 - (-1)^{kl} d2 o d1) in
     shifted degrees k, l, where d1 o d2 = sum_i (-1)^{il} (d2 inserted
-    into slot i of d1), its slots sharing one product memo."""
+    into slot i of d1), its slots sharing one product memo.  With a
+    vector field on either side, both compositions form p1 p2 at the
+    same order-raising keys (first part 0) with opposite signs, so these
+    are left out; with m = c D^(0, 0) first, see ``_hochschild``."""
     k, l, memo = len(key1) - 1, len(key2) - 1, {}
+    if k == 1 and key1[0] == key1[1] and not any(key1[0]) and p1.terms.keys() == {key1[0]}:
+        _hochschild(acc, key2, p2, p1, f)
+        return
+    raising = not (len(key1) == 1 and sum(key1[0]) == 1 or len(key2) == 1 and sum(key2[0]) == 1)
     for i in range(k + 1):
-        _insert(acc, key1, p1, i, key2, p2, -f if i * l % 2 else f, memo)
+        _insert(acc, key1, p1, i, key2, p2, _sign1(f, i, l), memo, raising)
     memo = {}  # p1 and p2 swap roles
     for j in range(l + 1):
-        _insert(acc, key2, p2, j, key1, p1, f if (k * l + j * k) % 2 else -f, memo)
+        _insert(acc, key2, p2, j, key1, p1, _sign2(f, j, k, l), memo, raising)
+
+
+def _hochschild(acc: dict, key: OpKey, p: Poly, pm: Poly, f) -> None:
+    """acc += f [pm D^(0, 0), p D^key] for a constant pm: the loops of
+    ``_gerstenhaber`` without the terms that cancel.  Slot j splits into
+    (gamma, beta_j - gamma) with the sign of slot j; gamma 0 or beta_j
+    inserts a zero slot, and along a maximal run of r zero slots that
+    key's r + 2 terms (the run and its neighbours, m's slots at the ends
+    of key) alternate in sign, summing to the left neighbour's for odd r.
+    Keys come in the order the loops first touch them."""
+    l, ((zero, c),) = len(key) - 1, pm.terms.items()
+    bounds = [-1, *(j for j, b in enumerate(key) if any(b)), l + 1]
+    runs = {u: (key[:u + 1] + (zero,) + key[u + 1:],  # odd runs by left neighbour
+                c * (_sign2(f, u, 1, l) if u >= 0 else _sign1(f, 1, l)))
+            for u, v in zip(bounds, bounds[1:]) if (v - u) % 2 == 0}
+    out = [runs.pop(bounds[-2], None), runs.pop(-1, None)]  # the runs at the end, at the start
+    for j in bounds[1:-1]:  # the split table's first and last groups are gamma 0 and beta_j
+        sign = c * _sign2(f, j, 1, l)
+        out += [(key[:j] + (gamma, delta) + key[j + 1:], sign * b)
+                for gamma, ((((_, delta),), b),) in _split_multiindex(key[j], 2)[1:-1]]
+        out.append(runs.pop(j, None))
+    for target_key, scale in filter(None, out):
+        target = acc.setdefault(target_key, {})
+        for e, x in p.terms.items():
+            target[e] = target.get(e, 0) + x * scale
 
 
 def _cup(acc: dict, k1: OpKey, p1: Poly, k2: OpKey, p2: Poly, f) -> None:

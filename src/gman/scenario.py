@@ -84,6 +84,13 @@ def _int(value, where: str) -> int:
     return value
 
 
+def _coeff(value, where: str) -> Fraction:
+    """A string read as an exact rational, or a JSON integer; never a float or a bool."""
+    if type(value) is not str and type(value) is not int:
+        raise ScenarioError(f"{where} has coefficient {value!r}, not a string or an integer")
+    return Fraction(value)
+
+
 def _parse_poly(n: int, data, where: str) -> Poly:
     terms = {}
     try:
@@ -95,7 +102,7 @@ def _parse_poly(n: int, data, where: str) -> Poly:
             if len(exps) != n:
                 raise ScenarioError(
                     f"{where}: term {item} has {len(exps)} exponents, expected {n}")
-            coeff = Fraction(str(item[-1]))
+            coeff = _coeff(item[-1], f"{where}: term {item}")
             terms[exps] = terms.get(exps, Fraction(0)) + coeff
     except ScenarioError:
         raise
@@ -167,18 +174,30 @@ def load_scenario(document: str | dict, name: str = "") -> Scenario:
             if i == j:
                 raise ScenarioError(f"i = j = {i}, but [e_i, e_i] = 0")
             for k, coeff in klist:
+                c = _coeff(coeff, f"[k, c] pair {[k, coeff]}")
                 key = (i, j, k)
-                structure[key] = structure.get(key, Fraction(0)) + Fraction(str(coeff))
+                structure[key] = structure.get(key, Fraction(0)) + c
                 key_op = (j, i, k)
-                structure[key_op] = structure.get(key_op, Fraction(0)) - Fraction(str(coeff))
+                structure[key_op] = structure.get(key_op, Fraction(0)) - c
             if (pair := frozenset((i, j))) in pairs:
                 raise ScenarioError(f"[e_{i}, e_{j}] is given a second time")
             pairs.add(pair)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ScenarioError(f"malformed structure constant entry {entry}: {exc}") from exc
-    raw_action = doc.get("action")  # shape checked before the algebra, which loops over dim_g
+    raw_action = doc.get("action")  # shapes first: the algebra loops over dim_g
     if not _is_array(raw_action, (m, n)):
         raise ScenarioError(f"action must list {m} vector fields of {n} coordinate components")
+    raw_gamma = doc.get("christoffel")
+    if raw_gamma and not _is_array(raw_gamma, (n, n, n)):
+        raise ScenarioError(f"christoffel must be indexed [k][i][j], each in 0..{n - 1}")
+    raw_caps = doc.get("caps", {})
+    try:
+        max_weight, max_order, max_arity, max_ce_degree = (
+            _int(raw_caps.get(name, default), f"cap {name}") for name, default in
+            (("max_weight", 6), ("max_order", 4), ("max_arity", 4), ("max_ce_degree", m)))
+    except AttributeError as exc:
+        raise ScenarioError(f"malformed caps: {exc}") from exc
+    caps = Caps(max_weight, max_order, max_arity, min(max_ce_degree, m))
     try:
         lie = LieAlgebra(m, structure)
     except StructureError as exc:
@@ -205,10 +224,7 @@ def load_scenario(document: str | dict, name: str = "") -> Scenario:
 
     shift = _int(doc.get("christoffel_shift", 0), "christoffel_shift")
     christoffel: dict[tuple[int, int, int], Poly] = {}
-    raw_gamma = doc.get("christoffel")
     if raw_gamma:
-        if not _is_array(raw_gamma, (n, n, n)):
-            raise ScenarioError(f"christoffel must be indexed [k][i][j], each in 0..{n - 1}")
         for k in range(n):
             for i in range(n):
                 for j in range(n):
@@ -228,15 +244,6 @@ def load_scenario(document: str | dict, name: str = "") -> Scenario:
                 raise ScenarioError(
                     f"christoffel[{k}][{i}][{j}] monomial x^{list(exps)} has weight "
                     f"{monomial_weight(exps, weights)}, expected {want} (shift {shift})")
-
-    raw_caps = doc.get("caps", {})
-    try:
-        max_weight, max_order, max_arity, max_ce_degree = (
-            _int(raw_caps.get(name, default), f"cap {name}") for name, default in
-            (("max_weight", 6), ("max_order", 4), ("max_arity", 4), ("max_ce_degree", m)))
-    except AttributeError as exc:
-        raise ScenarioError(f"malformed caps: {exc}") from exc
-    caps = Caps(max_weight, max_order, max_arity, min(max_ce_degree, m))
 
     return Scenario(
         n=n, weights=weights, lie=lie, action=tuple(action),

@@ -10,6 +10,8 @@ import pytest
 from gman import cli
 from gman.cli import main
 
+from conftest import two_generator_doc
+
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
@@ -505,6 +507,14 @@ def test_internal_error_while_loading_exits_3(capsys, monkeypatch):
      "[e_i, e_i] = 0"),
     ({"dim_g": 2, "action": [[[]], [[]]], "structure_constants": [[0, 1, {}]]},
      "{} is not a list of [k, c] pairs"),
+    # coefficients are exact: a float was read as the rational of its repr
+    ({"action": [[[[2, 0.1]]]]},
+     "action[0][0]: term [2, 0.1] has coefficient 0.1, not a string or an integer"),
+    ({"dim_g": 2, "action": [[[]], [[]]], "structure_constants": [[0, 1, [[1, 0.5]]]]},
+     "malformed structure constant entry [0, 1, [[1, 0.5]]]: [k, c] pair [1, 0.5] "
+     "has coefficient 0.5, not a string or an integer"),
+    ({"christoffel": [[[[[0, 1.0]]]]]}, "christoffel[0][0][0]: term [0, 1.0] has coefficient 1.0"),
+    ({"action": [[[[1, True]]]]}, "action[0][0]: term [1, True] has coefficient True"),
 ])
 def test_malformed_shape_exits_2(capsys, tmp_path, change, message):
     doc = {"dim_g": 1, "dim_m": 1, "coordinate_weights": [1],
@@ -515,6 +525,23 @@ def test_malformed_shape_exits_2(capsys, tmp_path, change, message):
     assert (status, out) == (2, "")
     assert err.startswith("error:") and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"christoffel": 5}, "christoffel must be indexed [k][i][j], each in 0..0"),
+    ({"caps": [1]}, "malformed caps: 'list' object has no attribute 'get'"),
+])
+def test_shape_reported_before_the_morphism_check(capsys, tmp_path, change, message):
+    """A malformed christoffel or caps entry is reported as such, not as
+    the action failing to be a morphism, which it also does."""
+    doc = two_generator_doc(1, [1], "1", "1", "2", {})
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert run(capsys, "validate", str(p))[2].startswith(
+        "error: action is not a Lie algebra morphism")
+    p.write_text(json.dumps({**doc, **change}))
+    status, out, err = run(capsys, "validate", str(p))
+    assert (status, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_duflo_report_shape(capsys):

@@ -31,7 +31,7 @@ def insert(d1: PolyDiffOp, slot: int, d2: PolyDiffOp) -> PolyDiffOp:
     acc = {}
     for key1, p1 in d1.terms.items():
         for key2, p2 in d2.terms.items():
-            _insert(acc, key1, p1, slot, key2, p2, 1, {})
+            _insert(acc, key1, p1, slot, key2, p2, 1, {}, True)
     return PolyDiffOp(d1.n, polys(d1.n, acc))
 
 
@@ -136,13 +136,14 @@ def _bracket_pairs(kernel, seed: int = 17, pairs: int = 400) -> list[tuple]:
 
 def test_grouped_insertion_matches_reference():
     """Per term pair, the grouped kernel adds what one product per split
-    added, and touches its keys in the same first-seen order, the row
-    order of the operator-side Workspace."""
+    added, and first touches the keys whose sum is nonzero in the same
+    order, the row order of the operator-side Workspace (``polys`` drops
+    zero sums before ``cochain_coords`` reads the rows)."""
     r = random.Random(3)
     seen = set()
     for got, want in _bracket_pairs(_gerstenhaber):
         assert _nonzero(got) == _nonzero(want)
-        assert list(got) == list(want)
+        assert list(_nonzero(got)) == list(_nonzero(want))
         seen.add(len(got))
     assert max(seen) > 10
     for _ in range(60):
@@ -155,15 +156,75 @@ def test_grouped_insertion_matches_reference():
                              gerstenhaber_reference, lambda q1, p2: q1 * p2)
 
 
+def _poly(r: random.Random, n: int) -> Poly:
+    return Poly(n, {tuple(r.randint(0, 3) for _ in range(n)): r.choice((1, -2, Fraction(1, 3)))
+                    for _ in range(r.randint(1, 3))})
+
+
+def _assert_matches_reference(k1, p1, k2, p2, f) -> tuple[dict, dict]:
+    """The raw maps of f [p1 D^k1, p2 D^k2] by the kernel and by the
+    reference, checked: equal nonzero sums, first touched in the same
+    order, with their exponents."""
+    got, want = {}, {}
+    _gerstenhaber(got, k1, p1, k2, p2, f)
+    gerstenhaber_reference(want, k1, p1, k2, p2, f)
+    assert _nonzero(got) == _nonzero(want), (k1, p1, k2, p2)
+    assert [(k, list(t)) for k, t in _nonzero(got).items()] \
+        == [(k, list(t)) for k, t in _nonzero(want).items()], (k1, p1, k2, p2)
+    return got, want
+
+
+def test_vector_field_rule_matches_reference():
+    """With a vector field on either side the order-raising insertions
+    cancel between d1 o d2 and d2 o d1, and are not formed."""
+    r = random.Random(11)
+    skipped = 0
+    for _ in range(600):
+        n = r.randint(1, 3)
+        field = ((poly.unit(n, r.randrange(n)),), _poly(r, n))
+        other = _random_term(r, n)
+        f = r.choice((1, -1, Fraction(1, 2), 3))
+        (k1, p1), (k2, p2) = (field, other) if r.random() < 0.5 else (other, field)
+        got, want = _assert_matches_reference(k1, p1, k2, p2, f)
+        skipped += len(got) < len(want)
+    assert skipped > 300
+
+
+def _zero_runs(n: int, r: random.Random):
+    """Keys with runs of zero slots of every length 0-4 at the start, in
+    the middle and at the end, around two nonzero slots; and keys of
+    zero slots only."""
+    zero = (0,) * n
+    for runs in product(range(5), repeat=3):
+        slots = [tuple(r.randint(0, 2) for _ in range(n)) for _ in range(2)]
+        slots = [b if any(b) else poly.unit(n, 0) for b in slots]
+        yield (zero,) * runs[0] + (slots[0],) + (zero,) * runs[1] + (slots[1],) + (zero,) * runs[2]
+    for length in range(5):
+        yield (zero,) * length
+
+
+def test_hochschild_rule_matches_reference():
+    """[m, D] is d_H D: the proper splits and one key per odd run of zero
+    slots, each nonzero sum formed once, so the raw map holds no zero."""
+    r = random.Random(13)
+    for n in (1, 2, 3):
+        zero = (0,) * n
+        for key in _zero_runs(n, r):
+            m = Poly.const(n, r.choice((1, -2, Fraction(1, 3))))
+            got, _ = _assert_matches_reference((zero, zero), m, key, _poly(r, n),
+                                               r.choice((1, -1, Fraction(1, 2))))
+            assert all(t and all(t.values()) for t in got.values()), key
+
+
 def test_one_memo_for_both_directions_fails():
     """p1 and p2 swap roles between d1 o d2 and d2 o d1, so a memo kept
     across the two returns products of the wrong pair."""
     def shared(acc, key1, p1, key2, p2, f):
         k, l, memo = len(key1) - 1, len(key2) - 1, {}
         for i in range(k + 1):
-            _insert(acc, key1, p1, i, key2, p2, -f if i * l % 2 else f, memo)
+            _insert(acc, key1, p1, i, key2, p2, -f if i * l % 2 else f, memo, True)
         for j in range(l + 1):
-            _insert(acc, key2, p2, j, key1, p1, f if (k * l + j * k) % 2 else -f, memo)
+            _insert(acc, key2, p2, j, key1, p1, f if (k * l + j * k) % 2 else -f, memo, True)
 
     assert any(_nonzero(got) != _nonzero(want) for got, want in _bracket_pairs(shared))
 
@@ -177,8 +238,10 @@ def test_dropped_multinomial_coefficient_fails(monkeypatch):
 
 def test_axioms_derive_each_product_once(monkeypatch, capsys):
     """On axioms sl2_linear --cases 80 --seed 0 every distinct derivative
-    of a term pair's direction is taken and multiplied once: the
-    ungrouped insertion made 41,523 addmul and 55,431 derive calls."""
+    of a term pair's direction is taken and multiplied once, and no
+    cancelling group is formed: the ungrouped insertion made 41,523
+    addmul and 55,431 derive calls, the grouped one without the rules
+    for vector fields and m 12,011 and 19,041."""
     calls = {"addmul": 0, "derive": 0}
     for name in calls:
         fn = getattr(poly, name)
@@ -191,8 +254,7 @@ def test_axioms_derive_each_product_once(monkeypatch, capsys):
             monkeypatch.setattr(mod, name, counted)
     assert main(["axioms", "sl2_linear", "--cases", "80", "--seed", "0", "--json"]) == 0
     capsys.readouterr()
-    assert 0 < calls["addmul"] <= 13_000
-    assert 0 < calls["derive"] <= 20_000
+    assert calls == {"addmul": 7_556, "derive": 13_071}
 
 
 # The bracket as composed before it worked term by term: components of
