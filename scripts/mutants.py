@@ -105,6 +105,12 @@ MUTANTS = {
         "if not col:\n            if col:"),
     "contains-label-only": (
         "linalg.py", "return not col or max(col) < 0", "return not col"),
+    "exact-step-sign-dropped": (
+        "linalg.py", "sign = -sign if b < 0 else sign", "sign = sign"),
+    "final-content-division-dropped": (
+        "linalg.py", "return _primitive(col, sign)", "return {r: sign * v for r, v in col.items()}"),
+    "exact-step-floor-division": (
+        "linalg.py", "if a % b:", "if a % b and not a // b:"),
     "obstruction-last-kernel-vector": (
         "atiyah.py", "vec = reducer.kernel[-1]", "vec = reducer.kernel[0]"),
     "obstruction-solution-sign": (

@@ -25,7 +25,8 @@ with the sign of merge_indices((a,), I): the symbolic differential
 (``side_differential``, [q, -] + d_Lambda through
 ``calculus.differential``), the one source of signs, runs once per
 generator (I, V), and the action term is cached with it as raw entries
-that each column shifts by e and scales by e_i.
+that each column shifts by e and scales by e_i, in one pass onto the
+weight's row table, in the row order that decides pivots.
 
 A Duflo residual is summed into one raw map (index tuple -> key -> term
 map) and read off as basis-key coordinates, never built as a Cochain:
@@ -41,7 +42,7 @@ from __future__ import annotations
 import random
 from functools import cache
 from itertools import combinations
-from operator import sub
+from operator import add, sub
 from typing import Callable
 
 from .atiyah import todd_sqrt
@@ -210,10 +211,12 @@ class Workspace:
     tpoly side, whose basis element u carries 1 at ``label_row(u)``;
     dpoly columns go in bare), and its pivots span the image of d in
     slice (w, k + 1), against which membership and independence are
-    tested on matrix rows.  The
-    order-cap audit extends the same echelons by the basis elements of
-    total order max_order + 1.  Columns come from ``image_coords``, off
-    one cached symbolic differential per unit generator e_I (x) V.
+    tested on matrix rows.  The order-cap audit extends the same
+    echelons by the basis elements of total order max_order + 1.
+    ``image_column`` builds each column in one pass from the cached
+    template of its unit generator e_I (x) V straight onto the weight's
+    row table, rows numbered in the order their keys first come out
+    nonzero.
     """
 
     def __init__(self, s: Scenario, side: str):
@@ -266,23 +269,36 @@ class Workspace:
             self._units[idx, mid] = list(cochain_coords(self._diff(one)).items()), action
         return self._units[idx, mid]
 
-    def image_coords(self, elt: tuple) -> dict[tuple, object]:
-        """Basis-key coordinates of d(x^e e_I (x) V), for the key
-        (I, V, e): the unit generator's image shifted by x^e, plus the
-        action entries with e_i > 0 shifted by x^e and scaled by e_i."""
+    def image_column(self, table: dict[tuple, int], elt: tuple) -> dict[int, object]:
+        """d(x^e e_I (x) V), for the key (I, V, e), as a column over the row
+        table: the unit generator's image shifted by x^e, plus the action
+        entries with e_i > 0 shifted by x^e and scaled by e_i.  Keys new to
+        the table get rows once known nonzero, in first-met order."""
         idx, mid, exps = elt
         unit_image, action = self._template(idx, mid)
-        out = {(j, v, tuple([a + b for a, b in zip(f, exps)])): c for (j, v, f), c in unit_image}
+        col, new = {}, {}
+        for (j, v, f), c in unit_image:
+            key = (j, v, tuple(map(add, f, exps)))
+            if (r := table.get(key)) is None:
+                new[key] = c
+            else:
+                col[r] = c
         for j, f, c, i in action:
             if ei := exps[i]:
-                key = (j, mid, tuple([a + b for a, b in zip(f, exps)]))
-                out[key] = out.get(key, 0) + c * ei
-        return {key: int_first(c) for key, c in out.items() if c}
+                key = (j, mid, tuple(map(add, f, exps)))
+                if (r := table.get(key)) is None:
+                    new[key] = int_first(new.get(key, 0) + c * ei)
+                elif x := int_first(col.get(r, 0) + c * ei):
+                    col[r] = x
+                else:
+                    del col[r]
+        col.update({table.setdefault(key, len(table)): c for key, c in new.items() if c})
+        return col
 
     def columns(self, w: int, k: int) -> list[dict]:
         """Images of the degree-k basis under the total differential.
         Built once per slice, to fill its echelon, and not kept."""
-        return [self._column(w, self.image_coords(elt)) for elt in self.basis(w, k)]
+        return [self.image_column(self._rows.setdefault(w, {}), elt) for elt in self.basis(w, k)]
 
     def _echelon(self, w: int, k: int) -> ColumnReducer:
         key = (w, k)
@@ -316,7 +332,7 @@ class Workspace:
                 "dpoly", s.n, s.weights, q + 1, self.max_order + 1, exact=True))]
         red = self._echelon(w, k).copy()
         for elt in extra:
-            red.insert(self._column(w, self.image_coords(elt)))
+            red.insert(self.image_column(self._rows.setdefault(w, {}), elt))
         return len(self.basis(w, k)) + len(extra), red.rank
 
     def in_image(self, w: int, k: int, coords: dict[tuple, Coeff]) -> bool:

@@ -1,18 +1,21 @@
 """Exact sparse linear algebra over the rationals: one eliminator.
 
-Columns are sparse integer vectors (dict row -> int), kept primitive
-by gcd reduction.  A column whose entries are all ints goes in as it
-is; one with a Fraction entry is first cleared of denominators.
-Reduction is fraction-free: a column is cleared against a pivot by the
-cross-multiplication b*col - a*pivot, so no rational arithmetic and no
-pivot thresholds ever appear.  ``ColumnReducer``
-keeps one pivot column per leading row.  Filled once with a slice's
-differential columns, it answers every question asked of that slice:
-the rank is its pivot count, and image membership one further
-reduction against its pivots.  Matrix rows are >= 0; a column labelled
-u carries 1 at the negative row ``label_row(u)``, which never leads, so
-its combination rides through every step with it, and a labelled
-column left with label rows only is a kernel vector.
+Columns are sparse integer vectors (dict row -> int), stored primitive.
+A column whose entries are all ints goes in as it is; one with a
+Fraction entry is first cleared of denominators.  Reduction is
+fraction-free: a step clears the column's leading entry a against the
+pivot's, b, by subtracting (a // b) * pivot in place where b divides a,
+else by b*col - a*pivot divided by its content.  The sign b would have
+given an exact step is carried, and the column is divided by its signed
+content once, at the end, so every result equals that of
+cross-multiplying at every step.  ``ColumnReducer`` keeps one pivot
+column per leading row.  Filled once with a slice's differential
+columns, it answers every question asked of that slice: the rank is its
+pivot count, and image membership one further reduction against its
+pivots.  Matrix rows are >= 0; a column labelled u carries 1 at the
+negative row ``label_row(u)``, which never leads, so its combination
+rides through every step with it, and a labelled column left with label
+rows only is a kernel vector.
 """
 
 from __future__ import annotations
@@ -26,26 +29,25 @@ def label_row(u: int) -> int:
     return -1 - u
 
 
-def _primitive(col: dict[int, int]) -> dict[int, int]:
-    """Divide the column by its content."""
+def _primitive(col: dict[int, int], sign: int = 1) -> dict[int, int]:
+    """Divide the column by its content times sign (1 or -1)."""
     g = 0
     for v in col.values():
         g = gcd(g, v)
         if g == 1:
-            return col
-    return {r: v // g for r, v in col.items()} if g > 1 else col
+            break
+    g *= sign
+    return col if g in (0, 1) else {r: v // g for r, v in col.items()}
 
 
-def _axpy(b: int, col: dict, a: int, piv: dict) -> dict:
-    """b*col - a*piv, sparse."""
-    out = {r: b * v for r, v in col.items()}
+def _submul(col: dict, a: int, piv: dict) -> dict:
+    """col - a*piv, in place on col, zeros dropped."""
     for r, v in piv.items():
-        w = out.get(r, 0) - a * v
-        if w:
-            out[r] = w
+        if w := col.get(r, 0) - a * v:
+            col[r] = w
         else:
-            out.pop(r, None)
-    return out
+            del col[r]
+    return col
 
 
 class ColumnReducer:
@@ -75,14 +77,15 @@ class ColumnReducer:
             col = {r: f for r, v in col.items() if (f := Fraction(v))}
             denlcm = lcm(*(f.denominator for f in col.values()))
             col = {r: f.numerator * (denlcm // f.denominator) for r, f in col.items()}
-        col = _primitive(col)
-        while col:
-            lead = max(col)
-            piv = self.pivots.get(lead)
-            if piv is None:
-                break
-            col = _primitive(_axpy(piv[lead], col, col[lead], piv))
-        return col
+        sign = 1
+        while col and (piv := self.pivots.get(lead := max(col))):
+            a, b = col[lead], piv[lead]
+            if a % b:
+                col = _primitive(_submul({r: b * v for r, v in col.items()}, a, piv))
+            else:
+                sign = -sign if b < 0 else sign  # as b*col - a*piv would scale it
+                _submul(col, a // b, piv)
+        return _primitive(col, sign)
 
     def insert(self, col: dict) -> bool:
         """Reduce and keep the column; returns True if it was independent.

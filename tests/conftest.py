@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 from importlib import resources
 from itertools import combinations, permutations, product
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import add
 
 import pytest
@@ -12,6 +12,7 @@ from gman.calculus import DiffForm, PolyVector, contract, ext_pv_wedge, ext_scho
 from gman.cohomology import cochain_coords, coords_cochain
 from gman.dpoly import PolyDiffOp, ext_cup, ext_gerstenhaber
 from gman.liealg import Cochain, LieAlgebra, StructureError, merge_indices, sort_indices
+from gman.linalg import ColumnReducer
 from gman.poly import (Poly, Sparse, accumulate, addmul, derive, monomials_of_weight, polys,
                        unit)
 from gman.scenario import Scenario, load_scenario
@@ -685,3 +686,44 @@ def slice_reference(s: Scenario, side: str, w: int, k: int, max_order: int) -> l
     """The ordered basis of the (w, k) slice of a Workspace at the given order cap."""
     return [e for p, q in slice_degrees(s, side, k)
             for e in enumerate_slice_reference(s, side, w, p, q, max_order)]
+
+
+def image_coords(ws, elt: tuple) -> dict:
+    """Basis-key coordinates of d(elt): the workspace's column for elt,
+    built over a row table of its own and read back through it."""
+    table: dict = {}
+    col = ws.image_column(table, elt)
+    keys = list(table)
+    return {keys[r]: c for r, c in col.items()}
+
+
+class ReducerReference(ColumnReducer):
+    """A ColumnReducer that reduces by cross-multiplying at every step,
+    b*col - a*pivot, and divides by the content after each; it records
+    the leading entries (a, b) of every step in ``steps``."""
+
+    def __init__(self):
+        super().__init__()
+        self.steps: list[tuple[int, int]] = []
+
+    @staticmethod
+    def _primitive(col: dict) -> dict:
+        g = gcd(*col.values())
+        return {r: v // g for r, v in col.items()} if g > 1 else col
+
+    def reduce(self, col: dict) -> dict:
+        col = {r: Fraction(v) for r, v in col.items() if v}
+        denlcm = lcm(*(f.denominator for f in col.values()))
+        col = self._primitive({r: int(f * denlcm) for r, f in col.items()})
+        while col:
+            lead = max(col)
+            piv = self.pivots.get(lead)
+            if piv is None:
+                break
+            a, b = col[lead], piv[lead]
+            self.steps.append((a, b))
+            out = {r: b * v for r, v in col.items()}
+            for r, v in piv.items():
+                out[r] = out.get(r, 0) - a * v
+            col = self._primitive({r: v for r, v in out.items() if v})
+        return col

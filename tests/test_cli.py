@@ -561,12 +561,15 @@ def test_duflo_report_shape(capsys):
     (["duflo-check", "abelian_trivial", "--caps", "24,4,4", "--sample-cap", "4000",
       "--seed", "3"], "abelian_trivial_caps_24_4_4_duflo.json", 0),
     (["duflo-check", "paper_sec4", "--caps", "2,1,2"], "paper_sec4_caps_2_1_2_duflo.json", 2),
+    (["cohomology", "sl2_linear", "--caps", "1,4,4"], "sl2_linear_caps_1_4_4_cohomology.json", 0),
 ])
 def test_report_matches_golden_fixture(capsys, argv, fixture, code):
     """The cohomology and Duflo reports, with their exit codes, are
-    byte-identical to stored fixtures; the sl2 one and the paper_sec4 one
-    at caps 2,1,2, whose td^{1/2} is not the unit, have failures in both
-    twists, every one beyond the caps."""
+    byte-identical to stored fixtures: sl2_linear's cohomology pins
+    elimination and the order-cap audit on a three-generator operator
+    complex.  The sl2 Duflo report and the paper_sec4 one at caps 2,1,2,
+    whose td^{1/2} is not the unit, have failures in both twists, every
+    one beyond the caps."""
     status, out, _ = run(capsys, *argv, "--json")
     assert status == code
     assert out == (FIXTURES / fixture).read_text()

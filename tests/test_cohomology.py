@@ -21,8 +21,8 @@ from gman.poly import Poly, monomials_of_weight
 from gman.scenario import Caps, ScenarioError, load_scenario
 
 from conftest import (basis_cochain, bundled, count_builds, enumerate_slice_reference,
-                      hkr_reference, morphism_reference, random_connection, residuals_reference,
-                      slice_reference, two_generator_doc)
+                      hkr_reference, image_coords, morphism_reference, random_connection,
+                      residuals_reference, slice_reference, two_generator_doc)
 
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -92,15 +92,15 @@ def test_order_up_extends_by_the_top_order_elements(request, name, caps):
     s = request.getfixturevalue(name)
     s = s if caps is None else with_caps(s, *caps)
     ws = Workspace(s, "dpoly")
-    image_coords = ws.image_coords
+    image_column = ws.image_column
     nonempty = 0
     for w in weight_window(s):
         for k in range(-1, stable_degree_max(s, "dpoly") + 1):
             ws.rank(w, k)  # the slice's own echelon first
             seen = []
-            ws.image_coords = lambda elt: seen.append(elt) or image_coords(elt)
+            ws.image_column = lambda table, elt: seen.append(elt) or image_column(table, elt)
             dim_up, _ = ws.order_up(w, k)
-            del ws.image_coords
+            del ws.image_column
             base = set(ws.basis(w, k))
             raised = slice_reference(s, "dpoly", w, k, s.caps.max_order + 1)
             assert seen == [e for e in raised if e not in base]
@@ -443,7 +443,7 @@ def test_compiled_columns_equal_symbolic(request, name, caps, side):
     for w in weight_window(s):
         for k in range(-1, stable_degree_max(s, side) + 1):
             for elt in slice_reference(s, side, w, k, s.caps.max_order + 1):
-                assert ws.image_coords(elt) == cochain_coords(
+                assert image_coords(ws, elt) == cochain_coords(
                     ws._diff(basis_cochain(s, side, elt))), elt
                 checked += 1
     assert checked > len(ws._units)
@@ -470,8 +470,8 @@ def test_compiled_differential_squares_to_zero(workspaces, data):
     idx, mid, _ = data.draw(st.sampled_from(basis))
     exps = data.draw(st.tuples(*[st.integers(0, 3)] * s.n))
     twice: dict = {}
-    for key, c in ws.image_coords((idx, mid, exps)).items():
-        for key2, c2 in ws.image_coords(key).items():
+    for key, c in image_coords(ws, (idx, mid, exps)).items():
+        for key2, c2 in image_coords(ws, key).items():
             twice[key2] = twice.get(key2, 0) + c * c2
     assert not any(twice.values())
 
@@ -540,7 +540,7 @@ def test_columns_are_int_first_under_a_fractional_action():
         for w in weight_window(s):
             for k in range(-1, stable_degree_max(s, side) + 1):
                 for elt in ws.basis(w, k):
-                    coords = ws.image_coords(elt)
+                    coords = image_coords(ws, elt)
                     assert_int_first_coords(coords)
                     kinds |= {type(c) for c in coords.values()}
     assert kinds == {int, Fraction}
@@ -641,10 +641,10 @@ def test_compiled_columns_on_random_scenarios(one, two, side):
         for w in weight_window(s):
             for k in range(-1, stable_degree_max(s, side) + 1):
                 for elt in slice_reference(s, side, w, k, s.caps.max_order + 1):
-                    image = ws.image_coords(elt)
+                    image = image_coords(ws, elt)
                     assert image == cochain_coords(ws._diff(basis_cochain(s, side, elt))), elt
                     twice: dict = {}
                     for key, c in image.items():
-                        for key2, c2 in ws.image_coords(key).items():
+                        for key2, c2 in image_coords(ws, key).items():
                             twice[key2] = twice.get(key2, 0) + c * c2
                     assert not any(twice.values()), elt
