@@ -20,8 +20,7 @@ def main():
     text = resources.files("gman.data").joinpath("paper_sec4.json").read_text()
     s = load_scenario(text)
 
-    # Build both workspaces once; every later call reuses their echelons,
-    # the order-cap audit included.
+    # Build both workspaces once; every later call reuses their echelons.
     tp = Workspace(s, "tpoly")
     dp = Workspace(s, "dpoly")
 

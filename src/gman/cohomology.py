@@ -6,16 +6,29 @@ honest finite-dimensional subcomplex once the caps bound the basis.  On
 the polyvector side nothing is truncated; on the operator side the
 arity cap limits the total degrees whose cohomology is reliable to
 k <= max_arity - 2 (one arity step of headroom for the outgoing
-differential), and the order cap is a filtration whose effect is
-audited slice by slice: dim H is recomputed at max_order + 1 by
-extending the slice's own echelon with the basis elements of total
-order exactly max_order + 1.
+differential).  A CE-degree cap P < dim g limits both sides to k < P:
+q >= -1 puts degree k at p <= k + 1, so those slices are the uncapped
+ones, but a column at p = P keeps its rows at p = P + 1.
+
+The order cap N is exact by a theorem: with n = dim M, an operator
+slice of total degree k has the dim H of the complex with no order cap
+once N >= min(k + 1, n), and is reported stable exactly then.  Proof:
+total order is a filtration (d_H splits a slot's multi-index, d_Lambda
+keeps it, and the order-raising terms of [phi_a, -] cancel), so order
+<= N is a subcomplex F_N.  On symbols d_H is the cobar differential of
+Sym(V), V spanned by the d_i, with cohomology Lambda^a V at order exactly
+a and zero for a > n (Hochschild-Kostant-Rosenberg).  Filtered by CE
+degree p, the order-o piece gr_o has its E_1 page in total degree
+p + o - 1 and only if o <= n (arity k + 1 <= max_arity - 1, the headroom
+above), so H^j(gr_o) = 0 once o > min(j + 1, n).  So slice / F_N, filtered
+by the gr_o with o > N, is acyclic in degrees k - 1 and k, and
+H^k(F_N) = H^k(slice).
 
 Each (weight, total degree) slice is eliminated once: a Workspace keeps
 one echelon of the slice's differential columns and answers rank,
 kernel (cocycles, read off label rows on the polyvector side) and image
-membership from it, for the cohomology report, the order-cap audit,
-the HKR injectivity test and both Duflo twists alike.
+membership from it, for the cohomology report, the HKR injectivity test
+and both Duflo twists alike.
 
 Columns are built from unit generators.  The total differential is
 linear over polynomial coefficients but for the g-action by vector
@@ -100,17 +113,15 @@ def enumerate_slice(s: Scenario, side: str, weight: int, p: int, q: int) -> list
 
 
 @cache
-def _weighted_mids(side: str, n: int, weights: tuple[int, ...], arity: int, max_order: int,
-                   exact: bool = False) -> tuple[tuple[tuple, int], ...]:
+def _weighted_mids(side: str, n: int, weights: tuple[int, ...], arity: int,
+                   max_order: int) -> tuple[tuple[tuple, int], ...]:
     """The middle structures of the given arity, in order, each with its
     weight: coordinate tuples on the tpoly side; on the dpoly side,
-    multi-index tuples of total order at most max_order, or exactly
-    max_order if exact."""
+    multi-index tuples of total order at most max_order."""
     if side == "tpoly":
         return tuple((mid, sum(weights[j] for j in mid)) for mid in combinations(range(n), arity))
     return tuple((bs, sum(monomial_weight(b, weights) for b in bs))
-                 for bs in _beta_tuples(n, arity, max_order)
-                 if not exact or sum(map(sum, bs)) == max_order)
+                 for bs in _beta_tuples(n, arity, max_order))
 
 
 def _elements(s: Scenario, weight: int, p: int, mids) -> list[tuple]:
@@ -196,9 +207,11 @@ def weight_window(s: Scenario) -> list[int]:
 
 
 def stable_degree_max(s: Scenario, side: str) -> int:
-    if side == "tpoly":
-        return min(s.dim_g, s.caps.max_ce_degree) + s.n - 1
-    return s.caps.max_arity - 2
+    """The top total degree reported on a side: dim g + n - 1 on tpoly,
+    max_arity - 2 on dpoly, and at most max_ce_degree - 1 on both where
+    that cap is below dim g (the module docstring)."""
+    top = s.dim_g + s.n - 1 if side == "tpoly" else s.caps.max_arity - 2
+    return top if s.caps.max_ce_degree >= s.dim_g else min(top, s.caps.max_ce_degree - 1)
 
 
 class Workspace:
@@ -211,8 +224,9 @@ class Workspace:
     tpoly side, whose basis element u carries 1 at ``label_row(u)``;
     dpoly columns go in bare), and its pivots span the image of d in
     slice (w, k + 1), against which membership and independence are
-    tested on matrix rows.  The order-cap audit extends the same
-    echelons by the basis elements of total order max_order + 1.
+    tested on matrix rows.  Stability takes no second elimination: a
+    dpoly slice (w, k) has the dim H of the complex with no order cap
+    once max_order >= min(k + 1, n), the bound of the module docstring.
     ``image_column`` builds each column in one pass from the cached
     template of its unit generator e_I (x) V straight onto the weight's
     row table, rows numbered in the order their keys first come out
@@ -321,20 +335,6 @@ class Workspace:
         incoming = self.rank(w, k - 1) if k - 1 >= -1 else 0
         return dim - self.rank(w, k) - incoming
 
-    def order_up(self, w: int, k: int) -> tuple[int, int]:
-        """Dimension of slice (w, k) with the order cap raised by one, and
-        the rank of d on it: the slice's echelon, copied and extended by
-        the images of the basis elements of total order exactly
-        max_order + 1.  The polyvector side has no order cap."""
-        s = self.s
-        extra = [] if self.side == "tpoly" else [
-            e for p, q in self._degrees(k) for e in _elements(s, w, p, _weighted_mids(
-                "dpoly", s.n, s.weights, q + 1, self.max_order + 1, exact=True))]
-        red = self._echelon(w, k).copy()
-        for elt in extra:
-            red.insert(self.image_column(self._rows.setdefault(w, {}), elt))
-        return len(self.basis(w, k)) + len(extra), red.rank
-
     def in_image(self, w: int, k: int, coords: dict[tuple, Coeff]) -> bool:
         """Are these basis-key coordinates (a Duflo residual) of slice (w, k) a coboundary?"""
         if not coords:
@@ -371,18 +371,14 @@ def _window(s: Scenario, ktop: int) -> dict:
 
 def cohomology_report(ws: Workspace) -> dict:
     """Exact dims of H per (weight, total degree) on the workspace's
-    side, each slice with its order-cap stability audit."""
+    side.  A slice is stable when its dim H is that of the complex with
+    no order cap: every tpoly slice, and a dpoly slice of total degree k
+    exactly when max_order >= min(k + 1, n)."""
     ktop = stable_degree_max(ws.s, ws.side)
-    slices = []
-    for w in weight_window(ws.s):
-        rank_in = 0  # rank of d into slice (w, k) with the order cap raised by one
-        for k in range(-1, ktop + 1):
-            h = ws.dim_h(w, k)
-            dim_up, rank_up = ws.order_up(w, k)
-            slices.append({"weight": w, "total_degree": k,
-                           "dim_cochains": len(ws.basis(w, k)), "dim_H": h,
-                           "stable": (dim_up - rank_up - rank_in if dim_up else 0) == h})
-            rank_in = rank_up
+    slices = [{"weight": w, "total_degree": k, "dim_cochains": len(ws.basis(w, k)),
+               "dim_H": ws.dim_h(w, k),
+               "stable": ws.side == "tpoly" or ws.max_order >= min(k + 1, ws.s.n)}
+              for w in weight_window(ws.s) for k in range(-1, ktop + 1)]
     return {
         "side": ws.side,
         "window": _window(ws.s, ktop),

@@ -613,8 +613,8 @@ def mat_mul_reference(a, b, m: int) -> list[list[Cochain]]:
 # Slice bases as enumerated before the multi-index and monomial tables
 # were cached: every call rebuilds its tables, and a slice with the order
 # cap raised by one is the whole raised slice.  References for the
-# enumeration oracle and the source of the audit's basis in the column
-# tests.
+# enumeration oracle and the source of the bases, at the order cap and one
+# order higher, in the column tests.
 
 def monomials_reference(n: int, weights, target: int) -> list:
     """All exponent tuples of the given weighted degree, grlex order."""

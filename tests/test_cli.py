@@ -246,8 +246,8 @@ def test_cohomology_report_shape(capsys):
 
 
 def test_truncated_hkr_mismatch_exits_2(capsys):
-    """At order cap 1 the only sl2 mismatch sits in a slice the order
-    audit marks unstable: inconclusive, not falsified."""
+    """At order cap 1 the only sl2 mismatch sits in a slice below the
+    order bound, marked unstable: inconclusive, not falsified."""
     status, out, err = run(capsys, "cohomology", "sl2_linear", "--caps", "1,1,3", "--json")
     assert status == 2
     res = json.loads(out)["results"]
@@ -257,8 +257,8 @@ def test_truncated_hkr_mismatch_exits_2(capsys):
 
 
 def test_hkr_mismatch_in_stable_slice_exits_1(capsys, monkeypatch):
-    """Negative control: the same mismatch in a slice the audit reads as
-    stable is a falsification."""
+    """Negative control: the same mismatch in a slice reported stable is
+    a falsification."""
     report = cli.cohomology_report
 
     def all_stable(ws):
@@ -566,7 +566,7 @@ def test_duflo_report_shape(capsys):
 def test_report_matches_golden_fixture(capsys, argv, fixture, code):
     """The cohomology and Duflo reports, with their exit codes, are
     byte-identical to stored fixtures: sl2_linear's cohomology pins
-    elimination and the order-cap audit on a three-generator operator
+    elimination and the stable flags on a three-generator operator
     complex.  The sl2 Duflo report and the paper_sec4 one at caps 2,1,2,
     whose td^{1/2} is not the unit, have failures in both twists, every
     one beyond the caps."""

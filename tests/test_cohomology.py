@@ -84,31 +84,6 @@ def test_enumeration_matches_uncached_reference(request, name, caps):
     assert checked
 
 
-@pytest.mark.parametrize("name, caps", [("paper", None), ("sl2", (1, 3, 3)), ("abelian", None)])
-def test_order_up_extends_by_the_top_order_elements(request, name, caps):
-    """The audit extends each operator-side echelon by exactly the
-    elements of the slice raised to order max_order + 1 that are not in
-    the slice, in the raised slice's order."""
-    s = request.getfixturevalue(name)
-    s = s if caps is None else with_caps(s, *caps)
-    ws = Workspace(s, "dpoly")
-    image_column = ws.image_column
-    nonempty = 0
-    for w in weight_window(s):
-        for k in range(-1, stable_degree_max(s, "dpoly") + 1):
-            ws.rank(w, k)  # the slice's own echelon first
-            seen = []
-            ws.image_column = lambda table, elt: seen.append(elt) or image_column(table, elt)
-            dim_up, _ = ws.order_up(w, k)
-            del ws.image_column
-            base = set(ws.basis(w, k))
-            raised = slice_reference(s, "dpoly", w, k, s.caps.max_order + 1)
-            assert seen == [e for e in raised if e not in base]
-            assert dim_up == len(raised)
-            nonempty += bool(seen)
-    assert nonempty
-
-
 def test_differential_squares_to_zero_on_random_basis(paper, sl2):
     rng = random.Random(31)
     for s in (paper, sl2):
@@ -388,11 +363,11 @@ def with_caps(s, w, o, a):
     return s._replace(caps=Caps(w, o, a, s.caps.max_ce_degree))
 
 
-@pytest.mark.parametrize("caps", [None, (1, 3, 3), (1, 1, 3)])
+@pytest.mark.parametrize("caps", [None, (1, 3, 3)])
 def test_order_audit_matches_fresh_workspace(paper, sl2, caps):
-    """The audit extends each slice's own echelon by the basis elements
-    of order max_order + 1; its verdict on every operator slice equals
-    one from a fresh workspace whose order cap is one higher."""
+    """At these windows every operator slice satisfies the order bound,
+    and each is reported stable with the dim H of a fresh workspace
+    whose order cap is one higher."""
     s = paper if caps is None else with_caps(sl2, *caps)
     c = s.caps
     ref = Workspace(with_caps(s, c.max_weight, c.max_order + 1, c.max_arity), "dpoly")
@@ -402,13 +377,97 @@ def test_order_audit_matches_fresh_workspace(paper, sl2, caps):
 
 def test_order_audit_flags_truncated_slice(sl2):
     """Negative control: at order cap 1 the sl2 slice (w -2, k 1) changes
-    one order up, and the audit says so."""
+    one order up, and lies below the bound, which marks it unstable."""
     s = with_caps(sl2, 1, 1, 3)
     rep = cohomology_report(Workspace(s, "dpoly"))
     stable = {(e["weight"], e["total_degree"]): e["stable"] for e in rep["slices"]}
     assert stable[(-2, 1)] is False
     assert not rep["all_stable"]
     assert cohomology_report(Workspace(s, "tpoly"))["all_stable"]
+
+
+# g = R acting on R^3 by x E, E = x d_x + y d_y + z d_z the Euler field
+R3_XE = {"dim_g": 1, "dim_m": 3, "coordinate_weights": [1, 1, 1], "structure_constants": [],
+         "action": [[[[2, 0, 0, "1"]], [[1, 1, 0, "1"]], [[1, 0, 1, "1"]]]],
+         "caps": {"max_weight": 1, "max_order": 2, "max_arity": 4}}
+
+
+def order_windows() -> dict:
+    """Small windows of every bundled scenario, both connection fixtures,
+    the two-generator scenario on R^2 and x E on R^3, at order caps where
+    the bound holds on some slices and, for n >= 2, fails on others."""
+    fixture = lambda name: load_scenario((FIXTURES / f"{name}.json").read_text())
+    two = {"max_weight": 1, "max_order": 1, "max_arity": 3}
+    return {
+        "paper": with_caps(bundled("paper_sec4"), 2, 1, 3),
+        "abelian": with_caps(bundled("abelian_trivial"), 2, 1, 3),
+        "sl2-N1": with_caps(bundled("sl2_linear"), 1, 1, 3),
+        "sl2-N2": with_caps(bundled("sl2_linear"), 0, 2, 3),
+        "sl2-connection": with_caps(fixture("sl2_linear_connection"), 0, 1, 3),
+        "nilpotent-connection": with_caps(fixture("nilpotent_connection"), 1, 1, 3),
+        "two-generator": load_scenario(two_generator_doc(2, [1, 1], "1", "1", "1", two)),
+        "r3-xE": load_scenario(R3_XE),
+    }
+
+
+def raised(s, up: int) -> Workspace:
+    """The operator workspace of s with its order cap raised by up."""
+    c = s.caps
+    return Workspace(with_caps(s, c.max_weight, c.max_order + up, c.max_arity), "dpoly")
+
+
+@pytest.mark.parametrize("name", list(order_windows()))
+def test_order_cap_bound_holds(name):
+    """The claim, checked: wherever N >= min(k + 1, n), the operator slice
+    (w, k) has the same dim H at order caps N, N + 1 and N + 2, and the
+    report marks exactly those slices stable."""
+    s = order_windows()[name]
+    up = [raised(s, 1), raised(s, 2)]
+    held = 0
+    for e in cohomology_report(Workspace(s, "dpoly"))["slices"]:
+        w, k = e["weight"], e["total_degree"]
+        bound = s.caps.max_order >= min(k + 1, s.n)
+        assert e["stable"] == bound, (w, k)
+        if bound:
+            assert [ws.dim_h(w, k) for ws in up] == [e["dim_H"]] * 2, (w, k)
+            held += 1
+    assert held
+
+
+def test_order_cap_bound_is_sharp():
+    """Negative control: just below the bound dim H still moves with the
+    order cap, and the slice is reported unstable: sl2 at N 1, (w -2, k 1),
+    and x E on R^3 at N 2, (w 1, k 2).  At the bound, sl2 at N 2 and R^3
+    at N 2, k 1 (where k + 1 < n) are stable."""
+    windows = order_windows()
+    for name, (w, k), dims in (("sl2-N1", (-2, 1), [0, 1, 1]),
+                               ("r3-xE", (1, 2), [30, 45, 45])):
+        s = windows[name]
+        assert [raised(s, i).dim_h(w, k) for i in range(3)] == dims
+        stable = {(e["weight"], e["total_degree"]): e["stable"]
+                  for e in cohomology_report(Workspace(s, "dpoly"))["slices"]}
+        assert stable[(w, k)] is False
+    assert cohomology_report(Workspace(windows["sl2-N2"], "dpoly"))["all_stable"]
+    r3 = [e for e in cohomology_report(Workspace(windows["r3-xE"], "dpoly"))["slices"]
+          if e["total_degree"] == 1]
+    assert r3 and all(e["stable"] for e in r3)
+
+
+@pytest.mark.parametrize("name, caps", [("sl2_linear", (1, 2, 3)), ("paper_sec4", (2, 2, 3))])
+def test_ce_cap_window_is_the_uncapped_complex(name, caps):
+    """Under a CE-degree cap P < dim g the window ends at k = P - 1, and
+    there every slice on both sides has the dim H of the workspace with
+    no CE cap.  Negative control: at k = P, where a column at p = P
+    keeps its rows at p = P + 1, some slice differs."""
+    full = bundled(name)._replace(caps=Caps(*caps, bundled(name).dim_g))
+    for p in range(full.dim_g):
+        s = full._replace(caps=Caps(*caps, p))
+        for side in SIDES:
+            ws, ref = Workspace(s, side), Workspace(full, side)
+            slices = cohomology_report(ws)["slices"]
+            assert max(e["total_degree"] for e in slices) == p - 1
+            assert all(e["dim_H"] == ref.dim_h(e["weight"], e["total_degree"]) for e in slices)
+            assert any(ws.dim_h(w, p) != ref.dim_h(w, p) for w in weight_window(s)), (p, side)
 
 
 def test_kernels_tracked_on_tpoly_only(paper):
@@ -434,7 +493,7 @@ def test_kernels_tracked_on_tpoly_only(paper):
 @pytest.mark.parametrize("side", SIDES)
 def test_compiled_columns_equal_symbolic(request, name, caps, side):
     """Every column the workspace builds from its unit generators, over
-    every slice and the order-(N+1) extras of the audit, equals the
+    every slice at the order cap and at one order higher, equals the
     symbolic differential of the basis element."""
     s = request.getfixturevalue(name)
     s = s if caps is None else with_caps(s, *caps)
@@ -478,17 +537,18 @@ def test_compiled_differential_squares_to_zero(workspaces, data):
 
 def test_one_symbolic_differential_per_generator(paper):
     """The symbolic differential runs once per unit generator (I, V) of
-    the bases the report builds, order-(N+1) extras included, and not
-    once per basis element."""
+    the bases the report builds, and not once per basis element; no
+    generator of order max_order + 1 is built."""
     ws = Workspace(paper, "dpoly")
     calls = []
     diff = ws._diff
     ws._diff = lambda c: calls.append(c) or diff(c)
     cohomology_report(ws)
     built = [e for w, k in ws._bases
-             for e in slice_reference(paper, "dpoly", w, k, ws.max_order + 1)]
+             for e in slice_reference(paper, "dpoly", w, k, ws.max_order)]
     generators = {(idx, mid) for idx, mid, _ in built}
     assert len(calls) == len(generators) < len(built)
+    assert set(ws._units) == generators
 
 
 @st.composite
@@ -633,7 +693,7 @@ def test_broken_two_generator_message_matches_pair_loop(two, c):
        side=st.sampled_from(SIDES))
 def test_compiled_columns_on_random_scenarios(one, two, side):
     """On a random one-generator and a random two-generator scenario,
-    every compiled column, the audit's order-(N+1) extras included,
+    every compiled column, at the order cap and one order higher,
     equals the symbolic differential, and the compiled map squares to
     zero."""
     for s in (one, two):
