@@ -82,6 +82,12 @@ MUTANTS = {
     "ce-cap-window-ignored": (
         "cohomology.py", "return top if s.caps.max_ce_degree >= s.dim_g else",
         "return top if True else"),
+    "order-0-slots-at-arity-2": (
+        "cohomology.py", "for d in range(1, max_order + 1):",
+        "for d in range(arity != 2, max_order + 1):"),
+    "dim-cochains-normalized": (
+        "cohomology.py", 'if self.side == "tpoly":\n            return len(self.basis(w, k))',
+        'if True:\n            return len(self.basis(w, k))'),
     "contract-koszul": (
         "calculus.py", "return ext_bilinear(eta, a, _interior, lambda k1, p2: k1 * p2)",
         "return ext_bilinear(eta, a, _interior, lambda k1, p2: 0)"),

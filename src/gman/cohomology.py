@@ -24,6 +24,12 @@ above), so H^j(gr_o) = 0 once o > min(j + 1, n).  So slice / F_N, filtered
 by the gr_o with o > N, is acyclic in degrees k - 1 and k, and
 H^k(F_N) = H^k(slice).
 
+Operator bases are normalized, every slot of order >= 1: d, cup and the
+bracket keep that, and the HKR image has it.  On each gr_o the inclusion
+is the normalized Hochschild complex's, a quasi-isomorphism (Loday 1.5),
+so by the CE filtration it is one on F_N and each slice, where the bound
+holds alike.  ``dim_cochains`` counts the capped slice with order-0 slots.
+
 Each (weight, total degree) slice is eliminated once: a Workspace keeps
 one echelon of the slice's differential columns and answers rank,
 kernel (cocycles, read off label rows on the polyvector side) and image
@@ -55,6 +61,7 @@ from __future__ import annotations
 import random
 from functools import cache
 from itertools import combinations
+from math import comb
 from operator import add, sub
 from typing import Callable
 
@@ -73,11 +80,11 @@ SIDES = ("tpoly", "dpoly")
 
 @cache
 def _beta_tuples(n: int, arity: int, max_order: int) -> tuple[tuple, ...]:
-    """All arity-tuples of multi-indices with total order <= max_order."""
+    """All arity-tuples of multi-indices of order >= 1, total order <= max_order."""
     if arity == 0:
         return ((),)
     multis = []
-    for d in range(max_order + 1):
+    for d in range(1, max_order + 1):
         multis.extend(monomials_of_weight(n, (1,) * n, d))
 
     out: list[tuple] = []
@@ -124,16 +131,19 @@ def _weighted_mids(side: str, n: int, weights: tuple[int, ...], arity: int,
                  for bs in _beta_tuples(n, arity, max_order))
 
 
-def _elements(s: Scenario, weight: int, p: int, mids) -> list[tuple]:
-    """The basis elements (I, mid, exps) of the weight with |I| = p over
-    the given (middle structure, weight) pairs, in order."""
-    n, w = s.n, s.weights
-    out: list[tuple] = []
+def _targets(s: Scenario, weight: int, p: int, mids):
+    """(I, mid, monomial weight) of the basis elements of the weight with
+    |I| = p over the given (middle structure, weight) pairs, in order."""
     for idx in combinations(range(s.dim_g), p):
         gshift = sum(s.action_weights[i] for i in idx)
         for mid, mshift in mids:
-            out.extend((idx, mid, exps) for exps in _monomials(n, w, weight + gshift + mshift))
-    return out
+            yield idx, mid, weight + gshift + mshift
+
+
+def _elements(s: Scenario, weight: int, p: int, mids) -> list[tuple]:
+    """The basis elements (I, mid, exps) over ``_targets``, in order."""
+    return [(idx, mid, exps) for idx, mid, t in _targets(s, weight, p, mids)
+            for exps in _monomials(s.n, s.weights, t)]
 
 
 def coords_cochain(s: Scenario, side: str, coords: dict[tuple, object]) -> Cochain:
@@ -216,6 +226,7 @@ def stable_degree_max(s: Scenario, side: str) -> int:
 
 class Workspace:
     """Per-(scenario, side) cache of bases and of one echelon per slice.
+    Operator-side bases are normalized (the module docstring).
 
     The echelon of slice (w, k) is a ColumnReducer filled once with the
     images of the slice's basis under the total differential.  Every
@@ -258,6 +269,18 @@ class Workspace:
             self._bases[key] = [e for p, q in self._degrees(k)
                                 for e in enumerate_slice(self.s, self.side, w, p, q)]
         return self._bases[key]
+
+    def dim_cochains(self, w: int, k: int) -> int:
+        """The size of slice (w, k) at the caps with order-0 slots allowed,
+        counted: a dpoly mid of arity q + 1 is a normalized one of some
+        arity j placed in j of the slots, the others of order and weight 0."""
+        if self.side == "tpoly":
+            return len(self.basis(w, k))
+        s = self.s
+        return sum(comb(q + 1, j) * len(_monomials(s.n, s.weights, t))
+                   for p, q in self._degrees(k) for j in range(q + 2)
+                   for _, _, t in _targets(s, w, p, _weighted_mids(
+                       "dpoly", s.n, s.weights, j, self.max_order)))
 
     def _column(self, w: int, coords: dict[tuple, object]) -> dict[int, object]:
         """Basis-key coordinates as a sparse column over the shared
@@ -375,7 +398,7 @@ def cohomology_report(ws: Workspace) -> dict:
     no order cap: every tpoly slice, and a dpoly slice of total degree k
     exactly when max_order >= min(k + 1, n)."""
     ktop = stable_degree_max(ws.s, ws.side)
-    slices = [{"weight": w, "total_degree": k, "dim_cochains": len(ws.basis(w, k)),
+    slices = [{"weight": w, "total_degree": k, "dim_cochains": ws.dim_cochains(w, k),
                "dim_H": ws.dim_h(w, k),
                "stable": ws.side == "tpoly" or ws.max_order >= min(k + 1, ws.s.n)}
               for w in weight_window(ws.s) for k in range(-1, ktop + 1)]

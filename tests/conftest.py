@@ -9,7 +9,7 @@ import pytest
 
 from gman.atiyah import EndTensor
 from gman.calculus import DiffForm, PolyVector, contract, ext_pv_wedge, ext_schouten, mixed_mul
-from gman.cohomology import cochain_coords, coords_cochain
+from gman.cohomology import Workspace, cochain_coords, coords_cochain
 from gman.dpoly import PolyDiffOp, ext_cup, ext_gerstenhaber
 from gman.liealg import Cochain, LieAlgebra, StructureError, merge_indices, sort_indices
 from gman.linalg import ColumnReducer
@@ -611,10 +611,13 @@ def mat_mul_reference(a, b, m: int) -> list[list[Cochain]]:
 
 
 # Slice bases as enumerated before the multi-index and monomial tables
-# were cached: every call rebuilds its tables, and a slice with the order
-# cap raised by one is the whole raised slice.  References for the
-# enumeration oracle and the source of the bases, at the order cap and one
-# order higher, in the column tests.
+# were cached and before the operator side kept only its normalized
+# elements: every call rebuilds its tables, a slice with the order cap
+# raised by one is the whole raised slice, and operator slots of order 0
+# are enumerated.  References for the enumeration oracle and the counted
+# dim_cochains, the source of the bases, at the order cap and one order
+# higher, in the column tests, and of the full capped complex that
+# FullWorkspace eliminates.
 
 def monomials_reference(n: int, weights, target: int) -> list:
     """All exponent tuples of the given weighted degree, grlex order."""
@@ -682,10 +685,29 @@ def slice_degrees(s: Scenario, side: str, k: int) -> list[tuple[int, int]]:
             if -1 <= k - p <= qmax]
 
 
-def slice_reference(s: Scenario, side: str, w: int, k: int, max_order: int) -> list[tuple]:
-    """The ordered basis of the (w, k) slice of a Workspace at the given order cap."""
+def is_normalized(side: str, elt: tuple) -> bool:
+    """Is a basis element (I, mid, exps) normalized: on the dpoly side,
+    has every slot of mid order >= 1?  Every tpoly element is."""
+    return side == "tpoly" or all(map(any, elt[1]))
+
+
+def slice_reference(s: Scenario, side: str, w: int, k: int, max_order: int,
+                    normalized: bool = False) -> list[tuple]:
+    """The ordered basis of the (w, k) slice at the given order cap: the
+    full capped one, or its normalized elements, the basis of a Workspace."""
     return [e for p, q in slice_degrees(s, side, k)
-            for e in enumerate_slice_reference(s, side, w, p, q, max_order)]
+            for e in enumerate_slice_reference(s, side, w, p, q, max_order)
+            if not normalized or is_normalized(side, e)]
+
+
+class FullWorkspace(Workspace):
+    """A Workspace that eliminates the full capped complex: its bases
+    keep the operator elements with a slot of order 0."""
+
+    def basis(self, w: int, k: int) -> list:
+        if (w, k) not in self._bases:
+            self._bases[w, k] = slice_reference(self.s, self.side, w, k, self.max_order)
+        return self._bases[w, k]
 
 
 def image_coords(ws, elt: tuple) -> dict:

@@ -20,9 +20,10 @@ from gman.liealg import Cochain, LieAlgebra
 from gman.poly import Poly, monomials_of_weight
 from gman.scenario import Caps, ScenarioError, load_scenario
 
-from conftest import (basis_cochain, bundled, count_builds, enumerate_slice_reference,
-                      hkr_reference, image_coords, morphism_reference, random_connection,
-                      residuals_reference, slice_reference, two_generator_doc)
+from conftest import (FullWorkspace, basis_cochain, bundled, count_builds,
+                      enumerate_slice_reference, hkr_reference, image_coords, is_normalized,
+                      morphism_reference, random_connection, residuals_reference,
+                      slice_reference, two_generator_doc)
 
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -43,17 +44,19 @@ def test_enumerate_slice_paper_examples(paper):
 
 
 def test_enumerate_slice_dpoly_counting(paper):
-    """Cross-check the operator-side count with a brute-force product."""
+    """Cross-check the operator-side counts with a brute-force product:
+    the basis holds the biderivations with both slots of order >= 1, and
+    dim_cochains counts those with slots of order 0 as well."""
     w, p, q = 1, 0, 1  # biderivations
     got = enumerate_slice(paper, "dpoly", w, p, q)
-    brute = 0
-    for b1 in range(paper.caps.max_order + 1):
-        for b2 in range(paper.caps.max_order + 1 - b1):
-            alpha = w + b1 + b2  # required monomial weight, one coordinate
-            if alpha >= 0:
-                brute += 1
-    assert len(got) == brute
+    order = paper.caps.max_order
+    brute = {lo: sum(w + b1 + b2 >= 0  # required monomial weight, one coordinate
+                     for b1 in range(lo, order + 1) for b2 in range(lo, order + 1 - b1))
+             for lo in (0, 1)}
+    assert len(got) == brute[1] < brute[0]
     assert len(set(got)) == len(got)
+    # total degree 1 adds (p 1, q 0): e^0 (x) x^(w + 1 + b) d^b for each order b
+    assert Workspace(paper, "dpoly").dim_cochains(w, p + q) == brute[0] + order + 1
 
 
 def test_enumeration_order_is_stable(sl2):
@@ -65,9 +68,10 @@ def test_enumeration_order_is_stable(sl2):
 @pytest.mark.parametrize("name, caps", [("paper", None), ("sl2", (1, 3, 3)), ("abelian", None)])
 def test_enumeration_matches_uncached_reference(request, name, caps):
     """Slice bases built from the cached multi-index and monomial tables
-    equal the uncached enumeration, element for element and in order:
-    both sides, every (w, p, q) that enumerate_slice accepts in the
-    weight window, at the order cap and with it raised by one."""
+    equal the normalized elements of the uncached enumeration, element
+    for element and in order: both sides, every (w, p, q) that
+    enumerate_slice accepts in the weight window, at the order cap and
+    with it raised by one."""
     s = request.getfixturevalue(name)
     s = s if caps is None else with_caps(s, *caps)
     checked = 0
@@ -79,9 +83,30 @@ def test_enumeration_matches_uncached_reference(request, name, caps):
                     for order in (s.caps.max_order, s.caps.max_order + 1):
                         at = with_caps(s, s.caps.max_weight, order, s.caps.max_arity)
                         got = enumerate_slice(at, side, w, p, q)
-                        assert got == enumerate_slice_reference(s, side, w, p, q, order)
+                        assert got == [e for e in enumerate_slice_reference(
+                            s, side, w, p, q, order) if is_normalized(side, e)]
                         checked += len(got)
     assert checked
+
+
+@pytest.mark.parametrize("name, caps", [("paper", None), ("sl2", (1, 3, 3)), ("abelian", None)])
+def test_dim_cochains_counts_the_full_basis(request, name, caps):
+    """dim_cochains, counted from the normalized mids, is the size of the
+    full capped slice of the uncached enumeration, order-0 slots
+    included: both sides, every slice of the weight window, at the order
+    cap and with it raised by one.  The operator side drops elements."""
+    s = request.getfixturevalue(name)
+    s = s if caps is None else with_caps(s, *caps)
+    dropped = 0
+    for order in (s.caps.max_order, s.caps.max_order + 1):
+        for side in SIDES:
+            ws = Workspace(with_caps(s, s.caps.max_weight, order, s.caps.max_arity), side)
+            for w in weight_window(s):
+                for k in range(-1, ws.pmax + ws.qmax + 1):
+                    full = slice_reference(s, side, w, k, order)
+                    assert ws.dim_cochains(w, k) == len(full), (side, w, k)
+                    dropped += len(full) - len(ws.basis(w, k))
+    assert dropped
 
 
 def test_differential_squares_to_zero_on_random_basis(paper, sl2):
@@ -453,6 +478,76 @@ def test_order_cap_bound_is_sharp():
     assert r3 and all(e["stable"] for e in r3)
 
 
+def recording_in_image(monkeypatch) -> list:
+    """Record (workspace, w, k, coordinates, verdict) of every in_image call."""
+    calls = []
+    in_image = Workspace.in_image
+
+    def recorded(ws, w, k, coords):
+        calls.append((ws, w, k, coords, in_image(ws, w, k, coords)))
+        return calls[-1][-1]
+    monkeypatch.setattr(Workspace, "in_image", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("name", list(order_windows()))
+def test_normalized_complex_matches_the_full_one(name, monkeypatch):
+    """Elimination on normalized cochains is exact: on small windows of
+    every bundled scenario, both connection fixtures and the two-generator
+    scenario, the full capped operator complex (FullWorkspace, order-0
+    slots included) has the dim H of the normalized one on every slice of
+    the report, below the order bound too, and gives every Duflo residual
+    of both twists the same in_image verdict (exhaustive but on x E over
+    R^3, where 200 of its 12,561 pairs are sampled)."""
+    s = order_windows()[name]
+    ws, full = Workspace(s, "dpoly"), FullWorkspace(s, "dpoly")
+    slices = [(e["weight"], e["total_degree"], e["dim_H"])
+              for e in cohomology_report(ws)["slices"]]
+    assert [(w, k, full.dim_h(w, k)) for w, k, _ in slices] == slices
+    assert any(len(full.basis(w, k)) > len(ws.basis(w, k)) for w, k, _ in slices)
+    calls = recording_in_image(monkeypatch)
+    tp = Workspace(s, "tpoly")
+    for twist in ("td_sqrt", "hkr_only"):
+        reports = [duflo_check(tp, dp, twist, sample_cap=200) for dp in (ws, full)]
+        assert reports[0] == reports[1]
+    verdicts = {dp: [call[1:] for call in calls if call[0] is dp] for dp in (ws, full)}
+    assert verdicts[ws] == verdicts[full] and verdicts[ws]
+
+
+@pytest.mark.parametrize("name", ["paper_sec4", "sl2_linear", "abelian_trivial"])
+def test_residuals_and_hkr_images_are_normalized(name, monkeypatch):
+    """On every bundled scenario at its caps, every key of every Duflo
+    residual of both twists, and of every ext_hkr image that hkr_check
+    and duflo_check form, has all slots of order >= 1: they lie in the
+    normalized complex that the workspace eliminates."""
+    tp, dp = both_sides(bundled(name))
+    calls = recording_in_image(monkeypatch)
+    hkr, images = cohomology.ext_hkr, []
+    monkeypatch.setattr(cohomology, "ext_hkr", lambda c: images.append(hkr(c)) or images[-1])
+    hkr_check(tp, dp)
+    for twist in ("td_sqrt", "hkr_only"):
+        duflo_check(tp, dp, twist)
+    keys = [key for call in calls for key in call[3]]
+    keys += [key for image in images for key in cochain_coords(image)]
+    assert calls and images and keys
+    assert all(is_normalized("dpoly", key) for key in keys)
+
+
+def test_order_0_key_fakes_a_falsification(paper, monkeypatch):
+    """Negative control: a paper_sec4 Duflo residual that reduces, with
+    an order-0 key injected, lands on a row that no column reaches, and
+    in_image says False.  A non-normalized residual would be reported as
+    a falsification (exit 1)."""
+    tp, dp = both_sides(paper)
+    calls = recording_in_image(monkeypatch)
+    duflo_check(tp, dp, "td_sqrt")
+    w, k, coords = next(call[1:4] for call in calls if call[3] and call[4] and call[1] >= 0)
+    key = ((), ((0,),) * (k + 1), (w,))  # the function x^w in k + 1 arguments, derived by none
+    assert dp.basis(w, k - 1) and not is_normalized("dpoly", key)
+    assert key not in dp._rows[w]
+    assert dp.in_image(w, k, coords) and not dp.in_image(w, k, {**coords, key: 1})
+
+
 @pytest.mark.parametrize("name, caps", [("sl2_linear", (1, 2, 3)), ("paper_sec4", (2, 2, 3))])
 def test_ce_cap_window_is_the_uncapped_complex(name, caps):
     """Under a CE-degree cap P < dim g the window ends at k = P - 1, and
@@ -537,15 +632,16 @@ def test_compiled_differential_squares_to_zero(workspaces, data):
 
 def test_one_symbolic_differential_per_generator(paper):
     """The symbolic differential runs once per unit generator (I, V) of
-    the bases the report builds, and not once per basis element; no
-    generator of order max_order + 1 is built."""
+    the bases the report builds, and not once per basis element: the
+    normalized generators at max_order, none with a slot of order 0 and
+    none of order max_order + 1."""
     ws = Workspace(paper, "dpoly")
     calls = []
     diff = ws._diff
     ws._diff = lambda c: calls.append(c) or diff(c)
     cohomology_report(ws)
     built = [e for w, k in ws._bases
-             for e in slice_reference(paper, "dpoly", w, k, ws.max_order)]
+             for e in slice_reference(paper, "dpoly", w, k, ws.max_order, normalized=True)]
     generators = {(idx, mid) for idx, mid, _ in built}
     assert len(calls) == len(generators) < len(built)
     assert set(ws._units) == generators
