@@ -164,6 +164,17 @@ MUTANTS = {
         "sha256(text.encode())"),
     "antisymmetry-no-swap": (
         "liealg.py", "for t in ((i, j, k), (j, i, k))", "for t in ((i, j, k),)"),
+    "key-weight-action-sign": (
+        "scenario.py", "monomial_weight(exps, weights) - sum(action_weights[i] for i in idx)",
+        "monomial_weight(exps, weights) + sum(action_weights[i] for i in idx)"),
+    "window-ignores-action-weights": (
+        "cohomology.py", "for p in range(min(s.dim_g, s.caps.max_ce_degree) + 1) for arity",
+        "for p in (0,) for arity"),
+    "residual-one-weight": (  # the whole residual at its lightest part's weight, w_a + w_b
+        "cohomology.py",
+        "parts.setdefault(key_weight(self.side, key, s.weights, s.action_weights), {})",
+        "parts.setdefault(min(key_weight(self.side, x, s.weights, s.action_weights)"
+        " for x in coords), {})"),
     CONTROL: (
         "liealg.py", "# insertion sort, counting swaps; sequences here are short",
         "# insertion sort"),

@@ -10,6 +10,16 @@ differential).  A CE-degree cap P < dim g limits both sides to k < P:
 q >= -1 puts degree k at p <= k + 1, so those slices are the uncapped
 ones, but a column at p = P keeps its rows at p = P + 1.
 
+Every weight is a key weight (``scenario.key_weight``): a basis key
+(I, mid, e) weighs the monomial weight of e less the action weights of I
+and the weight of mid.  A monomial only adds weight, so the window's
+floor, the smallest key weight of any slice within the caps, is the
+smallest at e = 0 over the index tuples of at most min(dim g,
+max_ce_degree) generators and the middle structures: the top positive
+action weights and max(sum w, max_order * max w) come off.  A Duflo
+residual may have parts of several weights (a connection of shift 1
+gives td^{1/2} a part of weight 1), each reduced in its own slice.
+
 The order cap N is exact by a theorem: with n = dim M, an operator
 slice of total degree k has the dim H of the complex with no order cap
 once N >= min(k + 1, n), and is reported stable exactly then.  Proof:
@@ -72,8 +82,8 @@ from .dpoly import PolyDiffOp, _gerstenhaber, ext_cup, ext_gerstenhaber, ext_hkr
 from .liealg import Cochain, merge_indices
 from .linalg import ColumnReducer, label_row
 from .poly import (Coeff, Poly, _monomials, accumulate, grlex_key, int_first,
-                   monomial_weight, monomials_of_weight, unit)
-from .scenario import Scenario, action_cochain
+                   monomials_of_weight, unit)
+from .scenario import Scenario, action_cochain, key_weight
 
 SIDES = ("tpoly", "dpoly")
 
@@ -116,34 +126,22 @@ def enumerate_slice(s: Scenario, side: str, weight: int, p: int, q: int) -> list
         raise ValueError(f"exterior degree {p} outside caps")
     if side == "dpoly" and q + 1 > s.caps.max_arity + 1:
         raise ValueError(f"arity {q + 1} outside caps")
-    return _elements(s, weight, p, _weighted_mids(side, s.n, s.weights, q + 1, s.caps.max_order))
+    return [(idx, mid, exps) for idx, mid, w0 in _unit_weights(
+                side, s.weights, s.action_weights, p, q + 1, s.caps.max_order)
+            for exps in _monomials(s.n, s.weights, weight - w0)]
 
 
 @cache
-def _weighted_mids(side: str, n: int, weights: tuple[int, ...], arity: int,
-                   max_order: int) -> tuple[tuple[tuple, int], ...]:
-    """The middle structures of the given arity, in order, each with its
-    weight: coordinate tuples on the tpoly side; on the dpoly side,
-    multi-index tuples of total order at most max_order."""
-    if side == "tpoly":
-        return tuple((mid, sum(weights[j] for j in mid)) for mid in combinations(range(n), arity))
-    return tuple((bs, sum(monomial_weight(b, weights) for b in bs))
-                 for bs in _beta_tuples(n, arity, max_order))
-
-
-def _targets(s: Scenario, weight: int, p: int, mids):
-    """(I, mid, monomial weight) of the basis elements of the weight with
-    |I| = p over the given (middle structure, weight) pairs, in order."""
-    for idx in combinations(range(s.dim_g), p):
-        gshift = sum(s.action_weights[i] for i in idx)
-        for mid, mshift in mids:
-            yield idx, mid, weight + gshift + mshift
-
-
-def _elements(s: Scenario, weight: int, p: int, mids) -> list[tuple]:
-    """The basis elements (I, mid, exps) over ``_targets``, in order."""
-    return [(idx, mid, exps) for idx, mid, t in _targets(s, weight, p, mids)
-            for exps in _monomials(s.n, s.weights, t)]
+def _unit_weights(side: str, weights: tuple[int, ...], action_weights: tuple[int, ...],
+                  p: int, arity: int, max_order: int) -> tuple[tuple, ...]:
+    """(I, mid, key weight at e = 0) of the unit generators e_I (x) mid with
+    |I| = p and mid of the arity, in order: coordinate tuples on tpoly; on
+    dpoly, multi-index tuples of total order at most max_order."""
+    n, zero = len(weights), (0,) * len(weights)
+    mids = (tuple(combinations(range(n), arity)) if side == "tpoly"
+            else _beta_tuples(n, arity, max_order))
+    return tuple((idx, mid, key_weight(side, (idx, mid, zero), weights, action_weights))
+                 for idx in combinations(range(len(action_weights)), p) for mid in mids)
 
 
 def coords_cochain(s: Scenario, side: str, coords: dict[tuple, object]) -> Cochain:
@@ -210,9 +208,12 @@ def side_differential(s: Scenario, side: str) -> Callable[[Cochain], Cochain]:
 
 
 def weight_window(s: Scenario) -> list[int]:
-    """Cochain weights reported: every weight that can carry a nonzero
-    slice on either side, up to the cap."""
-    lo = -max(sum(s.weights), s.caps.max_order * max(s.weights))
+    """Cochain weights reported: from the smallest key weight of any slice
+    within the caps on either side (the module docstring) up to the cap."""
+    lo = min(w0 for side, top in (("tpoly", s.n), ("dpoly", s.caps.max_arity))
+             for p in range(min(s.dim_g, s.caps.max_ce_degree) + 1) for arity in range(top + 1)
+             for _, _, w0 in _unit_weights(side, s.weights, s.action_weights, p, arity,
+                                           s.caps.max_order))
     return list(range(lo, s.caps.max_weight + 1))
 
 
@@ -277,10 +278,10 @@ class Workspace:
         if self.side == "tpoly":
             return len(self.basis(w, k))
         s = self.s
-        return sum(comb(q + 1, j) * len(_monomials(s.n, s.weights, t))
+        return sum(comb(q + 1, j) * len(_monomials(s.n, s.weights, w - w0))
                    for p, q in self._degrees(k) for j in range(q + 2)
-                   for _, _, t in _targets(s, w, p, _weighted_mids(
-                       "dpoly", s.n, s.weights, j, self.max_order)))
+                   for _, _, w0 in _unit_weights("dpoly", s.weights, s.action_weights, p, j,
+                                                 self.max_order))
 
     def _column(self, w: int, coords: dict[tuple, object]) -> dict[int, object]:
         """Basis-key coordinates as a sparse column over the shared
@@ -358,11 +359,17 @@ class Workspace:
         incoming = self.rank(w, k - 1) if k - 1 >= -1 else 0
         return dim - self.rank(w, k) - incoming
 
-    def in_image(self, w: int, k: int, coords: dict[tuple, Coeff]) -> bool:
-        """Are these basis-key coordinates (a Duflo residual) of slice (w, k) a coboundary?"""
+    def in_image(self, k: int, coords: dict[tuple, Coeff]) -> bool:
+        """Are these basis-key coordinates (a Duflo residual) of total
+        degree k a coboundary?  d preserves weight, so each weight part is
+        reduced against the echelon of its own slice."""
         if not coords:
             return True
-        return self._echelon(w, k - 1).contains(self._column(w, coords))
+        parts, s = {}, self.s
+        for key, c in coords.items():
+            parts.setdefault(key_weight(self.side, key, s.weights, s.action_weights), {})[key] = c
+        return all(self._echelon(w, k - 1).contains(self._column(w, part))
+                   for w, part in parts.items())
 
     def independent_mod_image(self, w: int, k: int, coords: list[dict]) -> list[bool]:
         """For each coordinate map of slice (w, k), in order: is it
@@ -491,15 +498,14 @@ def duflo_check(tp: Workspace, dp: Workspace, twist: str, *, seed: int = 0,
     for i, j in pairs:
         a, b = classes[i], classes[j]
         fa, fb, ra, rb = images[i], images[j], a["rep"], b["rep"]
-        wsum = a["weight"] + b["weight"]
 
         prod_res = residual_coords(s.n, ext_cup(fa, fb, {}),
                                    twisted_terms(twisted, ext_pv_wedge, ra, rb))
-        prod_ok = dp.in_image(wsum, a["degree"] + b["degree"] + 1, prod_res)
+        prod_ok = dp.in_image(a["degree"] + b["degree"] + 1, prod_res)
 
         br_res = residual_coords(s.n, ext_gerstenhaber(fa, fb, {}),
                                  twisted_terms(twisted, ext_schouten, ra, rb))
-        br_ok = dp.in_image(wsum, a["degree"] + b["degree"], br_res)
+        br_ok = dp.in_image(a["degree"] + b["degree"], br_res)
 
         if not (prod_ok and br_ok):
             failures.append({

@@ -117,12 +117,24 @@ def _is_array(data, shape: tuple[int, ...]) -> bool:
                          and all(_is_array(d, shape[1:]) for d in data))
 
 
+def key_weight(side: str, key: tuple, weights: tuple[int, ...],
+               action_weights: tuple[int, ...]) -> int:
+    """The weight of a basis key (I, mid, e) on a side, which every
+    differential preserves: the monomial weight of e, minus the action
+    weights of I, minus the weight of mid (sum w_j over the coordinate
+    tuple on tpoly, sum lambda.beta over the slot multi-indices on dpoly)."""
+    idx, mid, exps = key
+    mid_weight = (sum(weights[j] for j in mid) if side == "tpoly"
+                  else sum(monomial_weight(b, weights) for b in mid))
+    return monomial_weight(exps, weights) - sum(action_weights[i] for i in idx) - mid_weight
+
+
 def _homogeneous_weight(vf: PolyVector, weights: tuple[int, ...], label: str) -> int:
-    """Weight of a homogeneous vector field; 0 for the zero field."""
+    """Weight of a homogeneous vector field, that of each tpoly key ((), (j,), e)."""
     seen: set[int] = set()
     for (j,), p in vf.terms.items():
         for exps in p.terms:
-            w = monomial_weight(exps, weights) - weights[j]
+            w = key_weight("tpoly", ((), (j,), exps), weights, ())
             if seen and w not in seen:
                 raise ScenarioError(
                     f"inhomogeneous action: {label} has monomial x^{list(exps)} d_{j} "

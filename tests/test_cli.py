@@ -423,17 +423,25 @@ def test_hkr_not_injective_decides_beside_an_unstable_mismatch(capsys, monkeypat
     assert [(m["weight"], m["total_degree"]) for m in hkr["mismatches"]] == [(-2, 1)]
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "weight-split artefact: duflo_check reduces each whole residual against the one "
-    "echelon of weight w_a + w_b, so the parts of other weights, which the weight-1 "
-    "connection puts into td^{1/2}, never reduce (2 of 10 pairs); reduced weight by "
-    "weight, every pair passes"))
 def test_connection_fixture_passes_duflo_check(capsys):
     """The sl2 scenario with a weight-1 connection satisfies the Duflo
-    statement, as its flat case does, so duflo-check must exit 0 there."""
+    statement, as its flat case does, so duflo-check must exit 0 there:
+    the weight-1 part of its td^{1/2} puts residual parts outside the
+    weight of the pair, and each reduces in its own slice."""
     status, _, _ = run(capsys, "duflo-check", str(FIXTURES / "sl2_linear_connection.json"),
                        "--json")
     assert status == 0
+
+
+def test_nilpotent_connection_still_fails_duflo_check(capsys):
+    """Reducing weight by weight hides no real failure: on the nilpotent
+    fixture both twists still fail pairs and duflo-check exits 1, from the
+    bracket signs of the two sides (the strict xfail of test_dpoly)."""
+    status, out, _ = run(capsys, "duflo-check", str(FIXTURES / "nilpotent_connection.json"),
+                         "--json")
+    res = json.loads(out)["results"]
+    assert status == 1
+    assert res["twisted"]["failures"] and res["hkr_only"]["failures"]
 
 
 @pytest.mark.parametrize("name, passes", [
@@ -562,6 +570,8 @@ def test_duflo_report_shape(capsys):
       "--seed", "3"], "abelian_trivial_caps_24_4_4_duflo.json", 0),
     (["duflo-check", "paper_sec4", "--caps", "2,1,2"], "paper_sec4_caps_2_1_2_duflo.json", 2),
     (["cohomology", "sl2_linear", "--caps", "1,4,4"], "sl2_linear_caps_1_4_4_cohomology.json", 0),
+    (["duflo-check", str(FIXTURES / "sl2_linear_connection.json")],
+     "sl2_linear_connection_duflo.json", 0),
 ])
 def test_report_matches_golden_fixture(capsys, argv, fixture, code):
     """The cohomology and Duflo reports, with their exit codes, are
@@ -569,7 +579,8 @@ def test_report_matches_golden_fixture(capsys, argv, fixture, code):
     elimination and the stable flags on a three-generator operator
     complex.  The sl2 Duflo report and the paper_sec4 one at caps 2,1,2,
     whose td^{1/2} is not the unit, have failures in both twists, every
-    one beyond the caps."""
+    one beyond the caps.  The sl2 scenario with a weight-1 connection
+    passes both, its residuals reduced weight by weight."""
     status, out, _ = run(capsys, *argv, "--json")
     assert status == code
     assert out == (FIXTURES / fixture).read_text()

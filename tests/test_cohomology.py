@@ -1,6 +1,7 @@
 import pathlib
 import random
 from collections import Counter
+from functools import cache
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from gman.cohomology import (SIDES, Workspace, cochain_coords, cohomology_report
 from gman.dpoly import ext_cup, ext_gerstenhaber, ext_hkr
 from gman.liealg import Cochain, LieAlgebra
 from gman.poly import Poly, monomials_of_weight
-from gman.scenario import Caps, ScenarioError, load_scenario
+from gman.scenario import Caps, Scenario, ScenarioError, key_weight, load_scenario
 
 from conftest import (FullWorkspace, basis_cochain, bundled, count_builds,
                       enumerate_slice_reference, hkr_reference, image_coords, is_normalized,
@@ -142,25 +143,47 @@ def test_paper_hkr_match(paper):
     assert hc["mismatches"] == []
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 4: weight_window ignores positive action weights, so "
-    "paper_sec4's operator slices at w -5 (k 1-4) lie below its window"))
+# abelian R^2 acting on R^2 by xE and yE, E = x d_x + y d_y: action weights 1, 1
+XE_YE = {"dim_g": 2, "dim_m": 2, "coordinate_weights": [1, 1], "structure_constants": [],
+         "action": [[[[2, 0, "1"]], [[1, 1, "1"]]], [[[1, 1, "1"]], [[0, 2, "1"]]]],
+         "caps": {"max_weight": 3, "max_order": 3, "max_arity": 4}}
+
+
+def floor_below(s: Scenario) -> int:
+    """A weight below every basis key of s, bounded apart from key_weight:
+    a key's monomial weight is at least 0, and what comes off is at most
+    every action weight, every coordinate weight and max_arity slots of
+    order at most max_order in the heaviest coordinate."""
+    return -(sum(map(abs, s.action_weights)) + sum(s.weights)
+             + s.caps.max_arity * s.caps.max_order * max(s.weights)) - 1
+
+
+def slices_below_the_window(s: Scenario, side: str) -> dict:
+    """Nonempty slices (w, k) of a side between floor_below and the window."""
+    ws = Workspace(s, side)
+    return {(side, w, k): len(ws.basis(w, k))
+            for w in range(floor_below(s), weight_window(s)[0])
+            for k in range(-1, ws.pmax + ws.qmax + 1) if ws.basis(w, k)}
+
+
 def test_no_slice_below_the_window():
-    """On every bundled scenario and both sides, every slice below the
-    window is empty.  A basis element of weight w has a monomial of
-    weight w + gshift + mshift >= 0, so no slice lies below the floor
-    scanned from."""
-    below = {}
-    for name in ("paper_sec4", "sl2_linear", "abelian_trivial"):
-        s = bundled(name)
-        floor = -(sum(map(abs, s.action_weights)) + sum(s.weights)
-                  + s.caps.max_arity * s.caps.max_order * max(s.weights)) - 1
-        for side in SIDES:
-            ws = Workspace(s, side)
-            below.update(((name, side, w, k), len(ws.basis(w, k)))
-                         for w in range(floor, weight_window(s)[0])
-                         for k in range(-1, ws.pmax + ws.qmax + 1) if ws.basis(w, k))
+    """On every bundled scenario and on xE, yE, on both sides, every slice
+    below the window is empty, and the window starts at the smallest key
+    weight.  On xE, yE it starts at -5: the tpoly slice (w -4, k 3), the
+    class of e^0 e^1 (x) d_x ^ d_y, lies in it and its report, where a
+    window without the action weights, from -3, left it out."""
+    scenarios = {name: bundled(name) for name in ("paper_sec4", "sl2_linear", "abelian_trivial")}
+    scenarios["xE, yE"] = load_scenario(XE_YE)
+    below = {(name, *key): size for name, s in scenarios.items() for side in SIDES
+             for key, size in slices_below_the_window(s, side).items()}
     assert below == {}
+    assert {name: weight_window(s)[0] for name, s in scenarios.items()} == {
+        "paper_sec4": -5, "sl2_linear": -4, "abelian_trivial": -3, "xE, yE": -5}
+    xe = scenarios["xE, yE"]
+    report = cohomology_report(Workspace(xe, "tpoly"))
+    assert {(e["weight"], e["total_degree"]): e["dim_H"] for e in report["slices"]}[-4, 3] == 1
+    assert report["window"]["max_total_degree"] == 3
+    assert Workspace(xe, "dpoly").basis(-5, 2)  # e^0 e^1 (x) d_y^3, say: the floor is met
 
 
 def test_abelian_zero_action_cohomology(abelian):
@@ -479,12 +502,12 @@ def test_order_cap_bound_is_sharp():
 
 
 def recording_in_image(monkeypatch) -> list:
-    """Record (workspace, w, k, coordinates, verdict) of every in_image call."""
+    """Record (workspace, k, coordinates, verdict) of every in_image call."""
     calls = []
     in_image = Workspace.in_image
 
-    def recorded(ws, w, k, coords):
-        calls.append((ws, w, k, coords, in_image(ws, w, k, coords)))
+    def recorded(ws, k, coords):
+        calls.append((ws, k, coords, in_image(ws, k, coords)))
         return calls[-1][-1]
     monkeypatch.setattr(Workspace, "in_image", recorded)
     return calls
@@ -527,7 +550,7 @@ def test_residuals_and_hkr_images_are_normalized(name, monkeypatch):
     hkr_check(tp, dp)
     for twist in ("td_sqrt", "hkr_only"):
         duflo_check(tp, dp, twist)
-    keys = [key for call in calls for key in call[3]]
+    keys = [key for call in calls for key in call[2]]
     keys += [key for image in images for key in cochain_coords(image)]
     assert calls and images and keys
     assert all(is_normalized("dpoly", key) for key in keys)
@@ -541,11 +564,13 @@ def test_order_0_key_fakes_a_falsification(paper, monkeypatch):
     tp, dp = both_sides(paper)
     calls = recording_in_image(monkeypatch)
     duflo_check(tp, dp, "td_sqrt")
-    w, k, coords = next(call[1:4] for call in calls if call[3] and call[4] and call[1] >= 0)
+    w, k, coords = next((weight, *call[1:3]) for call in calls if call[2] and call[3]
+                        for weight in [key_weight("dpoly", min(call[2]), paper.weights,
+                                                  paper.action_weights)] if weight >= 0)
     key = ((), ((0,),) * (k + 1), (w,))  # the function x^w in k + 1 arguments, derived by none
     assert dp.basis(w, k - 1) and not is_normalized("dpoly", key)
     assert key not in dp._rows[w]
-    assert dp.in_image(w, k, coords) and not dp.in_image(w, k, {**coords, key: 1})
+    assert dp.in_image(k, coords) and not dp.in_image(k, {**coords, key: 1})
 
 
 @pytest.mark.parametrize("name, caps", [("sl2_linear", (1, 2, 3)), ("paper_sec4", (2, 2, 3))])
@@ -684,6 +709,30 @@ def two_generator_scenarios(draw):
     return load_scenario(two_generator_doc(n, weights, a, b, a, caps))
 
 
+@cache
+def named_scenario(name: str) -> Scenario:
+    """A bundled scenario, or xE, yE, loaded once."""
+    return load_scenario(XE_YE) if name == "xE, yE" else bundled(name)
+
+
+@settings(deadline=None, derandomize=True, max_examples=30)
+@given(s=st.one_of(one_generator_scenarios(), two_generator_scenarios(),
+                   st.sampled_from(["paper_sec4", "sl2_linear", "abelian_trivial",
+                                    "xE, yE"]).map(named_scenario)),
+       side=st.sampled_from(SIDES))
+def test_basis_keys_have_their_slice_weight(s, side):
+    """On random one- and two-generator scenarios, the bundled ones and
+    xE, yE, on both sides: every element of Workspace.basis(w, k) has key
+    weight w, and no slice from floor_below up to the window's first
+    weight is nonempty."""
+    ws, lo = Workspace(s, side), weight_window(s)[0]
+    for w in range(floor_below(s), s.caps.max_weight + 1):
+        for k in range(-1, ws.pmax + ws.qmax + 1):
+            basis = ws.basis(w, k)
+            assert all(key_weight(side, e, s.weights, s.action_weights) == w for e in basis)
+            assert w >= lo or not basis, (w, k)
+
+
 def test_columns_are_int_first_under_a_fractional_action():
     """With action coefficient 1/2, an action entry times an even
     exponent is integral: every column coordinate is an int or a proper
@@ -745,16 +794,48 @@ def test_contraction_by_td_sqrt_is_a_chain_map(paper):
 
 def test_connection_scenario_reduces_under_td_sqrt(monkeypatch):
     """The two-generator scenario on R^2 at caps 2,2,2 with a seeded linear
-    connection: every residual reduces under td^{1/2}.  Negative control:
-    contraction without the Koszul sign fails pairs there."""
+    connection, and the sl2 scenario with a connection in tests/fixtures:
+    every residual reduces under td^{1/2}, weight part by weight part.
+    Negative control: the wrong twist 2 * unit fails pairs on both.  (The
+    contraction without its Koszul sign fails no pair here: it trips
+    test_contraction_by_td_sqrt_is_a_chain_map instead.)"""
     caps = {"max_weight": 2, "max_order": 2, "max_arity": 2}
     two = load_scenario(two_generator_doc(2, [1, 1], "1/2", "-1", "1/2", caps))
-    s = random_connection(two, 1, random.Random(0))
-    report = duflo_check(*both_sides(s), "td_sqrt")
-    assert (report["classes"], report["pairs_checked"], report["all_reduce"]) == (6, 21, True)
-    monkeypatch.setattr(cohomology, "contract",
-                        lambda eta, a: ext_bilinear(eta, a, _interior, lambda k1, p2: 0))
-    assert not duflo_check(*both_sides(s), "td_sqrt")["all_reduce"]
+    scenarios = [random_connection(two, 1, random.Random(0)),
+                 load_scenario((FIXTURES / "sl2_linear_connection.json").read_text())]
+    reports = [duflo_check(*both_sides(s), "td_sqrt") for s in scenarios]
+    assert [(r["classes"], r["pairs_checked"], r["all_reduce"]) for r in reports] == [
+        (6, 21, True), (4, 10, True)]
+    monkeypatch.setattr(cohomology, "todd_sqrt", lambda s: mixed_unit(s.dim_g, s.n).scale(2))
+    assert all(duflo_check(*both_sides(s), "td_sqrt")["failures"] for s in scenarios)
+
+
+def test_td_sqrt_contraction_is_connection_independent_on_cohomology():
+    """i_{td^{1/2}} - i_{td^{1/2} flat} maps every polyvector representative
+    to a coboundary, reduced weight by weight, on the two-generator family
+    on R^2 at caps 2,2,2 and 2,3,3 with random connections of shift 0 and
+    1 (seeds 0-2).  At shift 1 the difference is nonzero on some
+    representatives, all of it one weight above theirs.  Negative control:
+    reduced whole at the representative's weight, none of those reduces."""
+    nonzero = 0
+    for caps in ((2, 2, 2), (2, 3, 3)):
+        flat = load_scenario(two_generator_doc(2, [1, 1], "1/2", "-1", "1/2", dict(
+            zip(("max_weight", "max_order", "max_arity"), caps))))
+        for shift in (0, 1):
+            for seed in range(3):
+                s = random_connection(flat, shift, random.Random(seed))
+                tp, td, td_flat = Workspace(s, "tpoly"), todd_sqrt(s), todd_sqrt(flat)
+                for w in weight_window(s):
+                    for k in range(-1, stable_degree_max(s, "tpoly") + 1):
+                        for rep in tp.representatives(w, k):
+                            diff = cochain_coords(contract(td, rep) - contract(td_flat, rep))
+                            assert tp.in_image(k, diff), (caps, shift, seed, w, k)
+                            if diff:
+                                nonzero += 1
+                                assert {key_weight("tpoly", key, s.weights, s.action_weights)
+                                        for key in diff} == {w + 1}
+                                assert not tp._echelon(w, k - 1).contains(tp._column(w, diff))
+    assert nonzero == 44
 
 
 def test_two_generator_family_needs_its_structure_constant():
