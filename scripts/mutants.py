@@ -175,6 +175,13 @@ MUTANTS = {
         "parts.setdefault(key_weight(self.side, key, s.weights, s.action_weights), {})",
         "parts.setdefault(min(key_weight(self.side, x, s.weights, s.action_weights)"
         " for x in coords), {})"),
+    "one-parser-wrong-command": (
+        "cli.py", "argparse.Namespace(command=argv[0])", 'argparse.Namespace(command="validate")'),
+    "one-parser-top-level-prog": (
+        "cli.py", 'argparse.ArgumentParser(prog=f"gman {argv[0]}")',
+        'argparse.ArgumentParser(prog="gman")'),
+    "duflo-twist-recomputed": (
+        "cli.py", 'run("td_sqrt", twisted=td_half)', 'run("td_sqrt")'),
     CONTROL: (
         "liealg.py", "# insertion sort, counting swaps; sequences here are short",
         "# insertion sort"),

@@ -122,6 +122,7 @@ def _verdict(failures: list[tuple[str, set[str]]]) -> int:
 
 
 def cmd_validate(s, digest, args) -> tuple[int, dict, list[str]]:
+    """parse and validate a scenario"""
     results = {"valid": True, "dim_g": s.dim_g, "dim_m": s.n,
                "action_weights": list(s.action_weights)}
     return _verdict([]), results, [f"scenario {s.name or args.scenario}: valid "
@@ -129,6 +130,7 @@ def cmd_validate(s, digest, args) -> tuple[int, dict, list[str]]:
 
 
 def cmd_axioms(s, digest, args) -> tuple[int, dict, list[str]]:
+    """run the randomized graded-identity suite"""
     results = run_axiom_checks(s, cases=args.cases, seed=args.seed)
     lines, failures = [], []
     for side in ("tpoly", "dpoly"):
@@ -141,6 +143,7 @@ def cmd_axioms(s, digest, args) -> tuple[int, dict, list[str]]:
 
 
 def cmd_atiyah(s, digest, args) -> tuple[int, dict, list[str]]:
+    """Atiyah cocycle and invariant-connection obstruction"""
     r = atiyah_cocycle(s)
     closed = is_ce_closed(s, r)
     obstruction = invariant_connection_obstruction(s)
@@ -166,6 +169,7 @@ def cmd_atiyah(s, digest, args) -> tuple[int, dict, list[str]]:
 
 
 def cmd_todd(s, digest, args) -> tuple[int, dict, list[str]]:
+    """Todd cocycle, its square root, and the log series"""
     td = todd_cocycle(s)
     half = todd_sqrt(s)
     square_ok = mixed_mul(half, half) == td
@@ -185,6 +189,7 @@ def cmd_todd(s, digest, args) -> tuple[int, dict, list[str]]:
 
 
 def cmd_cohomology(s, digest, args) -> tuple[int, dict, list[str]]:
+    """weight-sliced cohomology on both sides plus HKR match"""
     tp, dp = Workspace(s, "tpoly"), Workspace(s, "dpoly")
     rep_t, rep_d = cohomology_report(tp), cohomology_report(dp)
     match = hkr_check(tp, dp)
@@ -216,11 +221,13 @@ def _caps_exceeded(s, failure: dict) -> set[str]:
 
 
 def cmd_duflo(s, digest, args) -> tuple[int, dict, list[str]]:
+    """windowed Kontsevich-Duflo morphism check"""
     tp, dp = Workspace(s, "tpoly"), Workspace(s, "dpoly")
     run = partial(duflo_check, tp, dp, seed=args.seed, sample_cap=args.sample_cap)
-    twisted = run("td_sqrt")
+    td_half = twisting(s, "td_sqrt")  # computes td^{1/2}, once per run
+    twisted = run("td_sqrt", twisted=td_half)
     # td^{1/2} = 1 makes both twists one map, checked once
-    plain = ({**twisted, "twist": "hkr_only"} if twisting(s, "td_sqrt") is twisting(s, "hkr_only")
+    plain = ({**twisted, "twist": "hkr_only"} if td_half is twisting(s, "hkr_only")
              else run("hkr_only"))
     results = {"twisted": twisted, "hkr_only": plain}
     lines = [
@@ -258,43 +265,45 @@ def _int_at_least(lo: int):
     return parse
 
 
+def _subcommand_arguments(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Add subcommand name's arguments to p, its own parser or the tree's."""
+    p.add_argument("scenario", help="scenario JSON path or bundled name "
+                                    f"({', '.join(BUNDLED)})")
+    p.add_argument("--json", action="store_true", help="machine-readable report")
+    p.add_argument("--caps", default=None,
+                   help="override caps: max_weight,max_order,max_arity")
+    if name in ("axioms", "duflo-check"):  # the two commands that draw at random
+        p.add_argument("--seed", type=int, default=0)
+    if name == "axioms":
+        p.add_argument("--cases", type=_int_at_least(1), default=200)
+    if name == "duflo-check":
+        p.add_argument("--sample-cap", type=_int_at_least(1), default=1000)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The whole tree: each subcommand's help text is its function's docstring."""
     parser = argparse.ArgumentParser(
         prog="gman",
         description="Exact symbolic engine for g-manifolds with polynomial data")
     parser.add_argument("--version", action="version", version=f"gman {VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("validate", "parse and validate a scenario"),
-        ("axioms", "run the randomized graded-identity suite"),
-        ("atiyah", "Atiyah cocycle and invariant-connection obstruction"),
-        ("todd", "Todd cocycle, its square root, and the log series"),
-        ("cohomology", "weight-sliced cohomology on both sides plus HKR match"),
-        ("duflo-check", "windowed Kontsevich-Duflo morphism check"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("scenario", help="scenario JSON path or bundled name "
-                                        f"({', '.join(BUNDLED)})")
-        p.add_argument("--json", action="store_true", help="machine-readable report")
-        p.add_argument("--caps", default=None,
-                       help="override caps: max_weight,max_order,max_arity")
-        if name in ("axioms", "duflo-check"):  # the two commands that draw at random
-            p.add_argument("--seed", type=int, default=0)
-        if name == "axioms":
-            p.add_argument("--cases", type=_int_at_least(1), default=200)
-        if name == "duflo-check":
-            p.add_argument("--sample-cap", type=_int_at_least(1), default=1000)
+    for name, command in COMMANDS.items():
+        _subcommand_arguments(sub.add_parser(name, help=command.__doc__), name)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse would take a value such as -3,4,4 for an option: glue it on
     while "--caps" in argv[:-1] and re.match(r"-[0-9]", argv[(i := argv.index("--caps")) + 1]):
         argv[i:i + 2] = [f"--caps={argv[i + 1]}"]
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in COMMANDS:  # that subcommand's parser alone, not the whole tree
+            parser = _subcommand_arguments(argparse.ArgumentParser(prog=f"gman {argv[0]}"), argv[0])
+            args = parser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        else:  # --help, --version, or no or an unknown subcommand
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)

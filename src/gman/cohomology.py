@@ -463,7 +463,7 @@ def twisting(s: Scenario, twist: str):
 
 
 def duflo_check(tp: Workspace, dp: Workspace, twist: str, *, seed: int = 0,
-                sample_cap: int = 1000) -> dict:
+                sample_cap: int = 1000, twisted=None) -> dict:
     """Windowed Gerstenhaber-morphism check for hkr twisted by td^{1/2}
     (twist "td_sqrt") or for hkr alone (twist "hkr_only").
 
@@ -473,10 +473,11 @@ def duflo_check(tp: Workspace, dp: Workspace, twist: str, *, seed: int = 0,
     residual is reported as a falsification witness.  Each class is
     mapped once, not once per pair.  Residuals are basis-key coordinates
     of one raw sum per pair and product (``residual_coords``), reduced by
-    ``in_image``, serialised on failure.
+    ``in_image``, serialised on failure.  ``twisted`` is the twist's map
+    where the caller already has it from ``twisting``.
     """
     s = tp.s
-    twisted = twisting(s, twist)
+    twisted = twisting(s, twist) if twisted is None else twisted
     if sample_cap < 1:
         raise ValueError(f"sample_cap must be at least 1, got {sample_cap}")
     ktop = min(stable_degree_max(s, "tpoly"), stable_degree_max(s, "dpoly"))

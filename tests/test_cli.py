@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -213,7 +214,72 @@ def test_seed_only_where_something_is_random(capsys, command):
     take no --seed, and a run that passes one is a usage error."""
     status, out, err = run(capsys, command, "paper_sec4", "--seed", "0")
     assert (status, out) == (2, "")
-    assert "unrecognized arguments: --seed 0" in err
+    assert err.startswith(f"usage: gman {command} [-h] [--json] [--caps CAPS] scenario\n")
+    assert f"gman {command}: error: unrecognized arguments: --seed 0" in err
+
+
+PARSE_CASES = {
+    name: [[], ["--json"], ["--caps", "-3,4,4"], ["--caps", "6,4,5", "--json"]] + extra
+    for name, extra in {
+        "validate": [], "atiyah": [], "todd": [], "cohomology": [],
+        "axioms": [["--seed", "5"], ["--cases", "7"], ["--json", "--cases", "1", "--seed", "-2"]],
+        "duflo-check": [["--seed", "5"], ["--sample-cap", "9"],
+                        ["--sample-cap", "1", "--seed", "3", "--caps", "-1,0,0"]],
+    }.items()}
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_one_subcommand_parser_agrees_with_the_whole_tree(monkeypatch, capsys, name):
+    """main parses a named subcommand with that subcommand's parser alone;
+    the Namespace it hands on equals the whole tree's on the same argv
+    (with --caps glued as main glues it), and so does its --help text."""
+    assert set(PARSE_CASES) == set(cli.COMMANDS)
+    seen = []
+
+    def load(args):
+        seen.append(args)
+        raise cli.ScenarioError("parsed")
+    monkeypatch.setattr(cli, "_load", load)
+    for rest in PARSE_CASES[name]:
+        argv = [name, "paper_sec4", *rest]
+        assert main(argv) == 2
+        glued = " ".join(argv).replace("--caps ", "--caps=").split()
+        assert seen.pop() == cli.build_parser().parse_args(glued), argv
+    capsys.readouterr()
+
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args([name, "--help"])
+    whole = capsys.readouterr().out
+    assert main([name, "--help"]) == 0
+    assert capsys.readouterr().out == whole
+    assert whole.startswith(f"usage: gman {name} [-h]")
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: gman [-h] [--version]")
+    for name, command in cli.COMMANDS.items():
+        assert f"    {name}" in out
+        assert " ".join(command.__doc__.split()) in " ".join(out.split())
+
+
+@pytest.mark.parametrize("argv, parsers", [
+    (["atiyah", "paper_sec4", "--json"], 1),
+    (["--help"], 1 + len(cli.COMMANDS)),
+    (["--version"], 1 + len(cli.COMMANDS)),
+    (["frobnicate", "paper_sec4"], 1 + len(cli.COMMANDS)),
+])
+def test_parsers_built_per_invocation(capsys, monkeypatch, argv, parsers):
+    """A named subcommand builds its own parser and no other; only --help,
+    --version and a missing or unknown subcommand build the whole tree."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(kw.get("prog")) or init(self, *a, **kw))
+    main(argv)
+    capsys.readouterr()
+    assert len(built) == parsers, built
 
 
 @pytest.mark.parametrize("argv", [
@@ -460,6 +526,18 @@ def test_one_duflo_pass_per_distinct_twist_map(capsys, monkeypatch, name, passes
     assert res["twisted"]["twist"] == "td_sqrt" and res["hkr_only"]["twist"] == "hkr_only"
     if passes == 1:
         assert {**res["hkr_only"], "twist": "td_sqrt"} == res["twisted"]
+
+
+@pytest.mark.parametrize("name", ["abelian_trivial", "paper_sec4"])
+def test_duflo_check_computes_td_sqrt_once(capsys, monkeypatch, name):
+    """duflo-check computes td^{1/2} once per run: the twisted pass and the
+    test for one map across both twists share it."""
+    from gman import cohomology
+    calls = []
+    sqrt = cohomology.todd_sqrt
+    monkeypatch.setattr(cohomology, "todd_sqrt", lambda s: calls.append(s) or sqrt(s))
+    status, _, _ = run(capsys, "duflo-check", name, "--json")
+    assert (status, len(calls)) == (0, 1)
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):
